@@ -124,9 +124,8 @@ func mainRun() int {
 	if *verboseFlag {
 		fmt.Fprint(os.Stderr, r.Log().Summary())
 		hits, misses := r.MemoStats()
-		jhits, jmisses := r.MultiCacheStats()
-		fmt.Fprintf(os.Stderr, "layer memo: %d hits, %d misses; joint-run cache: %d hits, %d misses; cell cache: %d hits\n",
-			hits, misses, jhits, jmisses, r.Log().CacheHits())
+		fmt.Fprintf(os.Stderr, "layer memo: %d hits, %d misses; cell cache: %d hits\n",
+			hits, misses, r.Log().CacheHits())
 		if r.MemoDir() != "" {
 			lm := r.LayerMemoStats()
 			st := r.CellStoreStats()

@@ -85,8 +85,8 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "tnpu-serve:", err)
 		return 1
 	}
-	// The boot line is machine-parsed (scripts/serve_smoke.sh,
-	// scripts/bench.sh) — keep its shape stable.
+	// The boot line is machine-parsed (scripts/serve_smoke.sh; bash
+	// bench/run.sh drives serve in process) — keep its shape stable.
 	fmt.Printf("tnpu-serve: listening on http://%s (cache %s)\n", ln.Addr(), cacheDir)
 	if dir := srv.Runner().MemoDir(); dir != "" {
 		fmt.Printf("tnpu-serve: memo store %s\n", dir)

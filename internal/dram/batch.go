@@ -238,57 +238,3 @@ func (c *channel) batchable(ready, n uint64) bool {
 	}
 	return true
 }
-
-// TransferRunAt occupies the bus for nBlocks consecutive BlockBytes
-// transfers, all presented at the same ready time — exactly equivalent to
-// nBlocks TransferAt calls on consecutive block addresses — and returns the
-// completion time of the last block. Channel-interleaved addressing is
-// honoured; each channel's share is charged in closed form with exact
-// rational remainder carry when possible, falling back to per-block
-// service otherwise.
-func (b *Bus) TransferRunAt(ready, addr uint64, nBlocks int) (done uint64) {
-	if nBlocks <= 0 {
-		return ready
-	}
-	n := uint64(nBlocks)
-	nc := uint64(len(b.chans))
-	first := addr / BlockBytes
-	lastChan := (first + n - 1) % nc
-	for k := uint64(0); k < nc && k < n; k++ {
-		ch := &b.chans[(first+k)%nc]
-		cnt := (n - k + nc - 1) / nc
-		d := ch.sameReadyRun(ready, cnt)
-		if (first+k)%nc == lastChan {
-			done = d
-		}
-	}
-	return done
-}
-
-// sameReadyRun charges m block transfers presented at one ready time.
-func (c *channel) sameReadyRun(ready, m uint64) (lastDone uint64) {
-	if m == 0 {
-		return ready
-	}
-	if !c.batchable(ready, m) {
-		for i := uint64(0); i < m; i++ {
-			lastDone = c.transfer(ready, BlockBytes)
-		}
-		return lastDone
-	}
-	b0 := c.busyUntil
-	start := b0
-	if ready > start {
-		start = ready
-	}
-	ticks := m*BlockBytes*c.num + c.rem
-	cycles := ticks / c.den
-	c.rem = ticks % c.den
-	c.bytesMoved += m * BlockBytes
-	c.busyCycles += cycles
-	if ready > b0 {
-		c.recordGap(b0, ready)
-	}
-	c.busyUntil = start + cycles
-	return c.busyUntil
-}

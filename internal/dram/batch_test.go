@@ -162,42 +162,6 @@ func TestStreamRunMatchesReference(t *testing.T) {
 	}
 }
 
-// TestTransferRunAtMatchesReference checks the same-ready batched entry
-// against nBlocks individual TransferAt calls, over random gap patterns
-// and channel counts.
-func TestTransferRunAtMatchesReference(t *testing.T) {
-	for _, channels := range []int{1, 2, 3, 4} {
-		cfg := cfgWithChannels(smallCfg, channels)
-		rng := rand.New(rand.NewSource(int64(channels)))
-		fast := NewBus(cfg)
-		ref := NewBus(cfg)
-		var clock uint64
-		for step := 0; step < 300; step++ {
-			clock += uint64(rng.Intn(300))
-			if rng.Intn(3) == 0 {
-				addr := uint64(rng.Intn(1 << 20))
-				bytes := uint64(rng.Intn(1000))
-				fast.TransferAt(clock, addr, bytes)
-				ref.TransferAt(clock, addr, bytes)
-				continue
-			}
-			addr := uint64(rng.Intn(1<<20)) &^ (BlockBytes - 1)
-			n := 1 + rng.Intn(100)
-			fd := fast.TransferRunAt(clock, addr, n)
-			var rd uint64
-			for i := 0; i < n; i++ {
-				rd = ref.TransferAt(clock, addr+uint64(i)*BlockBytes, BlockBytes)
-			}
-			if fd != rd {
-				t.Fatalf("step %d (ch=%d n=%d): done = %d, reference = %d", step, channels, n, fd, rd)
-			}
-			if !equalStates(snapshot(fast), snapshot(ref)) {
-				t.Fatalf("step %d (ch=%d): bus state diverged", step, channels)
-			}
-		}
-	}
-}
-
 // TestBatchRemainderCarry pins the telescoping identity directly: a long
 // batched run must leave the channel with exactly the remainder and busy
 // cycles that per-block service accumulates, on a rate whose per-block cost

@@ -100,14 +100,6 @@ type Runner struct {
 	// pool.
 	memo *npu.LayerMemo
 
-	// multiCache memoizes whole multi-NPU results by (scheme, config,
-	// program tuple). The singleflight maps above already collapse repeat
-	// requests for the same cell, so within one runner this mostly pays
-	// off when a homogeneous Run and a same-tuple RunMixed meet — but it
-	// also makes the cache observable (MultiCacheStats) and gives serve a
-	// warm in-memory layer under its disk cache.
-	multiCache *multinpu.RunCache
-
 	// cellStore, when attached via SetMemoDir, persists whole-run cell
 	// results (and, through the layer memo, recorded layer entries)
 	// across processes. Set once before first use, like Models; a nil
@@ -229,15 +221,14 @@ func NewRunner(models ...string) *Runner {
 		models = model.ShortNames()
 	}
 	return &Runner{
-		Models:     models,
-		progs:      make(map[progKey]*cell[*compiler.Program]),
-		runs:       make(map[runKey]*cell[multinpu.Result]),
-		mixed:      make(map[mixedKey]*cell[multinpu.Result]),
-		e2es:       make(map[e2eKey]*cell[e2e.Result]),
-		attacks:    make(map[attackKey]*cell[*attack.Report]),
-		sweepRuns:  make(map[sweepRunKey]*cell[uint64]),
-		memo:       npu.NewLayerMemo(),
-		multiCache: multinpu.NewRunCache(),
+		Models:    models,
+		progs:     make(map[progKey]*cell[*compiler.Program]),
+		runs:      make(map[runKey]*cell[multinpu.Result]),
+		mixed:     make(map[mixedKey]*cell[multinpu.Result]),
+		e2es:      make(map[e2eKey]*cell[e2e.Result]),
+		attacks:   make(map[attackKey]*cell[*attack.Report]),
+		sweepRuns: make(map[sweepRunKey]*cell[uint64]),
+		memo:      npu.NewLayerMemo(),
 	}
 }
 
@@ -346,7 +337,7 @@ func (r *Runner) Run(short string, class Class, scheme memprot.Scheme, count int
 			if err != nil {
 				return multinpu.Result{}, err
 			}
-			res, err := multinpu.RunCached(p, scheme, class.Config(), count, r.memo, r.multiCache)
+			res, err := multinpu.RunMemo(p, scheme, class.Config(), count, r.memo)
 			if err != nil {
 				return multinpu.Result{}, fmt.Errorf("exp: %s/%s/%s x%d: %w", short, class, scheme, count, err)
 			}
@@ -376,7 +367,7 @@ func (r *Runner) RunMixed(shorts []string, class Class, scheme memprot.Scheme) (
 				}
 				progs[i] = p
 			}
-			res, err := multinpu.RunMixedCached(progs, scheme, class.Config(), r.memo, r.multiCache)
+			res, err := multinpu.RunMixed(progs, scheme, class.Config(), r.memo)
 			if err != nil {
 				return multinpu.Result{}, fmt.Errorf("exp: mixed[%s]/%s/%s: %w", joined, class, scheme, err)
 			}
@@ -385,10 +376,11 @@ func (r *Runner) RunMixed(shorts []string, class Class, scheme memprot.Scheme) (
 	})
 }
 
-// MultiCacheStats reports the shared joint-run cache's lookup outcomes.
-func (r *Runner) MultiCacheStats() (hits, misses uint64) {
-	return r.multiCache.Stats()
-}
+// MultiCacheStats always returns 0, 0: multi-NPU results are cached only
+// by the per-cell singleflight maps.
+//
+// Deprecated: the joint-run cache it reported on is gone.
+func (r *Runner) MultiCacheStats() (hits, misses uint64) { return 0, 0 }
 
 // EndToEnd simulates (once) the Sec. V-D flow.
 func (r *Runner) EndToEnd(short string, class Class, scheme memprot.Scheme) (e2e.Result, error) {

@@ -31,9 +31,9 @@ func stripRuns(r Result) Result {
 func diffMulti(t *testing.T, progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config) {
 	t.Helper()
 	ForceBlockInterleave(true)
-	ref, errRef := RunMixed(progs, scheme, cfg)
+	ref, errRef := RunMixed(progs, scheme, cfg, nil)
 	ForceBlockInterleave(false)
-	arb, errArb := RunMixed(progs, scheme, cfg)
+	arb, errArb := RunMixed(progs, scheme, cfg, nil)
 	if (errRef == nil) != (errArb == nil) {
 		t.Fatalf("error divergence: block=%v arbitrated=%v", errRef, errArb)
 	}
@@ -81,54 +81,6 @@ func TestMixedTenancyDifferential(t *testing.T) {
 		t.Run(scheme.String(), func(t *testing.T) {
 			diffMulti(t, []*compiler.Program{df, res}, scheme, cfg)
 		})
-	}
-}
-
-// TestRunCachedReplay pins the joint-run cache: a second identical run is
-// a hit and returns a result equal to the computed one, deep-copied so
-// caller mutation cannot poison the cache.
-func TestRunCachedReplay(t *testing.T) {
-	cfg := npu.SmallNPU()
-	prog := compileFor(t, "df", cfg)
-	cache := NewRunCache()
-	first, err := RunCached(prog, memprot.TreeLess, cfg, 2, nil, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := RunCached(prog, memprot.TreeLess, cfg, 2, nil, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("cache replay differs:\n  computed: %+v\n  replayed: %+v", first, second)
-	}
-	if hits, misses := cache.Stats(); hits != 1 || misses != 1 {
-		t.Fatalf("cache stats = %d hits / %d misses, want 1/1", hits, misses)
-	}
-	second.PerNPU[0] = 0xdead
-	second.NPUs[0].Blocks = 0xdead
-	third, err := RunCached(prog, memprot.TreeLess, cfg, 2, nil, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, third) {
-		t.Fatal("mutating a returned result poisoned the cache")
-	}
-	// Mixed tenancy caches under its own key.
-	res := compileFor(t, "res", cfg)
-	mixed, err := RunMixedCached([]*compiler.Program{prog, res}, memprot.TreeLess, cfg, nil, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed2, err := RunMixedCached([]*compiler.Program{prog, res}, memprot.TreeLess, cfg, nil, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(mixed, mixed2) {
-		t.Fatal("mixed-tenancy cache replay differs")
-	}
-	if mixed.Cycles == first.Cycles {
-		t.Fatal("mixed-tenancy run unexpectedly identical to homogeneous run")
 	}
 }
 
@@ -284,9 +236,9 @@ func FuzzMultiVsBlock(f *testing.F) {
 		cfg.Mem = mem
 
 		ForceBlockInterleave(true)
-		ref, errRef := RunMixed(progs, scheme, cfg)
+		ref, errRef := RunMixed(progs, scheme, cfg, nil)
 		ForceBlockInterleave(false)
-		arb, errArb := RunMixed(progs, scheme, cfg)
+		arb, errArb := RunMixed(progs, scheme, cfg, nil)
 		if (errRef == nil) != (errArb == nil) {
 			t.Fatalf("error divergence: block=%v arbitrated=%v", errRef, errArb)
 		}
@@ -359,16 +311,12 @@ func TestMultiNPUNoAllocs(t *testing.T) {
 
 // --- benchmark -------------------------------------------------------------
 
-// BenchmarkMultiNPU measures co-tenant simulation on three paths: the
-// block-granular reference ("block"), live horizon-bounded arbitration
-// ("arbitrated"), and the production path with the shared joint-run cache
-// ("batched" — replays repeated cells from cache, the harness's and the
-// serving layer's steady state, mirroring BenchmarkMachineRun's memoized
-// leg). BENCH_PR8.json records block/batched ratios.
+// BenchmarkMultiNPU measures co-tenant simulation on two paths: the
+// block-granular reference ("block") and live horizon-bounded arbitration
+// ("arbitrated").
 func BenchmarkMultiNPU(b *testing.B) {
 	cfg := npu.LargeNPU()
 	m := compileForBench(b, "res", cfg)
-	cache := NewRunCache()
 	for _, scheme := range memprot.AllSchemes() {
 		for count := 2; count <= 3; count++ {
 			name := fmt.Sprintf("large/res/%s/x%d", scheme, count)
@@ -384,13 +332,6 @@ func BenchmarkMultiNPU(b *testing.B) {
 			b.Run(name+"/arbitrated", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := Run(m, scheme, cfg, count); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run(name+"/batched", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := RunCached(m, scheme, cfg, count, nil, cache); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -66,21 +66,14 @@ func ForceBlockInterleave(on bool) { forceBlockInterleave.Store(on) }
 // Run executes count copies of prog (the paper runs the same inference
 // model on every NPU) under one shared bus and protection engine.
 func Run(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config, count int) (Result, error) {
-	return RunCached(prog, scheme, cfg, count, nil, nil)
+	return RunMemo(prog, scheme, cfg, count, nil)
 }
 
-// RunMemo is Run with a shared layer memo (may be nil); see RunCached.
+// RunMemo is Run with a shared layer memo (may be nil). Layer memoization
+// applies to single-NPU runs, which execute whole DMA runs on one machine;
+// multi-NPU runs interleave machines on the shared engine, so their layers
+// have no private state signature and always run live.
 func RunMemo(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config, count int, memo *npu.LayerMemo) (Result, error) {
-	return RunCached(prog, scheme, cfg, count, memo, nil)
-}
-
-// RunCached is Run with a shared layer memo and a shared joint-run cache,
-// either of which may be nil. Layer memoization applies to single-NPU
-// runs, which execute whole DMA runs on one machine; multi-NPU runs
-// interleave machines on the shared engine, so their layers have no
-// private state signature and always run live — the joint-run cache is
-// what makes repeated multi-NPU cells (figure sweeps, serving) cheap.
-func RunCached(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config, count int, memo *npu.LayerMemo, cache *RunCache) (Result, error) {
 	if count <= 0 {
 		return Result{}, fmt.Errorf("multinpu: count must be positive, got %d", count)
 	}
@@ -88,33 +81,15 @@ func RunCached(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config, co
 	for i := range progs {
 		progs[i] = prog
 	}
-	return RunMixedCached(progs, scheme, cfg, memo, cache)
+	return RunMixed(progs, scheme, cfg, memo)
 }
 
 // RunMixed executes a different program per NPU — the mixed-tenancy
 // extension of the Sec. V-C setup (each context still gets its own memory
 // region and version table; only bandwidth, the security engine, and the
-// metadata caches are shared).
-func RunMixed(progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config) (Result, error) {
-	return RunMixedCached(progs, scheme, cfg, nil, nil)
-}
-
-// RunMixedCached is RunMixed with a shared layer memo and joint-run cache
-// (either may be nil), giving mixed-tenancy runs the same memo/fast-path
-// treatment as RunMemo's homogeneous runs.
-func RunMixedCached(progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config, memo *npu.LayerMemo, cache *RunCache) (Result, error) {
-	if res, ok := cache.lookup(progs, scheme, cfg); ok {
-		return res, nil
-	}
-	res, err := runMixed(progs, scheme, cfg, memo)
-	if err != nil {
-		return Result{}, err
-	}
-	cache.store(progs, scheme, cfg, &res)
-	return res, nil
-}
-
-func runMixed(progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config, memo *npu.LayerMemo) (Result, error) {
+// metadata caches are shared). memo (may be nil) gives mixed-tenancy runs
+// the same treatment as RunMemo's homogeneous runs.
+func RunMixed(progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config, memo *npu.LayerMemo) (Result, error) {
 	count := len(progs)
 	if count == 0 {
 		return Result{}, fmt.Errorf("multinpu: no programs")

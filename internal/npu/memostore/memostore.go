@@ -1,23 +1,22 @@
-// Package memostore is the disk layer under the simulator's memo caches
+// Package memostore is the disk layer under the simulator's caches
 // (DESIGN.md §6g): a content-addressed store of recorded simulation
 // effects — layer memo entries, whole-run results — that survives process
 // restarts, so a cold harness replays what an earlier process recorded
-// instead of re-deriving it.
+// instead of re-deriving it. The serving layer's result cache
+// (internal/serve.Store) persists its artifacts through it too.
 //
-// The store follows the same discipline as the serving layer's result
-// cache (internal/serve.Store): keys are hex SHA-256 digests (safe as
-// file names, collision-free by construction), entries are framed with a
-// versioned magic plus a body checksum, writes go through a temp file and
-// an atomic rename (concurrent writers of one key race safely — the
-// contents are identical by construction, either rename wins), and a
-// corrupt or truncated entry is deleted and reported as a miss so the
-// caller simply re-records it. Callers bake the simulator code version
-// into every key, so a code bump strands stale entries rather than
-// serving them.
+// Keys are hex SHA-256 digests (safe as file names, collision-free by
+// construction), entries are framed with a versioned magic plus a body
+// checksum, writes go through a temp file and an atomic rename
+// (concurrent writers of one key race safely — the contents are
+// identical by construction, either rename wins), and a corrupt or
+// truncated entry is deleted and reported as a miss so the caller simply
+// re-records it. Callers bake the simulator code version into every key,
+// so a code bump strands stale entries rather than serving them.
 //
-// Unlike serve.Store there is no compute callback and no singleflight
-// here: the memo layers above own the record path (and their own
-// record-once scheduling); the store is plain Load/Save.
+// There is no compute callback and no singleflight here: the layers
+// above own the record path (and their own record-once scheduling); the
+// store is plain Load/Save.
 package memostore
 
 import (

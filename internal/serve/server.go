@@ -591,7 +591,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
 
 // handleNPUCountSweep serves the scalability curve: normalized execution
 // time at 1–3 NPUs per scheme and class, now cheap enough to compute on
-// demand (the horizon-bounded arbitration plus the joint-run cache). The
+// demand (the horizon-bounded arbitration). The
 // artifact is figure-shaped — class-tagged series over NPU-count
 // categories — so it shares the figure endpoints' JSON/SVG rendering.
 // Both Table II configurations go into the cache key because the sweep
@@ -780,13 +780,6 @@ type StatsDoc struct {
 		memostore.Stats
 	} `json:"memo_store"`
 
-	// MultiCache is the shared multi-NPU joint-run cache
-	// (exp.Runner.MultiCacheStats).
-	MultiCache struct {
-		Hits   uint64 `json:"hits"`
-		Misses uint64 `json:"misses"`
-	} `json:"multi_cache"`
-
 	// Harness is the runner's in-memory cell singleflight cache.
 	Harness struct {
 		CellsComputed  int    `json:"cells_computed"`
@@ -831,7 +824,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	doc.Memo.Bytes = lm.Bytes
 	doc.MemoStore.Dir = s.runner.MemoDir()
 	doc.MemoStore.Stats = s.runner.CellStoreStats()
-	doc.MultiCache.Hits, doc.MultiCache.Misses = s.runner.MultiCacheStats()
 
 	log := s.runner.Log()
 	doc.Harness.CellsComputed = log.CellsDone()

@@ -310,9 +310,6 @@ func TestStatsEndpoint(t *testing.T) {
 	if doc.Memo.Hits+doc.Memo.Misses == 0 {
 		t.Error("layer memo counters absent")
 	}
-	if doc.MultiCache.Hits+doc.MultiCache.Misses == 0 {
-		t.Error("joint-run cache counters absent")
-	}
 	if doc.Queue.Capacity != 1024 || doc.Queue.Depth != 0 {
 		t.Errorf("queue stats: %+v", doc.Queue)
 	}

@@ -6,18 +6,12 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"tnpu/internal/exp"
+	"tnpu/internal/npu/memostore"
 )
 
 // Source classifies where a Store lookup's bytes came from.
@@ -34,30 +28,25 @@ const (
 	SourceCompute Source = "compute"
 )
 
-// Store is a disk-backed content-addressed result cache. Keys are hex
-// digests (exp.Digest over code version + logical cell identity), so an
-// entry is valid for exactly as long as the code that produced it: a code
-// version bump changes every digest and strands — rather than serves —
-// stale results. Concurrent lookups of one key are singleflighted within
-// the process; across processes the write protocol (temp file + atomic
-// rename of a checksummed entry) makes concurrent writers race safely:
-// both compute, both write, either rename wins, and the contents are
-// identical by construction.
+// Store is the content-addressed result cache: an in-process flight map
+// over a memostore.Store. Keys are hex digests (exp.Digest over code
+// version + logical cell identity), so an entry is valid for exactly as
+// long as the code that produced it: a code version bump changes every
+// digest and strands — rather than serves — stale results. Concurrent
+// lookups of one key are singleflighted within the process; across
+// processes the memostore write protocol makes concurrent writers race
+// safely. A corrupt or unreadable entry is a counted miss and recomputed.
 type Store struct {
-	dir string
+	disk *memostore.Store
 
 	mu       sync.Mutex
 	inflight map[string]*flight
 
-	// StoreStats counters.
-	lookups   atomic.Uint64
-	diskHits  atomic.Uint64
-	flights   atomic.Uint64
-	computes  atomic.Uint64
-	stores    atomic.Uint64
-	corrupt   atomic.Uint64
-	errors    atomic.Uint64
-	diskBytes atomic.Uint64
+	// StoreStats counters; the disk-side ones live in disk.
+	lookups  atomic.Uint64
+	flights  atomic.Uint64
+	computes atomic.Uint64
+	errors   atomic.Uint64
 }
 
 // flight is one in-progress computation; latecomers block on done.
@@ -69,36 +58,11 @@ type flight struct {
 
 // NewStore opens (creating if needed) a cache directory.
 func NewStore(dir string) (*Store, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("serve: cache directory must be set")
+	disk, err := memostore.New(dir)
+	if err != nil {
+		return nil, fmt.Errorf("serve: cache: %w", err)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("serve: cache dir: %w", err)
-	}
-	return &Store{dir: dir, inflight: make(map[string]*flight)}, nil
-}
-
-// Dir returns the cache directory.
-func (s *Store) Dir() string { return s.dir }
-
-// entryMagic heads every cache entry; the version suffix is the entry
-// *format* version (bumped if the framing changes), independent of the
-// simulator code version that is part of the key.
-const entryMagic = "TNPUCACHE1"
-
-// path maps a key to its entry file. Keys are validated hex digests, so
-// they are safe as file names and cannot traverse out of the directory.
-func (s *Store) path(key string) string {
-	return filepath.Join(s.dir, key+".entry")
-}
-
-// validKey accepts only lowercase-hex digests of plausible length.
-func validKey(key string) bool {
-	if len(key) != sha256.Size*2 {
-		return false
-	}
-	_, err := hex.DecodeString(key)
-	return err == nil
+	return &Store{disk: disk, inflight: make(map[string]*flight)}, nil
 }
 
 // Get serves key from cache if possible, otherwise runs compute (exactly
@@ -106,7 +70,7 @@ func validKey(key string) bool {
 // are never cached: a failed computation is retried by the next lookup.
 func (s *Store) Get(key string, compute func() ([]byte, error)) ([]byte, Source, error) {
 	s.lookups.Add(1)
-	if !validKey(key) {
+	if !memostore.ValidKey(key) {
 		s.errors.Add(1)
 		return nil, "", fmt.Errorf("serve: invalid cache key %q", key)
 	}
@@ -123,24 +87,18 @@ func (s *Store) Get(key string, compute func() ([]byte, error)) ([]byte, Source,
 	s.mu.Unlock()
 
 	src := SourceDisk
-	f.data, f.err = s.read(key)
-	if f.data == nil && f.err == nil {
+	var ok bool
+	if f.data, ok = s.disk.Load(key); !ok {
 		src = SourceCompute
 		s.computes.Add(1)
 		f.data, f.err = compute()
-		if f.err == nil {
-			if werr := s.write(key, f.data); werr != nil {
-				// The result is good even if persisting it failed
-				// (disk full, read-only cache); serve it and count
-				// the store error.
-				s.errors.Add(1)
-			}
+		if f.err != nil {
+			s.errors.Add(1)
+		} else {
+			// The result is good even if persisting it failed (disk full,
+			// read-only cache); serve it — the disk store counts the error.
+			s.disk.Save(key, f.data)
 		}
-	} else if f.data != nil {
-		s.diskHits.Add(1)
-	}
-	if f.err != nil {
-		s.errors.Add(1)
 	}
 
 	s.mu.Lock()
@@ -148,82 +106,6 @@ func (s *Store) Get(key string, compute func() ([]byte, error)) ([]byte, Source,
 	s.mu.Unlock()
 	close(f.done)
 	return f.data, src, f.err
-}
-
-// read returns the entry bytes for key, or (nil, nil) on a miss. A
-// corrupted or truncated entry — bad magic, checksum mismatch, short
-// body — is deleted and reported as a miss, so the caller recomputes.
-func (s *Store) read(key string) ([]byte, error) {
-	raw, err := os.ReadFile(s.path(key))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("serve: cache read: %w", err)
-	}
-	body, ok := decodeEntry(raw)
-	if !ok {
-		s.corrupt.Add(1)
-		// Remove the bad entry so the recomputed result can take its
-		// place; ignore the error (another process may have raced the
-		// removal or already replaced it).
-		os.Remove(s.path(key)) //tnpu:errok
-		return nil, nil
-	}
-	return body, nil
-}
-
-// write persists body under key via temp file + atomic rename, so a
-// reader never observes a partially written entry and concurrent writers
-// of one key cannot interleave.
-func (s *Store) write(key string, body []byte) error {
-	tmp, err := os.CreateTemp(s.dir, ".tmp-entry-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) //tnpu:errok (no-op after a successful rename)
-	w := bufio.NewWriter(tmp)
-	sum := sha256.Sum256(body)
-	fmt.Fprintf(w, "%s %s %d\n", entryMagic, hex.EncodeToString(sum[:]), len(body))
-	w.Write(body) //tnpu:errok (flush below surfaces the error)
-	if err := w.Flush(); err != nil {
-		tmp.Close() //tnpu:errok
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), s.path(key)); err != nil {
-		return err
-	}
-	s.stores.Add(1)
-	s.diskBytes.Add(uint64(len(body)))
-	return nil
-}
-
-// decodeEntry validates framing: magic, body checksum, exact length.
-func decodeEntry(raw []byte) ([]byte, bool) {
-	nl := bytes.IndexByte(raw, '\n')
-	if nl < 0 {
-		return nil, false
-	}
-	fields := bytes.Fields(raw[:nl])
-	if len(fields) != 3 || string(fields[0]) != entryMagic {
-		return nil, false
-	}
-	n, err := strconv.Atoi(string(fields[2]))
-	if err != nil || n < 0 {
-		return nil, false
-	}
-	body := raw[nl+1:]
-	if len(body) != n {
-		return nil, false
-	}
-	sum := sha256.Sum256(body)
-	if hex.EncodeToString(sum[:]) != string(fields[1]) {
-		return nil, false
-	}
-	return body, true
 }
 
 // StoreStats is a snapshot of the cache counters.
@@ -240,7 +122,8 @@ type StoreStats struct {
 	Stores uint64 `json:"stores"`
 	// Corrupt entries were rejected (and recomputed).
 	Corrupt uint64 `json:"corrupt"`
-	// Errors counts failed lookups, computations, and store writes.
+	// Errors counts invalid keys, failed computations, and disk read and
+	// write failures.
 	Errors uint64 `json:"errors"`
 	// StoredBytes is the body volume written this process.
 	StoredBytes uint64 `json:"stored_bytes"`
@@ -248,15 +131,16 @@ type StoreStats struct {
 
 // Stats snapshots the counters.
 func (s *Store) Stats() StoreStats {
+	d := s.disk.Stats()
 	return StoreStats{
 		Lookups:     s.lookups.Load(),
-		DiskHits:    s.diskHits.Load(),
+		DiskHits:    d.Hits,
 		FlightHits:  s.flights.Load(),
 		Computes:    s.computes.Load(),
-		Stores:      s.stores.Load(),
-		Corrupt:     s.corrupt.Load(),
-		Errors:      s.errors.Load(),
-		StoredBytes: s.diskBytes.Load(),
+		Stores:      d.Saves,
+		Corrupt:     d.Corrupt,
+		Errors:      s.errors.Load() + d.Errors,
+		StoredBytes: d.SavedBytes,
 	}
 }
 

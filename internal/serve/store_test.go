@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"tnpu/internal/exp"
 	"tnpu/internal/memprot"
+	"tnpu/internal/npu/memostore"
 )
 
 // testKey builds a valid content address for test payloads.
@@ -63,9 +65,32 @@ func TestStoreComputeThenDiskHit(t *testing.T) {
 	}
 }
 
-// TestStoreCorruptEntryRecomputed mangles a persisted entry every way the
-// framing defends against and checks each one is rejected, recomputed,
-// and repaired in place.
+// TestStoreEntriesAreMemostoreEntries pins the single disk format: a
+// result persisted by Get is a memostore entry, loadable byte-for-byte by
+// a plain memostore.Store over the same directory.
+func TestStoreEntriesAreMemostoreEntries(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey("format")
+	payload := []byte(`{"cycles":4242}`)
+	mustGet(t, s, key, func() ([]byte, error) { return payload, nil })
+
+	ms, err := memostore.New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, ok := ms.Load(key)
+	if !ok || !bytes.Equal(body, payload) {
+		t.Fatalf("memostore.Load = %q, %v; want %q", body, ok, payload)
+	}
+}
+
+// TestStoreCorruptEntryRecomputed mangles a persisted entry through the
+// disk format and checks each one is rejected, recomputed, and repaired
+// in place through Get.
 func TestStoreCorruptEntryRecomputed(t *testing.T) {
 	payload := []byte(`{"cycles":999,"traffic":123456}`)
 	corruptions := []struct {
@@ -89,18 +114,20 @@ func TestStoreCorruptEntryRecomputed(t *testing.T) {
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := NewStore(t.TempDir())
+			dir := t.TempDir()
+			s, err := NewStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			key := testKey("corrupt", tc.name)
 			mustGet(t, s, key, func() ([]byte, error) { return payload, nil })
 
-			raw, err := os.ReadFile(s.path(key))
+			path := filepath.Join(dir, key+".memo")
+			raw, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(s.path(key), tc.mod(raw), 0o644); err != nil {
+			if err := os.WriteFile(path, tc.mod(raw), 0o644); err != nil {
 				t.Fatal(err)
 			}
 
@@ -124,65 +151,6 @@ func TestStoreCorruptEntryRecomputed(t *testing.T) {
 				t.Errorf("repaired entry src=%s, want disk", src)
 			}
 		})
-	}
-}
-
-// TestStoreConcurrentWritersRace runs many writers of one key through two
-// Store instances over the same directory — the cross-process race the
-// temp-file + atomic-rename protocol must survive. Whatever interleaving
-// happens, every lookup must return the payload and the surviving entry
-// must be valid.
-func TestStoreConcurrentWritersRace(t *testing.T) {
-	dir := t.TempDir()
-	a, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := testKey("race")
-	payload := []byte(`{"deterministic":"result"}`)
-
-	const perStore = 32
-	var wg sync.WaitGroup
-	errs := make(chan error, 2*perStore)
-	for _, s := range []*Store{a, b} {
-		s := s
-		for i := 0; i < perStore; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				data, _, err := s.Get(key, func() ([]byte, error) { return payload, nil })
-				if err != nil {
-					errs <- err
-					return
-				}
-				if !bytes.Equal(data, payload) {
-					errs <- fmt.Errorf("lookup returned %q", data)
-				}
-			}()
-		}
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-
-	// Each store singleflights internally, so at most one compute per
-	// instance; the rename race between the two is the point.
-	if ca, cb := a.Stats().Computes, b.Stats().Computes; ca > 1 || cb > 1 {
-		t.Errorf("computes per store = %d/%d, want at most 1 each", ca, cb)
-	}
-	raw, err := os.ReadFile(a.path(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, ok := decodeEntry(raw)
-	if !ok || !bytes.Equal(body, payload) {
-		t.Errorf("surviving entry invalid after writer race")
 	}
 }
 

@@ -9,11 +9,11 @@
 # TNPU_SERVE_EXPECT_WARM=1, proving the disk cache survives a process
 # restart and the warm process computes nothing.
 #
-# A third leg then wipes only the result-cache entries (keeping the
-# persistent memo store) and restarts: the server must regenerate every
-# artifact, but from whole-run memos rather than simulation, so the leg
-# must beat the cold leg's wall time and /stats must show memo-store
-# hits.
+# A third leg then wipes only the result-cache entries ($cache/*.memo;
+# the persistent memo store lives in a separate -memodir and is kept) and
+# restarts: the server must regenerate every artifact, but from whole-run
+# memos rather than simulation, so the leg must beat the cold leg's wall
+# time and /stats must show memo-store hits.
 #
 # Usage:
 #   scripts/serve_smoke.sh            # default 300 requests per leg
@@ -101,7 +101,7 @@ TNPU_SERVE_URL="$server_url" TNPU_SERVE_LOAD="$load" TNPU_SERVE_EXPECT_WARM=1 \
 stop
 
 echo "== memo-warm leg: result cache wiped, memo store intact =="
-rm -f "$cache"/*.entry
+rm -f "$cache"/*.memo
 boot "$logdir/memowarm.log"
 memowarm_start="$(now_ms)"
 TNPU_SERVE_URL="$server_url" TNPU_SERVE_LOAD="$load" \
