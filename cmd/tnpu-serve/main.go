@@ -45,6 +45,17 @@ func main() {
 	os.Exit(run())
 }
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a slow-header (slowloris) client cannot hold a connection
+// and its goroutine open indefinitely. It matches the in-process server
+// the benchmark drives.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer returns the HTTP server tnpu-serve listens with.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 func run() int {
 	addrFlag := flag.String("addr", ":8080", "listen address (host:port; port 0 picks an ephemeral port)")
 	cacheFlag := flag.String("cache", "", "result cache directory (default: a tnpu-serve dir under the user cache dir)")
@@ -92,7 +103,7 @@ func run() int {
 		fmt.Printf("tnpu-serve: memo store %s\n", dir)
 	}
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 

@@ -23,8 +23,8 @@
 //  2. Guarded fast paths: every call to a //tnpu:fastpath-marked
 //     function must sit under an if-condition that invokes a
 //     //tnpu:guard-marked predicate, directly or through a local
-//     variable derived from one (the `inStreak := ... && BeginSpanRun(...)`
-//     idiom). Markers cross packages as facts, so dram.Bus.BeginSpanRun
+//     variable derived from one (the `inStreak := ... && BeginRun(...)`
+//     idiom). Markers cross packages as facts, so dram.Bus.BeginRun
 //     guards memprot's streak bodies. //tnpu:guardok waives one site.
 package boundsound
 
@@ -64,7 +64,7 @@ func run(pass *analysis.Pass) error {
 	set := summary.Compute(pass, summary.Options{})
 
 	// Index this package's markers and re-export them as facts for
-	// dependents (dram's BeginSpanRun guards memprot's streak bodies).
+	// dependents (dram's BeginRun guards memprot's streak bodies).
 	fastpath := make(map[*types.Func]bool)
 	guard := make(map[*types.Func]bool)
 	for _, name := range set.Names() {

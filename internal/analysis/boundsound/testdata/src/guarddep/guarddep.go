@@ -1,5 +1,5 @@
 // Package guarddep exports a guard predicate as a fact, mirroring
-// dram.Bus.BeginSpanRun guarding memprot's streak bodies.
+// dram.Bus.BeginRun guarding memprot's streak bodies.
 package guarddep
 
 // Begin reports whether the closed form applies.

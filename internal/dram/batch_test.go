@@ -54,11 +54,7 @@ func refStreamRun(b *Bus, ready, addr uint64, n int, w *IssueWindow) (nextReady,
 			maxBusFree = busFree
 		}
 		lastIssue = r
-		gate := w.Note(busFree)
-		r++
-		if gate > r {
-			r = gate
-		}
+		r = w.Issue(r, busFree)
 	}
 	return r, maxBusFree, lastIssue
 }
@@ -87,20 +83,23 @@ func TestCyclesForBytesMultiChannel(t *testing.T) {
 	}
 }
 
-// TestIssueWindow pins the ring semantics: Note returns the clear time of
-// the request issued depth ago, zero while filling.
+// TestIssueWindow pins the issue step: after noting request i's clear
+// time, the next request issues at max(r+1, gate), where the gate is the
+// clear time of request i+1-depth (zero while the window is filling).
 func TestIssueWindow(t *testing.T) {
 	w := NewIssueWindow(3)
 	if w.Depth() != 3 {
 		t.Fatalf("depth = %d, want 3", w.Depth())
 	}
-	for i, in := range []uint64{10, 20, 30, 40, 50} {
-		want := uint64(0)
-		if i >= 2 {
-			want = uint64(i-2+1) * 10 // clear time noted 3 calls ago... gate is slots[idx] after write
-		}
-		if got := w.Note(in); got != want {
-			t.Errorf("Note #%d: gate = %d, want %d", i, got, want)
+	for i, tc := range []struct{ r, busFree, want uint64 }{
+		{5, 10, 6},   // filling: gate 0, so r+1
+		{6, 20, 7},   // filling
+		{7, 30, 10},  // gate = request 0's clear (10) beats r+1
+		{8, 40, 20},  // gate = request 1's clear
+		{50, 50, 51}, // r+1 beats the gate (request 2's clear, 30)
+	} {
+		if got := w.Issue(tc.r, tc.busFree); got != tc.want {
+			t.Errorf("Issue #%d (r=%d, busFree=%d) = %d, want %d", i, tc.r, tc.busFree, got, tc.want)
 		}
 	}
 }
@@ -118,8 +117,11 @@ func TestIssueWindowBadDepthPanics(t *testing.T) {
 // StreamRun and loose single transfers on twin buses — one using the
 // batched entry, one the reference loop — and requires identical returned
 // times and identical full bus state after every operation. Covers the
-// closed form (long dense runs), every fallback (short runs, multi-channel,
-// backfillable gaps), and window-state handoff between runs.
+// cursor path (dense runs of every length), the reference-loop fallback
+// (multi-channel, backfillable gaps), and window-state handoff between
+// runs. On a single channel every batchable call must take the cursor:
+// window slots there hold earlier clears on the same channel, so BeginRun's
+// slot check never rejects what the batchable rate/gap check admits.
 func TestStreamRunMatchesReference(t *testing.T) {
 	for _, channels := range []int{1, 2, 4} {
 		for _, cfg := range []Config{smallCfg, largeCfg} {
@@ -130,6 +132,7 @@ func TestStreamRunMatchesReference(t *testing.T) {
 			wFast := NewIssueWindow(16)
 			wRef := NewIssueWindow(16)
 			var clock uint64
+			cursorRuns := 0
 			for step := 0; step < 400; step++ {
 				clock += uint64(rng.Intn(200))
 				switch rng.Intn(4) {
@@ -141,6 +144,14 @@ func TestStreamRunMatchesReference(t *testing.T) {
 				default: // streamed run, length spanning both regimes
 					addr := uint64(rng.Intn(1<<20)) &^ (BlockBytes - 1)
 					n := 1 + rng.Intn(120)
+					if channels == 1 && fast.chans[0].batchable(clock, uint64(n)) {
+						// BeginRun only primes the window's cursor, which
+						// StreamRun re-primes, so probing it here is harmless.
+						if !fast.BeginRun(wFast, clock, n) {
+							t.Fatalf("step %d (n=%d): BeginRun rejected a batchable single-channel run; StreamRun would take the reference loop", step, n)
+						}
+						cursorRuns++
+					}
 					fn, fm, fl := fast.StreamRun(clock, addr, n, wFast)
 					rn, rm, rl := refStreamRun(ref, clock, addr, n, wRef)
 					if fn != rn || fm != rm || fl != rl {
@@ -154,9 +165,12 @@ func TestStreamRunMatchesReference(t *testing.T) {
 				}
 				for i := range wFast.slots {
 					if wFast.slots[i] != wRef.slots[i] || wFast.idx != wRef.idx {
-						t.Fatalf("step %d: issue window diverged: %+v vs %+v", step, wFast, wRef)
+						t.Fatalf("step %d: issue window diverged: %v@%d vs %v@%d", step, wFast.slots, wFast.idx, wRef.slots, wRef.idx)
 					}
 				}
+			}
+			if channels == 1 && cursorRuns == 0 {
+				t.Fatalf("cfg %+v: no run took the cursor path; test exercised nothing", cfg)
 			}
 		}
 	}

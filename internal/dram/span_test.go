@@ -7,10 +7,10 @@ import (
 
 // TestSpanCursorMatchesReference drives random mixed charge sequences —
 // data spans, periodic uniform stretches, and metadata charges presented at
-// the current issue time — through a SpanCursor on one bus and the
+// the current issue time — through a RunCursor on one bus and the
 // per-block reference on a twin. After every Commit the two buses and
 // issue windows must agree exactly, as must every returned time. This is
-// the pin for the O(1)-per-span deferral: the SpanCursor never writes the
+// the pin for the O(1)-per-span deferral: the cursor never writes the
 // window during the run, so any bookkeeping error shows up as a diverged
 // gate, horizon, or final ring.
 func TestSpanCursorMatchesReference(t *testing.T) {
@@ -24,7 +24,7 @@ func TestSpanCursorMatchesReference(t *testing.T) {
 			wRef := NewIssueWindow(depth)
 			var clock uint64
 			runs, periodics := 0, 0
-			var sc SpanCursor
+			sc := wFast.Cursor()
 			for step := 0; step < 300; step++ {
 				clock += uint64(rng.Intn(400))
 				if rng.Intn(4) == 0 { // loose transfer: open gaps, shift remainders
@@ -35,7 +35,7 @@ func TestSpanCursorMatchesReference(t *testing.T) {
 					continue
 				}
 				budget := 1 + rng.Intn(400)
-				if !fast.BeginSpanRun(&sc, wFast, clock, budget) {
+				if !fast.BeginRun(wFast, clock, budget) {
 					continue
 				}
 				runs++
@@ -126,7 +126,7 @@ func TestSpanCursorMatchesReference(t *testing.T) {
 				}
 			}
 			if runs == 0 {
-				t.Fatalf("cfg %d depth %d: BeginSpanRun never succeeded; test exercised nothing", ci, depth)
+				t.Fatalf("cfg %d depth %d: BeginRun never succeeded; test exercised nothing", ci, depth)
 			}
 			if depth >= 2 && periodics == 0 {
 				t.Fatalf("cfg %d depth %d: DataPeriodic never ran; test exercised nothing", ci, depth)
@@ -136,34 +136,44 @@ func TestSpanCursorMatchesReference(t *testing.T) {
 }
 
 // TestSpanCursorEmptyCommit pins Commit as a strict no-op when nothing was
-// charged, matching RunCursor.
+// charged, on a window whose cursor has just served a run: the retained
+// span records and window writes of that run must not leak into it.
 func TestSpanCursorEmptyCommit(t *testing.T) {
 	bus := NewBus(smallCfg)
 	w := NewIssueWindow(16)
 	bus.TransferAt(0, 0, 64)
+	bus.StreamRun(100, 0, 40, w) // a committed cursor run past the prologue
 	before := snapshot(bus)
-	var sc SpanCursor
-	if !bus.BeginSpanRun(&sc, w, 5_000, 8) {
-		t.Fatal("BeginSpanRun rejected a plain idle bus")
+	slots, idx := append([]uint64(nil), w.slots...), w.idx
+	if !bus.BeginRun(w, 5_000, 8) {
+		t.Fatal("BeginRun rejected a plain idle bus")
 	}
-	sc.Commit()
+	w.Cursor().Commit()
 	if !equalStates(before, snapshot(bus)) {
 		t.Fatalf("empty Commit changed bus state:\nbefore: %+v\nafter:  %+v", before, snapshot(bus))
+	}
+	if w.idx != idx {
+		t.Fatalf("empty Commit moved the window index: %d -> %d", idx, w.idx)
+	}
+	for i := range slots {
+		if w.slots[i] != slots[i] {
+			t.Fatalf("empty Commit rewrote window slot %d: %d -> %d", i, slots[i], w.slots[i])
+		}
 	}
 }
 
 // TestSpanCursorShortRun pins the all-prologue regime: fewer data blocks
 // than the window depth leave the ring exactly as the per-block loop would
-// (written by the prologue itself, untouched by Commit).
+// (the prologue only reads gates; Commit writes the ring).
 func TestSpanCursorShortRun(t *testing.T) {
 	fast := NewBus(smallCfg)
 	ref := NewBus(smallCfg)
 	wF := NewIssueWindow(16)
 	wR := NewIssueWindow(16)
-	var sc SpanCursor
-	if !fast.BeginSpanRun(&sc, wF, 100, 32) {
-		t.Fatal("BeginSpanRun rejected a plain idle bus")
+	if !fast.BeginRun(wF, 100, 32) {
+		t.Fatal("BeginRun rejected a plain idle bus")
 	}
+	sc := wF.Cursor()
 	rF, rR := uint64(100), uint64(100)
 	_, _, rF = sc.Data(rF, 5)
 	sc.Meta(2)

@@ -9,19 +9,14 @@ import (
 // in for: one transfer at the issue time, noted in the window.
 func refChargeData(b *Bus, w *IssueWindow, r, addr uint64) (busFree, nextR uint64) {
 	busFree = b.TransferAt(r, addr, BlockBytes)
-	gate := w.Note(busFree)
-	nextR = r + 1
-	if gate > nextR {
-		nextR = gate
-	}
-	return busFree, nextR
+	return busFree, w.Issue(r, busFree)
 }
 
 // TestRunCursorMatchesReference drives random mixed charge sequences —
-// window-gated data blocks, data spans, and metadata charges presented at
-// the current issue time — through a RunCursor on one bus and the per-block
-// reference on a twin, interleaved with loose transfers between runs to
-// perturb remainders, gaps, and window state. After every Commit the two
+// single window-gated data blocks, data spans, and metadata charges
+// presented at the current issue time — through a RunCursor on one bus and
+// the per-block reference on a twin, interleaved with loose transfers
+// between runs to perturb remainders, gaps, and window state. After every Commit the two
 // buses and issue windows must agree exactly, as must every returned time.
 func TestRunCursorMatchesReference(t *testing.T) {
 	awkwardCfg := Config{FreqHz: 3_000_000_000, BandwidthBytesPerSec: 7_000_000_000, LatencyCycles: 10}
@@ -42,11 +37,11 @@ func TestRunCursorMatchesReference(t *testing.T) {
 				ref.TransferAt(clock, addr, bytes)
 				continue
 			}
-			var cur RunCursor
 			budget := 1 + rng.Intn(200)
-			if !fast.BeginRun(&cur, wFast, clock, budget) {
+			if !fast.BeginRun(wFast, clock, budget) {
 				continue
 			}
+			cur := wFast.Cursor()
 			runs++
 			rF, rR := clock, clock
 			addr := uint64(rng.Intn(1<<20)) &^ (BlockBytes - 1)
@@ -54,34 +49,34 @@ func TestRunCursorMatchesReference(t *testing.T) {
 			for left > 0 {
 				switch rng.Intn(3) {
 				case 0: // single gated data block
-					fFree, fNext := cur.ChargeData(wFast, rF)
+					fFree, fIssue, fNext := cur.Data(rF, 1)
 					rFree, rNext := refChargeData(ref, wRef, rR, addr)
-					if fFree != rFree || fNext != rNext {
-						t.Fatalf("cfg %d step %d: ChargeData = (%d,%d), ref (%d,%d)", ci, step, fFree, fNext, rFree, rNext)
+					if fFree != rFree || fIssue != rR || fNext != rNext {
+						t.Fatalf("cfg %d step %d: Data(1) = (%d,%d,%d), ref (%d,%d,%d)", ci, step, fFree, fIssue, fNext, rFree, rR, rNext)
 					}
 					rF, rR = fNext, rNext
 					left--
 				case 1: // metadata charge(s) at the current issue time
 					k := 1 + rng.Intn(minTest(3, left))
-					fAt := cur.Charge(k)
+					fAt := cur.Meta(k)
 					var rAt uint64
 					for j := 0; j < k; j++ {
 						rAt = ref.TransferAt(rR, addr, BlockBytes)
 					}
 					if fAt != rAt {
-						t.Fatalf("cfg %d step %d: Charge(%d) = %d, ref %d", ci, step, k, fAt, rAt)
+						t.Fatalf("cfg %d step %d: Meta(%d) = %d, ref %d", ci, step, k, fAt, rAt)
 					}
 					left -= k
 				default: // data span crossing prologue/short/long regimes
 					k := 1 + rng.Intn(minTest(40, left))
-					fFree, fIssue, fNext := cur.ChargeDataSpan(wFast, rF, k)
+					fFree, fIssue, fNext := cur.Data(rF, k)
 					var rFree, rIssue uint64
 					for j := 0; j < k; j++ {
 						rIssue = rR
 						rFree, rR = refChargeData(ref, wRef, rR, addr)
 					}
 					if fFree != rFree || fIssue != rIssue || fNext != rR {
-						t.Fatalf("cfg %d step %d: ChargeDataSpan(%d) = (%d,%d,%d), ref (%d,%d,%d)",
+						t.Fatalf("cfg %d step %d: Data(%d) = (%d,%d,%d), ref (%d,%d,%d)",
 							ci, step, k, fFree, fIssue, fNext, rFree, rIssue, rR)
 					}
 					rF = fNext
@@ -122,14 +117,14 @@ func TestRunCursorGapAtBegin(t *testing.T) {
 	wR := NewIssueWindow(16)
 	fast.TransferAt(0, 0, 64)
 	ref.TransferAt(0, 0, 64)
-	var cur RunCursor
 	ready := uint64(10_000) // far past the horizon: the run opens on a gap
-	if !fast.BeginRun(&cur, wF, ready, 32) {
+	if !fast.BeginRun(wF, ready, 32) {
 		t.Fatal("BeginRun rejected a plain idle bus")
 	}
+	cur := wF.Cursor()
 	rF, rR := ready, ready
 	for i := 0; i < 20; i++ {
-		_, rF = cur.ChargeData(wF, rF)
+		_, _, rF = cur.Data(rF, 1)
 		_, rR = refChargeData(ref, wR, rR, uint64(i)*BlockBytes)
 	}
 	cur.Commit()
@@ -153,11 +148,10 @@ func TestRunCursorEmptyCommit(t *testing.T) {
 	w := NewIssueWindow(16)
 	bus.TransferAt(0, 0, 64)
 	before := snapshot(bus)
-	var cur RunCursor
-	if !bus.BeginRun(&cur, w, 5_000, 8) {
+	if !bus.BeginRun(w, 5_000, 8) {
 		t.Fatal("BeginRun rejected a plain idle bus")
 	}
-	cur.Commit()
+	w.Cursor().Commit()
 	if !equalStates(before, snapshot(bus)) {
 		t.Fatalf("empty Commit changed bus state:\nbefore: %+v\nafter:  %+v", before, snapshot(bus))
 	}
@@ -167,18 +161,17 @@ func TestRunCursorEmptyCommit(t *testing.T) {
 // windows holding in-flight completions past the start horizon must fall
 // back to the per-block path.
 func TestBeginRunRejections(t *testing.T) {
-	var cur RunCursor
 	multi := NewBus(cfgWithChannels(smallCfg, 2))
-	if multi.BeginRun(&cur, NewIssueWindow(16), 0, 8) {
+	if multi.BeginRun(NewIssueWindow(16), 0, 8) {
 		t.Fatal("BeginRun accepted a multi-channel bus")
 	}
 	single := NewBus(smallCfg)
 	w := NewIssueWindow(16)
-	w.Note(1 << 40) // a slot far past any reachable horizon
-	if single.BeginRun(&cur, w, 0, 8) {
+	w.Issue(0, 1<<40) // a slot far past any reachable horizon
+	if single.BeginRun(w, 0, 8) {
 		t.Fatal("BeginRun accepted a window slot past the start horizon")
 	}
-	if single.BeginRun(&cur, NewIssueWindow(16), 0, 0) {
+	if single.BeginRun(NewIssueWindow(16), 0, 0) {
 		t.Fatal("BeginRun accepted a zero-block budget")
 	}
 }

@@ -46,11 +46,10 @@ type baseline struct {
 	touched   map[uint64]struct{} //tnpu:canonskip per-layer journal index, reset by BeginLayer
 	touchedLi []uint64            //tnpu:canonskip per-layer journal consumed by AppendDelta, reset by BeginLayer
 
-	// cur is the streak charge cursor and sweep the MAC-line range
-	// resolver (see streak.go), engine-owned so the batched hot path
-	// allocates nothing.
-	cur   dram.SpanCursor //tnpu:canonskip per-call scratch cursor, no state across calls
-	sweep cache.Sweep     //tnpu:canonskip per-call scratch resolver, no state across calls
+	// sweep is the streak's MAC-line range resolver (see streak.go),
+	// engine-owned so the batched hot path allocates nothing; the bus run
+	// cursor belongs to the issue window.
+	sweep cache.Sweep //tnpu:canonskip per-call scratch resolver, no state across calls
 }
 
 func newBaseline(cfg Config) *baseline {

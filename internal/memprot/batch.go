@@ -16,7 +16,7 @@ import (
 //	for i := 0; i < nBlocks; i++ {
 //	    busFree, dataAt := e.ReadBlock(ready, addr+uint64(i)*dram.BlockBytes, version)
 //	    maxDataAt = max(maxDataAt, dataAt)
-//	    if gate := w.Note(busFree); gate > ready+1 { ready = gate } else { ready++ }
+//	    ready = w.Issue(ready, busFree)
 //	}
 //
 // The batching exploits the same regularity TNPU's hardware does: a
@@ -27,16 +27,6 @@ import (
 type RunEngine interface {
 	ReadRun(ready, addr, version uint64, nBlocks int, w *dram.IssueWindow) (nextReady, maxDataAt uint64)
 	WriteRun(ready, addr, version uint64, nBlocks int, w *dram.IssueWindow) (nextReady, maxDataAt uint64)
-}
-
-// issueNext applies the DMA issue-window gating one block at a time — the
-// exact update the npu.Machine reference loop performs.
-func issueNext(w *dram.IssueWindow, busFree, ready uint64) uint64 {
-	gate := w.Note(busFree)
-	if gate > ready+1 {
-		return gate
-	}
-	return ready + 1
 }
 
 // runPerBlock is the reference fallback: the per-block engine path under
@@ -54,7 +44,7 @@ func runPerBlock(e Engine, read bool, ready, addr, version uint64, n int, w *dra
 		if dataAt > maxDataAt {
 			maxDataAt = dataAt
 		}
-		r = issueNext(w, busFree, r)
+		r = w.Issue(r, busFree)
 	}
 	return r, maxDataAt
 }
@@ -144,13 +134,14 @@ func (e *encryptOnly) WriteRun(ready, addr, version uint64, n int, w *dram.Issue
 
 // Long runs on a single channel are served as one streak (streak.go):
 // every MAC-line outcome is resolved in one cache walk and the reference
-// charge sequence replays through a RunCursor in closed form. The per-line
+// charge sequence replays through the issue window's dram.RunCursor in
+// closed form, admitted by the dram.Bus.BeginRun guard. The per-line
 // loop below remains as the fallback for short runs, multi-channel buses,
 // and configurations where the append invariant is unprovable.
 
 // ReadRun batches MAC-line streaks of the read run. //tnpu:noalloc
 func (t *treeless) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWindow) (nextReady, maxDataAt uint64) {
-	if n >= streakMinBlocks && t.cfg.Bus.BeginSpanRun(&t.cur, w, ready, 3*n+16) {
+	if n >= streakMinBlocks && t.cfg.Bus.BeginRun(w, ready, 3*n+16) {
 		return t.readStreak(ready, addr, n, w)
 	}
 	r := ready
@@ -159,7 +150,7 @@ func (t *treeless) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWind
 		// A rejected run usually failed on a remembered idle gap; gaps are
 		// consumed (or overtaken) as the run's own blocks land, so retry
 		// the streak for the remaining lines.
-		if i > 0 && n-i >= streakMinBlocks && t.cfg.Bus.BeginSpanRun(&t.cur, w, r, 3*(n-i)+16) {
+		if i > 0 && n-i >= streakMinBlocks && t.cfg.Bus.BeginRun(w, r, 3*(n-i)+16) {
 			nr, d := t.readStreak(r, addr+uint64(i)*dram.BlockBytes, n-i, w)
 			if d > maxDataAt {
 				maxDataAt = d
@@ -180,7 +171,7 @@ func (t *treeless) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWind
 		if dataAt > maxDataAt {
 			maxDataAt = dataAt
 		}
-		r = issueNext(w, busFree, r)
+		r = w.Issue(r, busFree)
 		// Covered blocks: the MAC hit resolves at the issue time, which the
 		// data-arrival term always dominates, leaving pure bus arithmetic.
 		if m > 1 {
@@ -198,13 +189,13 @@ func (t *treeless) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWind
 
 // WriteRun batches MAC-line streaks of the write run. //tnpu:noalloc
 func (t *treeless) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWindow) (nextReady, maxDataAt uint64) {
-	if n >= streakMinBlocks && t.cfg.Bus.BeginSpanRun(&t.cur, w, ready, 3*n+16) {
+	if n >= streakMinBlocks && t.cfg.Bus.BeginRun(w, ready, 3*n+16) {
 		return t.writeStreak(ready, addr, n, w)
 	}
 	r := ready
 	for i := 0; i < n; {
 		// See ReadRun: retry the streak once the rejecting gap is behind.
-		if i > 0 && n-i >= streakMinBlocks && t.cfg.Bus.BeginSpanRun(&t.cur, w, r, 3*(n-i)+16) {
+		if i > 0 && n-i >= streakMinBlocks && t.cfg.Bus.BeginRun(w, r, 3*(n-i)+16) {
 			nr, d := t.writeStreak(r, addr+uint64(i)*dram.BlockBytes, n-i, w)
 			if d > maxDataAt {
 				maxDataAt = d
@@ -222,7 +213,7 @@ func (t *treeless) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 		if busFree > maxDataAt {
 			maxDataAt = busFree
 		}
-		r = issueNext(w, busFree, r)
+		r = w.Issue(r, busFree)
 		if m > 1 {
 			t.traffic.AddWrite(stats.Data, uint64(m-1)*dram.BlockBytes)
 			nr, maxFree, _ := t.cfg.Bus.StreamRun(r, a+dram.BlockBytes, m-1, w)
@@ -255,8 +246,8 @@ func (b *baseline) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWind
 	r := ready
 	nextCtr, nextMac := 0, 0
 	var ctrCount, macCount uint64
-	cur := &b.cur
-	inStreak := n >= streakMinBlocks && b.cfg.Bus.BeginSpanRun(cur, w, r, 5*n+16)
+	cur := w.Cursor()
+	inStreak := n >= streakMinBlocks && b.cfg.Bus.BeginRun(w, r, 5*n+16)
 	macSwept := inStreak && b.beginMacSweep(addr, 0, n, false)
 	sweepLi := 0 // MAC-line outcomes consumed from the active sweep
 	pending := 0 // deferred data blocks awaiting one streak span charge
@@ -408,7 +399,7 @@ func (b *baseline) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWind
 		if dataAt > maxDataAt {
 			maxDataAt = dataAt
 		}
-		r = issueNext(w, busFree, r)
+		r = w.Issue(r, busFree)
 		// Covered blocks: counter and MAC hits resolve at the issue time,
 		// which the OTP term strictly dominates, so the per-block max
 		// collapses to bus arrival vs. last-issue OTP.
@@ -423,7 +414,7 @@ func (b *baseline) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWind
 		}
 		i = chunkEnd
 		// Rejoin the streak for the remaining chunks when possible.
-		inStreak = n-i >= streakMinBlocks && b.cfg.Bus.BeginSpanRun(cur, w, r, 5*(n-i)+16)
+		inStreak = n-i >= streakMinBlocks && b.cfg.Bus.BeginRun(w, r, 5*(n-i)+16)
 		if inStreak {
 			macSwept = b.beginMacSweep(addr, nextMac, n, false)
 			sweepLi = 0
@@ -459,8 +450,8 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 	nextCtr, nextMac := 0, 0
 	var ctrCount, macCount uint64
 	var minorLine *[integrity.Arity]uint8
-	cur := &b.cur
-	inStreak := n >= streakMinBlocks && b.cfg.Bus.BeginSpanRun(cur, w, r, 5*n+16)
+	cur := w.Cursor()
+	inStreak := n >= streakMinBlocks && b.cfg.Bus.BeginRun(w, r, 5*n+16)
 	macSwept := inStreak && b.beginMacSweep(addr, 0, n, true)
 	sweepLi := 0 // MAC-line outcomes consumed from the active sweep
 	pending := 0 // deferred data blocks awaiting one streak span charge
@@ -668,7 +659,7 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 		if d := max64(busFree, counterAt); d > maxDataAt {
 			maxDataAt = d
 		}
-		r = issueNext(w, busFree, r)
+		r = w.Issue(r, busFree)
 		// Covered blocks: cache hits and overflow-free minor bumps; the
 		// write path completes at each block's bus-clear time.
 		if pure := chunkEnd - (i + 1); pure > 0 {
@@ -685,7 +676,7 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 		}
 		i = chunkEnd
 		// Rejoin the streak for the remaining chunks when possible.
-		inStreak = n-i >= streakMinBlocks && b.cfg.Bus.BeginSpanRun(cur, w, r, 5*(n-i)+16)
+		inStreak = n-i >= streakMinBlocks && b.cfg.Bus.BeginRun(w, r, 5*(n-i)+16)
 		if inStreak {
 			macSwept = b.beginMacSweep(addr, nextMac, n, true)
 			sweepLi = 0

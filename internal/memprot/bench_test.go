@@ -22,11 +22,7 @@ func BenchmarkReadBlock(b *testing.B) {
 				r := uint64(0)
 				for blk := uint64(0); blk < blocks; blk++ {
 					busFree, _ := e.ReadBlock(r, blk*dram.BlockBytes, 1)
-					if gate := w.Note(busFree); gate > r+1 {
-						r = gate
-					} else {
-						r++
-					}
+					r = w.Issue(r, busFree)
 				}
 			}
 			b.SetBytes(blocks * dram.BlockBytes)

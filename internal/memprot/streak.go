@@ -7,13 +7,14 @@ import (
 	"tnpu/internal/stats"
 )
 
-// This file serves whole metadata-line streaks through a dram.RunCursor:
-// instead of splitting a run at every counter/MAC-line boundary and paying
-// a full bus transfer plus a StreamRun prologue per line, the secure
-// schemes classify each line (or chunk) up front and replay the reference
-// path's exact charge sequence in closed form — data spans collapse to one
-// aggregate charge, metadata charges append at the horizon, and the issue
-// window stays live throughout. Every value the per-block model returns
+// This file serves whole metadata-line streaks through the issue window's
+// dram.RunCursor, admitted by dram.Bus.BeginRun: instead of splitting a run
+// at every counter/MAC-line boundary and paying a full bus transfer plus a
+// StreamRun per line, the secure schemes classify each line (or chunk) up
+// front and replay the reference path's exact charge sequence in closed
+// form — data spans collapse to one aggregate charge, metadata charges
+// append at the horizon, and the window ring is written once, at Commit.
+// Every value the per-block model returns
 // (boundary dataAt, covered-block dataAt, issue times, cache outcomes,
 // traffic) is either reproduced exactly or replaced by a term proven to
 // dominate it; anything the closed form cannot prove safe leaves the
@@ -41,7 +42,7 @@ func macLineCount(addr, slotBytes uint64, n int) int {
 }
 
 // readStreak is the treeless ReadRun fast path. The caller has primed
-// t.cur via BeginSpanRun; every charge of a treeless read appends (data at
+// w's cursor via BeginRun; every charge of a treeless read appends (data at
 // issue times, MAC writebacks and fetches at the current boundary's issue
 // time), so no mid-streak exit can occur. MAC-line outcomes come from a
 // cache sweep when the range is uniformly resident or absent — a hot sweep
@@ -50,7 +51,7 @@ func macLineCount(addr, slotBytes uint64, n int) int {
 // periodic charge — with the exact sequential walk as the mixed fallback.
 // //tnpu:noalloc //tnpu:fastpath
 func (t *treeless) readStreak(ready, addr uint64, n int, w *dram.IssueWindow) (nextReady, maxDataAt uint64) {
-	cur := &t.cur
+	cur := w.Cursor()
 	lat := t.cfg.Bus.Latency()
 	slot := t.cfg.MACSlotBytes
 	nLines := macLineCount(addr, slot, n)
@@ -189,7 +190,7 @@ func (t *treeless) readStreak(ready, addr uint64, n int, w *dram.IssueWindow) (n
 // writebacks, each preceding its line's boundary data block.
 // //tnpu:noalloc //tnpu:fastpath
 func (t *treeless) writeStreak(ready, addr uint64, n int, w *dram.IssueWindow) (nextReady, maxDataAt uint64) {
-	cur := &t.cur
+	cur := w.Cursor()
 	slot := t.cfg.MACSlotBytes
 	nLines := macLineCount(addr, slot, n)
 	lineAddr := macLineAddr(addr, slot)
@@ -345,7 +346,7 @@ func (b *baseline) ctrSimple(addr, rLow uint64) bool {
 // pre-classified by ctrSimple, so a miss's walk is exactly one counter
 // fetch verified against a resident level-1 ancestor, on a free MSHR,
 // with any dirty-victim writeback absorbed by a resident hash parent. //tnpu:noalloc
-func (b *baseline) ctrStreakAccess(cur *dram.SpanCursor, rB, addr, count uint64, write bool) uint64 {
+func (b *baseline) ctrStreakAccess(cur *dram.RunCursor, rB, addr, count uint64, write bool) uint64 {
 	lineIdx, _ := b.geo.CounterIndex(addr / dram.BlockBytes)
 	res := b.counter.Access(b.geo.NodeAddr(0, lineIdx), write)
 	b.counter.AddRunHits(count - 1)
@@ -377,7 +378,7 @@ func (b *baseline) ctrStreakAccess(cur *dram.SpanCursor, rB, addr, count uint64,
 // append-safe (writeback and fetch both charge at the boundary's issue
 // time, and the MAC cache never cascades), so no pre-classification is
 // needed. //tnpu:noalloc
-func (b *baseline) macStreakAccess(cur *dram.SpanCursor, rB, addr, count uint64, write bool) uint64 {
+func (b *baseline) macStreakAccess(cur *dram.RunCursor, rB, addr, count uint64, write bool) uint64 {
 	res := b.mac.Access(macLineAddr(addr, b.cfg.MACSlotBytes), write)
 	b.mac.AddRunHits(count - 1)
 	return b.macStreakCharge(cur, rB, count, res, write)
@@ -404,13 +405,13 @@ func (b *baseline) beginMacSweep(addr uint64, from, n int, write bool) bool {
 // active cache.Sweep instead of a live access: the sweep's CommitPrefix
 // applies the lookup, allocation, promotion, and dirtying in bulk later,
 // so only the charges and traffic happen here. //tnpu:noalloc
-func (b *baseline) macSweepAccess(cur *dram.SpanCursor, rB, count uint64, res cache.Result, write bool) uint64 {
+func (b *baseline) macSweepAccess(cur *dram.RunCursor, rB, count uint64, res cache.Result, write bool) uint64 {
 	b.mac.AddRunHits(count - 1)
 	return b.macStreakCharge(cur, rB, count, res, write)
 }
 
 // macStreakCharge applies one MAC-line outcome's traffic and charges. //tnpu:noalloc
-func (b *baseline) macStreakCharge(cur *dram.SpanCursor, rB, count uint64, res cache.Result, write bool) uint64 {
+func (b *baseline) macStreakCharge(cur *dram.RunCursor, rB, count uint64, res cache.Result, write bool) uint64 {
 	if res.Writeback {
 		b.traffic.AddWrite(stats.MAC, dram.BlockBytes)
 		cur.Meta(1)

@@ -37,14 +37,12 @@ type treeless struct {
 	mac     *cache.Cache
 	traffic stats.Traffic
 
-	// Streak scratch state (see streak.go): the span cursor accumulates a
-	// whole run's bus charges with O(1)-per-span window bookkeeping, sweep
-	// resolves whole MAC-line ranges in closed form, and macOut is the
-	// reused per-line outcome buffer for the mixed fallback. Engine-owned
-	// so the batched hot path allocates nothing.
-	cur    dram.SpanCursor //tnpu:canonskip per-call scratch cursor, no state across calls
-	sweep  cache.Sweep     //tnpu:canonskip per-call scratch resolver, no state across calls
-	macOut []cache.Result  //tnpu:canonskip reused per-call outcome buffer, contents dead between calls
+	// Streak scratch state (see streak.go): sweep resolves whole MAC-line
+	// ranges in closed form, and macOut is the reused per-line outcome
+	// buffer for the mixed fallback. Engine-owned so the batched hot path
+	// allocates nothing; the bus run cursor belongs to the issue window.
+	sweep  cache.Sweep    //tnpu:canonskip per-call scratch resolver, no state across calls
+	macOut []cache.Result //tnpu:canonskip reused per-call outcome buffer, contents dead between calls
 
 	// Version-table path: the table is CPU-enclave data, so accesses hit
 	// the CPU cache hierarchy; vcache models that residency (the tables

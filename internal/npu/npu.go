@@ -274,12 +274,6 @@ func (m *Machine) startDMA(idx int, in *isa.Instr) {
 	m.loadSegment()
 }
 
-// noteIssue records a block's channel-clear time and returns when the DMA
-// may issue its next request (the slot of the request dmaOutstanding ago).
-func (m *Machine) noteIssue(busFree uint64) uint64 {
-	return m.window.Note(busFree)
-}
-
 // loadSegment positions the block cursor at the current segment.
 func (m *Machine) loadSegment() {
 	seg := m.prog.Trace.Instrs[m.active].Segments[m.segIdx]
@@ -300,11 +294,7 @@ func (m *Machine) ServeBlock() {
 		m.blocksWritten++
 	}
 	m.blocksMoved++
-	next := m.noteIssue(busFree)
-	if next < m.issueAt+1 {
-		next = m.issueAt + 1
-	}
-	m.issueAt = next
+	m.issueAt = m.window.Issue(m.issueAt, busFree)
 	if dataAt > m.maxDataAt {
 		m.maxDataAt = dataAt
 	}
