@@ -1,13 +1,12 @@
 // Package boundsound defines an Analyzer that keeps every closed-form
 // fast path anchored to the per-block reference.
 //
-// The batched run service (memprot.RunEngine.ReadRun/WriteRun) and the
-// multi-NPU horizon arbitration both rest on the same discipline: a
-// scheme may serve a run with closed-form arithmetic only while a guard
-// predicate proves the closed form applies, and must otherwise fall
-// back to the per-block reference path whose every cycle is simulated
-// (the npu.Machine additionally re-checks the RunBounder bound after
-// each burst and panics on overrun). A new scheme that ships an
+// The batched run service (memprot.RunEngine.ReadRun/WriteRun), which
+// also serves the multi-NPU horizon arbitration, rests on one
+// discipline: a scheme may serve a run with closed-form arithmetic only
+// while a guard predicate proves the closed form applies, and must
+// otherwise fall back to the per-block reference path whose every cycle
+// is simulated. A new scheme that ships an
 // unguarded closed form silently diverges from the reference — the
 // differential fuzzers would eventually catch it, but only per seed.
 // This analyzer enforces the shape statically, in two rules:

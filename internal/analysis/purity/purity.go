@@ -1,17 +1,15 @@
 // Package purity defines an Analyzer that proves //tnpu:pure functions
 // free of side effects, interprocedurally.
 //
-// The closed-form run bounds (memprot.RunBounder: RunBoundBase,
-// RunBoundIncr, RunBurstSafe) and the streak-probe predicates (ctr*,
-// chunkStretch, overflowPending) are consulted on the arbitration and
-// batching hot paths under the assumption that asking is free: a bound
-// or probe that mutated engine state would make `plan then decide`
+// The streak guards (batchSafe, overflowPending, macLineCount) are
+// consulted on the batching hot path under the assumption that asking is
+// free: a guard that mutated engine state would make `plan then decide`
 // diverge from `decide by simulating`, the exact bug class the
 // differential fuzzers hunt. The contract is opt-in via a //tnpu:pure
-// doc marker, mandatory for the RunBounder methods in memprot, and
-// checked against the summary fixpoint of internal/analysis/summary:
-// a pure function may mutate nothing reachable from its receiver,
-// parameters, or package state, and may only call functions that are
+// doc marker and checked against the summary fixpoint of
+// internal/analysis/summary: a pure function may mutate nothing
+// reachable from its receiver, parameters, or package state, and may
+// only call functions that are
 // themselves provably pure (same-package by summary, cross-package by
 // an exported //tnpu:pure fact, plus a tiny read-only stdlib whitelist).
 //
@@ -44,17 +42,6 @@ const ScratchMarker = "scratch"
 // FactName keys the cross-package purity facts.
 const FactName = "purity.pure"
 
-// RequiredMethods lists methods that must carry the marker, by contract
-// package base name: the RunBounder closed forms are load-bearing for
-// multi-NPU horizon arbitration and may not silently lose the contract.
-var RequiredMethods = map[string]map[string]bool{
-	"memprot": {
-		"RunBoundBase": true,
-		"RunBoundIncr": true,
-		"RunBurstSafe": true,
-	},
-}
-
 // pureFact marks one function proven side-effect free.
 type pureFact struct {
 	Pure bool `json:"pure"`
@@ -62,7 +49,7 @@ type pureFact struct {
 
 var Analyzer = &analysis.Analyzer{
 	Name:          "purity",
-	Doc:           "check that //tnpu:pure functions (and the RunBounder closed forms) mutate nothing reachable from their receiver, parameters, or package state",
+	Doc:           "check that //tnpu:pure functions mutate nothing reachable from their receiver, parameters, or package state",
 	Run:           run,
 	UsesFacts:     true,
 	DefaultWaiver: WaiverMarker,
@@ -90,18 +77,9 @@ func run(pass *analysis.Pass) error {
 		},
 	})
 
-	required := RequiredMethods[analysis.PkgBase(pass.Pkg.Path())]
 	for _, name := range set.Names() {
 		info := set.Lookup(name)
-		marked := analysis.DocHasMarker(info.Decl.Doc, Marker)
-		if !marked && required != nil && info.RecvNamed != nil &&
-			required[info.Obj.Name()] && !analysis.IsTestFile(pass.Fset, info.Decl.Pos()) {
-			pass.Reportf(info.Decl.Pos(),
-				"%s is a RunBounder closed form and must carry //tnpu:pure in its doc comment (horizon-arbitration contract, DESIGN.md §7c)",
-				name)
-			continue
-		}
-		if !marked {
+		if !analysis.DocHasMarker(info.Decl.Doc, Marker) {
 			continue
 		}
 		if !info.Pure {

@@ -10,7 +10,3 @@ import (
 func TestPurity(t *testing.T) {
 	analysistest.Run(t, "testdata", purity.Analyzer, "purity")
 }
-
-func TestRequiredMethods(t *testing.T) {
-	analysistest.Run(t, "testdata", purity.Analyzer, "memprot")
-}

@@ -63,55 +63,50 @@ func (w *IssueWindow) Issue(r, busFree uint64) (next uint64) {
 // Depth returns the window's outstanding-request bound.
 func (w *IssueWindow) Depth() int { return len(w.slots) }
 
-// MaxSlot returns the latest channel-clear time held in the window — an
-// upper bound on every gate the window can hand back before new requests
-// overwrite its slots.
-//
-//tnpu:noalloc
-func (w *IssueWindow) MaxSlot() uint64 {
-	var max uint64
-	for _, s := range w.slots {
-		if s > max {
-			max = s
-		}
-	}
-	return max
-}
+// NoHorizon is the horizon of an uncontended run: no other client can
+// become ready, so nothing stops the run before its last block.
+const NoHorizon = ^uint64(0)
 
-// StreamRun issues n consecutive BlockBytes transfers starting at addr,
-// gated by the issue window exactly as the per-block DMA loop does:
+// StreamRun issues up to n consecutive BlockBytes transfers starting at
+// addr, gated by the issue window exactly as the per-block DMA loop does,
+// and stops after the first block whose next issue time reaches horizon:
 //
 //	for i := 0; i < n; i++ {
 //	    busFree := b.TransferAt(ready, addr+uint64(i)*BlockBytes, BlockBytes)
 //	    lastIssue = ready
 //	    ready = w.Issue(ready, busFree)
+//	    if ready >= horizon { break }
 //	}
 //
 // It returns the next issue-ready time, the maximum channel-clear time over
-// the run, and the issue time of the last block. Bus and window state after
-// the call are identical to the reference loop's. When BeginRun admits the
-// run it is one data span on the window's cursor — O(window depth) instead
-// of O(n) — and otherwise it is that loop.
-func (b *Bus) StreamRun(ready, addr uint64, n int, w *IssueWindow) (nextReady, maxBusFree, lastIssue uint64) {
+// the served blocks, the issue time of the last one, and how many it
+// served. Bus and window state after the call are identical to the
+// reference loop's. An unbounded run (horizon NoHorizon) that BeginRun
+// admits is one data span on the window's cursor — O(window depth) instead
+// of O(n) — and every other run is that loop.
+func (b *Bus) StreamRun(ready, addr uint64, n int, w *IssueWindow, horizon uint64) (nextReady, maxBusFree, lastIssue uint64, served int) {
 	if n <= 0 {
-		return ready, 0, ready
+		return ready, 0, ready, 0
 	}
-	if b.BeginRun(w, ready, n) {
+	if horizon == NoHorizon && b.BeginRun(w, ready, n) {
 		// Appending clears only grow, so the last block's is the maximum.
 		maxBusFree, lastIssue, nextReady = w.run.Data(ready, n)
 		w.run.Commit()
-		return nextReady, maxBusFree, lastIssue
+		return nextReady, maxBusFree, lastIssue, n
 	}
 	r := ready
-	for i := 0; i < n; i++ {
-		busFree := b.route(addr+uint64(i)*BlockBytes).transfer(r, BlockBytes)
+	for served < n {
+		busFree := b.route(addr+uint64(served)*BlockBytes).transfer(r, BlockBytes)
 		if busFree > maxBusFree {
 			maxBusFree = busFree
 		}
 		lastIssue = r
 		r = w.Issue(r, busFree)
+		if served++; r >= horizon {
+			break
+		}
 	}
-	return r, maxBusFree, lastIssue
+	return r, maxBusFree, lastIssue, served
 }
 
 // batchable reports whether n consecutive block transfers at or after ready
@@ -124,12 +119,11 @@ func (c *channel) batchable(ready, n uint64) bool {
 	if (n+1)*BlockBytes > (1<<62)/c.num {
 		return false
 	}
-	cLo := BlockBytes * c.num / c.den
-	if cLo == 0 {
+	if c.bq == 0 {
 		return false
 	}
 	if ready >= c.maxGapEnd {
-		// Every gap closes at or before ready, and cLo >= 1, so no block
+		// Every gap closes at or before ready, and bq >= 1, so no block
 		// of the run can start inside one.
 		return true
 	}
@@ -138,7 +132,7 @@ func (c *channel) batchable(ready, n uint64) bool {
 		if ready > s {
 			s = ready
 		}
-		if s+cLo <= g.end {
+		if s+c.bq <= g.end {
 			return false
 		}
 	}

@@ -46,17 +46,20 @@ func equalStates(a, b busState) bool {
 }
 
 // refStreamRun is the literal per-block reference loop StreamRun documents.
-func refStreamRun(b *Bus, ready, addr uint64, n int, w *IssueWindow) (nextReady, maxBusFree, lastIssue uint64) {
+func refStreamRun(b *Bus, ready, addr uint64, n int, w *IssueWindow, horizon uint64) (nextReady, maxBusFree, lastIssue uint64, served int) {
 	r := ready
-	for i := 0; i < n; i++ {
-		busFree := b.TransferAt(r, addr+uint64(i)*BlockBytes, BlockBytes)
+	for served < n {
+		busFree := b.TransferAt(r, addr+uint64(served)*BlockBytes, BlockBytes)
 		if busFree > maxBusFree {
 			maxBusFree = busFree
 		}
 		lastIssue = r
 		r = w.Issue(r, busFree)
+		if served++; r >= horizon {
+			break
+		}
 	}
-	return r, maxBusFree, lastIssue
+	return r, maxBusFree, lastIssue, served
 }
 
 // cfgWithChannels builds a test config with c channels.
@@ -144,7 +147,13 @@ func TestStreamRunMatchesReference(t *testing.T) {
 				default: // streamed run, length spanning both regimes
 					addr := uint64(rng.Intn(1<<20)) &^ (BlockBytes - 1)
 					n := 1 + rng.Intn(120)
-					if channels == 1 && fast.chans[0].batchable(clock, uint64(n)) {
+					// Every third run is contended: it stops at a horizon a
+					// few blocks past the clock, on the reference loop.
+					horizon := NoHorizon
+					if rng.Intn(3) == 0 {
+						horizon = clock + uint64(rng.Intn(40*n))
+					}
+					if horizon == NoHorizon && channels == 1 && fast.chans[0].batchable(clock, uint64(n)) {
 						// BeginRun only primes the window's cursor, which
 						// StreamRun re-primes, so probing it here is harmless.
 						if !fast.BeginRun(wFast, clock, n) {
@@ -152,11 +161,11 @@ func TestStreamRunMatchesReference(t *testing.T) {
 						}
 						cursorRuns++
 					}
-					fn, fm, fl := fast.StreamRun(clock, addr, n, wFast)
-					rn, rm, rl := refStreamRun(ref, clock, addr, n, wRef)
-					if fn != rn || fm != rm || fl != rl {
-						t.Fatalf("step %d (ch=%d n=%d): StreamRun = (%d,%d,%d), reference = (%d,%d,%d)",
-							step, channels, n, fn, fm, fl, rn, rm, rl)
+					fn, fm, fl, fs := fast.StreamRun(clock, addr, n, wFast, horizon)
+					rn, rm, rl, rs := refStreamRun(ref, clock, addr, n, wRef, horizon)
+					if fn != rn || fm != rm || fl != rl || fs != rs {
+						t.Fatalf("step %d (ch=%d n=%d horizon=%d): StreamRun = (%d,%d,%d,%d), reference = (%d,%d,%d,%d)",
+							step, channels, n, horizon, fn, fm, fl, fs, rn, rm, rl, rs)
 					}
 				}
 				if !equalStates(snapshot(fast), snapshot(ref)) {
@@ -190,8 +199,8 @@ func TestBatchRemainderCarry(t *testing.T) {
 	ref.Transfer(0, 5)
 	const n = 1000
 	w1, w2 := NewIssueWindow(16), NewIssueWindow(16)
-	fast.StreamRun(0, 0, n, w1)
-	refStreamRun(ref, 0, 0, n, w2)
+	fast.StreamRun(0, 0, n, w1, NoHorizon)
+	refStreamRun(ref, 0, 0, n, w2, NoHorizon)
 	if fast.chans[0].rem != ref.chans[0].rem {
 		t.Errorf("remainder after batched run = %d, per-block = %d", fast.chans[0].rem, ref.chans[0].rem)
 	}
@@ -221,8 +230,8 @@ func TestBatchGapHandling(t *testing.T) {
 		}
 		// Ready inside the gap: blocks must backfill it, so the closed form
 		// is invalid and both paths must still agree exactly.
-		fn, fm, fl := fast.StreamRun(100, 0, 40, w1)
-		rn, rm, rl := refStreamRun(ref, 100, 0, 40, w2)
+		fn, fm, fl, _ := fast.StreamRun(100, 0, 40, w1, NoHorizon)
+		rn, rm, rl, _ := refStreamRun(ref, 100, 0, 40, w2, NoHorizon)
 		if fn != rn || fm != rm || fl != rl || !equalStates(snapshot(fast), snapshot(ref)) {
 			t.Fatalf("gap backfill run diverged: (%d,%d,%d) vs (%d,%d,%d)", fn, fm, fl, rn, rm, rl)
 		}
@@ -245,8 +254,8 @@ func TestBatchGapHandling(t *testing.T) {
 		// A far-future run must evict the oldest gap to record the new one,
 		// identically on both paths.
 		start := fast.Now() + 10_000
-		fast.StreamRun(start, 0, 50, w1)
-		refStreamRun(ref, start, 0, 50, w2)
+		fast.StreamRun(start, 0, 50, w1, NoHorizon)
+		refStreamRun(ref, start, 0, 50, w2, NoHorizon)
 		if !equalStates(snapshot(fast), snapshot(ref)) {
 			t.Fatal("gap eviction at capacity diverged between batched and per-block paths")
 		}

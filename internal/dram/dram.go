@@ -73,7 +73,10 @@ type Bus struct {
 
 // channel is one independently scheduled slice of the bandwidth.
 type channel struct {
-	num, den   uint64
+	num, den uint64
+	// bq and br are one block's whole cycles and leftover numerator,
+	// BlockBytes*num = bq*den + br, so a one-block charge needs no division.
+	bq, br     uint64 //tnpu:canonskip derived from num/den at construction, immutable
 	busyUntil  uint64
 	rem        uint64 // carried numerator remainder, < den
 	bytesMoved uint64
@@ -109,15 +112,27 @@ func NewBus(cfg Config) *Bus {
 	b := &Bus{latency: cfg.LatencyCycles, aggNum: num, aggDen: den, chans: make([]channel, n)}
 	for i := range b.chans {
 		// Each channel serves 1/n of the bandwidth: n x the cycles/byte.
-		b.chans[i] = channel{num: num * uint64(n) / g, den: den / g}
+		c := channel{num: num * uint64(n) / g, den: den / g}
+		c.bq, c.br = BlockBytes*c.num/c.den, BlockBytes*c.num%c.den
+		b.chans[i] = c
 	}
 	return b
 }
 
 // route maps a block address to its interleaved channel.
 func (b *Bus) route(addr uint64) *channel {
+	if len(b.chans) == 1 {
+		return &b.chans[0]
+	}
 	return &b.chans[(addr/BlockBytes)%uint64(len(b.chans))]
 }
+
+// BlockCycles returns the whole cycles one block transfer occupies its
+// channel, rounded down: the per-block cost floor. A floor of at least one
+// cycle means a block issued at r always clears its channel after r.
+//
+//tnpu:pure
+func (b *Bus) BlockCycles() uint64 { return b.chans[0].bq }
 
 // Latency returns the fixed DRAM access latency in cycles.
 //
@@ -146,15 +161,26 @@ func (b *Bus) ReadAt(ready, addr, bytes uint64) (dataAt uint64) {
 }
 
 func (c *channel) transfer(ready, bytes uint64) (done uint64) {
-	if bytes == 0 {
+	var cycles uint64
+	switch bytes {
+	case BlockBytes:
+		// The common one-block charge: bq + (br+rem)/den, where the carry
+		// is 0 or 1 because br and rem are both below den.
+		cycles = c.bq
+		if c.rem += c.br; c.rem >= c.den {
+			c.rem -= c.den
+			cycles++
+		}
+	case 0:
 		// A zero-length transfer never occupies the bus: it completes at
 		// ready without advancing the horizon, opening a phantom idle gap,
 		// or disturbing the carried remainder.
 		return ready
+	default:
+		ticks := bytes*c.num + c.rem
+		cycles = ticks / c.den
+		c.rem = ticks % c.den
 	}
-	ticks := bytes*c.num + c.rem
-	cycles := ticks / c.den
-	c.rem = ticks % c.den
 	c.bytesMoved += bytes
 	c.busyCycles += cycles
 
@@ -271,19 +297,4 @@ func (b *Bus) Utilization() float64 {
 // cost by a factor of n.
 func (b *Bus) CyclesForBytes(bytes uint64) uint64 {
 	return (bytes*b.aggNum + b.aggDen - 1) / b.aggDen
-}
-
-// WorstChannelCycles returns an upper bound on the bus cycles any one
-// channel needs to move bytes, rounded up: the single-channel rate (n x
-// the aggregate cycles/byte on an n-channel bus), as if every byte routed
-// to the same channel. ok=false when the multiplication would overflow;
-// callers treating this as a safety bound must then refuse the shortcut.
-//
-//tnpu:noalloc //tnpu:pure
-func (b *Bus) WorstChannelCycles(bytes uint64) (cycles uint64, ok bool) {
-	num, den := b.chans[0].num, b.chans[0].den
-	if num != 0 && bytes > (1<<62)/num {
-		return 0, false
-	}
-	return (bytes*num + den - 1) / den, true
 }

@@ -21,7 +21,8 @@ func (f *fuzzBytes) more() bool { return f.pos < len(f.data) }
 
 // FuzzRunCursorVsPerBlock is the byte-driven twin-bus differential for the
 // run cursor: one bus serves cursor runs (Data, DataPeriodic, Meta),
-// StreamRun calls, and loose transfers; its twin replays each through the
+// StreamRun calls (some stopped at a horizon), and loose transfers; its
+// twin replays each through the
 // per-block reference. Returned times, full bus state, and the issue-window
 // ring must agree after every operation. The input picks the rate (the two
 // paper interfaces and the awkward 3 GHz / 7 GB/s one, whose per-block
@@ -60,19 +61,23 @@ func FuzzRunCursorVsPerBlock(f *testing.F) {
 		for op := 0; op < 64 && fb.more(); op++ {
 			clock += uint64(fb.byte()) * 7
 			addr := uint64(fb.byte()) << 12
-			switch fb.byte() % 3 {
+			switch sel := fb.byte(); sel % 3 {
 			case 0: // loose transfer: shift remainders, open gaps ahead of the clock
 				bytes := uint64(fb.byte()) * 3
 				at := clock + uint64(fb.byte())*5
 				fast.TransferAt(at, addr, bytes)
 				ref.TransferAt(at, addr, bytes)
 				check(op, "transfer")
-			case 1: // StreamRun: the cursor on one channel, the loop on two
+			case 1: // StreamRun: the cursor on one channel, the loop on two or under a horizon
 				n := 1 + int(fb.byte())
-				fn, fm, fl := fast.StreamRun(clock, addr, n, wFast)
-				rn, rm, rl := refStreamRun(ref, clock, addr, n, wRef)
-				if fn != rn || fm != rm || fl != rl {
-					t.Fatalf("op %d: StreamRun(n=%d) = (%d,%d,%d), ref (%d,%d,%d)", op, n, fn, fm, fl, rn, rm, rl)
+				horizon := NoHorizon
+				if sel/3%2 == 1 {
+					horizon = clock + uint64(sel)*11
+				}
+				fn, fm, fl, fs := fast.StreamRun(clock, addr, n, wFast, horizon)
+				rn, rm, rl, rs := refStreamRun(ref, clock, addr, n, wRef, horizon)
+				if fn != rn || fm != rm || fl != rl || fs != rs {
+					t.Fatalf("op %d: StreamRun(n=%d, horizon=%d) = (%d,%d,%d,%d), ref (%d,%d,%d,%d)", op, n, horizon, fn, fm, fl, fs, rn, rm, rl, rs)
 				}
 				check(op, "StreamRun")
 			default: // a cursor run of mixed charges

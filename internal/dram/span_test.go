@@ -142,7 +142,7 @@ func TestSpanCursorEmptyCommit(t *testing.T) {
 	bus := NewBus(smallCfg)
 	w := NewIssueWindow(16)
 	bus.TransferAt(0, 0, 64)
-	bus.StreamRun(100, 0, 40, w) // a committed cursor run past the prologue
+	bus.StreamRun(100, 0, 40, w, NoHorizon) // a committed cursor run past the prologue
 	before := snapshot(bus)
 	slots, idx := append([]uint64(nil), w.slots...), w.idx
 	if !bus.BeginRun(w, 5_000, 8) {

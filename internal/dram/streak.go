@@ -113,7 +113,7 @@ func (b *Bus) BeginRun(w *IssueWindow, ready uint64, maxBlocks int) bool {
 	cur := &w.run
 	cur.ch, cur.w = c, w
 	cur.ready0, cur.b0 = ready, c.busyUntil
-	cur.q, cur.rr, cur.den = BlockBytes*c.num/c.den, BlockBytes*c.num%c.den, c.den
+	cur.q, cur.rr, cur.den = c.bq, c.br, c.den
 	cur.rem0, cur.remAcc = c.rem, c.rem
 	cur.clear0, cur.clear = start0, start0
 	cur.idx0 = w.idx
@@ -347,10 +347,37 @@ func (cur *RunCursor) Commit() {
 			if start > rec.g {
 				off = start - rec.g
 			}
-			for ; off < rec.n; off++ {
-				w.slots[pos] = cur.clearAt(rec.charge(off))
+			if off >= rec.n {
+				continue
+			}
+			if rec.lead|rec.trail != 0 {
+				// Metadata charges separate the record's periods.
+				for ; off < rec.n; off++ {
+					w.slots[pos] = cur.clearAt(rec.charge(off))
+					if pos++; pos == len(w.slots) {
+						pos = 0
+					}
+				}
+				continue
+			}
+			// A plain record's data blocks are consecutive charges: one
+			// division for the first clear, then each later one steps by
+			// one charge, carrying the remainder as advance does.
+			j := rec.charge(off)
+			t := j*cur.rr + cur.rem0
+			clear, rem := cur.clear0+j*cur.q+t/cur.den, t%cur.den
+			for {
+				w.slots[pos] = clear
 				if pos++; pos == len(w.slots) {
 					pos = 0
+				}
+				if off++; off == rec.n {
+					break
+				}
+				clear += cur.q
+				if rem += cur.rr; rem >= cur.den {
+					rem -= cur.den
+					clear++
 				}
 			}
 		}

@@ -56,7 +56,13 @@ func Run(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config) (Result,
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{Scheme: scheme}
+	return run(prog, eng, newStream(eng, bus)), nil
+}
+
+// run is Run on a prepared engine, with the enclave's block streams
+// served by s.
+func run(prog *compiler.Program, eng memprot.Engine, s stream) Result {
+	res := Result{Scheme: eng.Scheme()}
 
 	// Phase 1: the CPU streams parameters through ts_write_block. One
 	// version-table update per tensor, then block-granular writes.
@@ -66,10 +72,7 @@ func Run(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config) (Result,
 			continue
 		}
 		t = eng.VersionFetch(t, memprot.VTableSlot(uint32(ten.ID), 0), true)
-		for blk := uint64(0); blk < ten.Blocks(); blk++ {
-			busFree, _ := eng.WriteBlock(t, ten.Addr+blk*dram.BlockBytes, 1)
-			t = busFree
-		}
+		t = s.write(t, ten.Addr, ten.Blocks())
 	}
 	res.InitCycles = t
 
@@ -86,18 +89,67 @@ func Run(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config) (Result,
 	// Phase 3: the CPU fetches the final output tensor via ts_read_block.
 	out := prog.Tensors[len(prog.Tensors)-1]
 	issue := eng.VersionFetch(runEnd, memprot.VTableSlot(uint32(out.ID), 0), false)
-	done := issue
-	for blk := uint64(0); blk < out.Blocks(); blk++ {
-		busFree, dataAt := eng.ReadBlock(issue, out.Addr+blk*dram.BlockBytes, 1)
+	_, done := s.read(issue, out.Addr, out.Blocks())
+	res.OutputCycles = done - runEnd
+	res.Total = done
+	eng.Flush(done)
+	res.Traffic = *eng.Traffic()
+	return res
+}
+
+// stream is the enclave's uncached block stream (ts_write_block and
+// ts_read_block): each block issues once the previous one has cleared the
+// bus. That is a DMA issue window of depth 1, whose step max(r+1, busFree)
+// equals busFree whenever one block costs at least one bus cycle, so on
+// such buses the stream goes through the engine's run path. Otherwise, or
+// when the engine has no run path (fault-injecting wrappers), it is the
+// literal block loop.
+type stream struct {
+	eng memprot.Engine
+	run memprot.RunEngine // nil: the literal block loop
+	w   *dram.IssueWindow
+}
+
+func newStream(eng memprot.Engine, bus *dram.Bus) stream {
+	s := stream{eng: eng}
+	if re, ok := eng.(memprot.RunEngine); ok && bus.BlockCycles() >= 1 {
+		s.run, s.w = re, dram.NewIssueWindow(1)
+	}
+	return s
+}
+
+// write streams n blocks from addr under version 1, the first issued at t,
+// and returns the last block's bus-clear time (t when n is zero).
+func (s stream) write(t, addr, n uint64) uint64 {
+	if s.run != nil {
+		t, _, _ = s.run.WriteRun(t, addr, 1, int(n), s.w, dram.NoHorizon)
+		return t
+	}
+	for blk := uint64(0); blk < n; blk++ {
+		t, _ = s.eng.WriteBlock(t, addr+blk*dram.BlockBytes, 1)
+	}
+	return t
+}
+
+// read streams n blocks from addr, the first issued at t, and returns the
+// last block's bus-clear time and when the latest block's data was ready
+// (both t when n is zero).
+func (s stream) read(t, addr, n uint64) (issue, done uint64) {
+	issue, done = t, t
+	if s.run != nil && n > 0 {
+		var d uint64
+		issue, d, _ = s.run.ReadRun(t, addr, 1, int(n), s.w, dram.NoHorizon)
+		if d > done {
+			done = d
+		}
+		return issue, done
+	}
+	for blk := uint64(0); blk < n; blk++ {
+		busFree, dataAt := s.eng.ReadBlock(issue, addr+blk*dram.BlockBytes, 1)
 		issue = busFree
 		if dataAt > done {
 			done = dataAt
 		}
 	}
-	res.OutputCycles = done - runEnd
-	res.Total = done
-	t = done
-	eng.Flush(t)
-	res.Traffic = *eng.Traffic()
-	return res, nil
+	return issue, done
 }

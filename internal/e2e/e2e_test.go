@@ -1,9 +1,11 @@
 package e2e
 
 import (
+	"reflect"
 	"testing"
 
 	"tnpu/internal/compiler"
+	"tnpu/internal/dram"
 	"tnpu/internal/memprot"
 	"tnpu/internal/model"
 	"tnpu/internal/npu"
@@ -125,5 +127,39 @@ func TestTrafficIncludesInit(t *testing.T) {
 	extra := rE2E.Traffic.Total() - rNPU.Traffic.Total()
 	if extra < m.WeightBytes() {
 		t.Errorf("e2e extra traffic %d below parameter bytes %d", extra, m.WeightBytes())
+	}
+}
+
+// TestStreamRunPathMatchesBlockLoops pins the enclave block streams' run
+// path to the literal block loops: the whole end-to-end result must be
+// identical for every scheme on Small, Large, and a bus moving more than
+// 64 B per cycle. On that bus a block can clear in zero cycles, so the run
+// path's depth-1 window step max(r+1, busFree) would differ from the loop's
+// busFree and newStream must keep the loop.
+func TestStreamRunPathMatchesBlockLoops(t *testing.T) {
+	fast := npu.LargeNPU()
+	fast.Name = "fast-bus"
+	fast.Mem.BandwidthBytesPerSec = 100_000_000_000 // 100 B/cycle at 1 GHz
+	for _, cfg := range []npu.Config{npu.SmallNPU(), npu.LargeNPU(), fast} {
+		prog := compileFor(t, "df", cfg)
+		for _, scheme := range memprot.AllSchemes() {
+			t.Run(cfg.Name+"/"+scheme.String(), func(t *testing.T) {
+				got, err := Run(prog, scheme, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bus := dram.NewBus(cfg.Mem)
+				eng, err := memprot.New(scheme, memprot.DefaultConfig(bus))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if usesRun := newStream(eng, bus).run != nil; usesRun != (cfg.Name != fast.Name) {
+					t.Fatalf("newStream run path = %v on %s", usesRun, cfg.Name)
+				}
+				if want := run(prog, eng, stream{eng: eng}); !reflect.DeepEqual(got, want) {
+					t.Fatalf("run path diverges from the block loops:\n  loops: %+v\n  run:   %+v", want, got)
+				}
+			})
+		}
 	}
 }

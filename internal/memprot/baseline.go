@@ -69,15 +69,28 @@ func newBaseline(cfg Config) *baseline {
 // refreshed counter line), charged as a bus burst.
 func (b *baseline) bumpMinor(ready, addr uint64) {
 	lineIdx, slot := b.geo.CounterIndex(addr / dram.BlockBytes)
+	b.bumpSlot(ready, addr, lineIdx, slot, b.minorLineOf(lineIdx))
+}
+
+// minorLineOf returns a counter line's minor counters, allocating them on
+// the line's first touch, and journals the touch for the layer memo.
+func (b *baseline) minorLineOf(lineIdx uint64) *[integrity.Arity]uint8 {
 	line := b.minors[lineIdx]
 	if line == nil {
+		// First touch of this counter line; every later run reuses it, so
+		// steady state stays at 0 allocs/op.
 		line = new([integrity.Arity]uint8)
 		b.minors[lineIdx] = line
 	}
 	b.minorMark(lineIdx)
+	return line
+}
+
+// bumpSlot is bumpMinor for the block at addr, whose counters are line's
+// slot.
+func (b *baseline) bumpSlot(ready, addr, lineIdx uint64, slot int, line *[integrity.Arity]uint8) {
 	b.minorDigAdd(lineIdx, slot, 1)
-	line[slot]++
-	if line[slot] < 1<<7 {
+	if line[slot]++; line[slot] < 1<<7 {
 		return
 	}
 	b.minorDigReset(lineIdx, line)

@@ -8,33 +8,37 @@ import (
 )
 
 // RunEngine is the optional batched fast path of a protection engine:
-// serve nBlocks consecutive data blocks in one call, gated by the caller's
-// DMA issue window, with bus state, cache state, statistics, and returned
-// times identical to pushing the same blocks through ReadBlock/WriteBlock
-// one at a time:
+// serve up to nBlocks consecutive data blocks in one call, gated by the
+// caller's DMA issue window and stopped by the arbitration horizon, with
+// bus state, cache state, statistics, and returned times identical to
+// pushing the same blocks through ReadBlock/WriteBlock one at a time:
 //
 //	for i := 0; i < nBlocks; i++ {
 //	    busFree, dataAt := e.ReadBlock(ready, addr+uint64(i)*dram.BlockBytes, version)
 //	    maxDataAt = max(maxDataAt, dataAt)
 //	    ready = w.Issue(ready, busFree)
+//	    if ready >= horizon { break } // served = i+1
 //	}
 //
-// The batching exploits the same regularity TNPU's hardware does: a
-// streaming DMA touches each metadata line once and then hits it for every
-// remaining covered block, so only line-boundary blocks need the full
-// model. It is an optional interface so engine wrappers (e.g. the attack
-// harness) transparently keep the per-block path.
+// The stop is exact: the call serves blocks until one's next issue time
+// reaches horizon (the earliest cycle a co-tenant can be ready) and reports
+// how many it served. An uncontended run passes dram.NoHorizon and always
+// serves nBlocks. The batching exploits the same regularity TNPU's
+// hardware does: a streaming DMA touches each metadata line once and then
+// hits it for every remaining covered block, so only line-boundary blocks
+// need the full model. It is an optional interface so engine wrappers
+// (e.g. the attack harness) transparently keep the per-block path.
 type RunEngine interface {
-	ReadRun(ready, addr, version uint64, nBlocks int, w *dram.IssueWindow) (nextReady, maxDataAt uint64)
-	WriteRun(ready, addr, version uint64, nBlocks int, w *dram.IssueWindow) (nextReady, maxDataAt uint64)
+	ReadRun(ready, addr, version uint64, nBlocks int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int)
+	WriteRun(ready, addr, version uint64, nBlocks int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int)
 }
 
 // runPerBlock is the reference fallback: the per-block engine path under
 // the caller's issue window, used whenever a scheme cannot batch safely.
-func runPerBlock(e Engine, read bool, ready, addr, version uint64, n int, w *dram.IssueWindow) (nextReady, maxDataAt uint64) {
+func runPerBlock(e Engine, read bool, ready, addr, version uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
 	r := ready
-	for i := 0; i < n; i++ {
-		a := addr + uint64(i)*dram.BlockBytes
+	for served < n {
+		a := addr + uint64(served)*dram.BlockBytes
 		var busFree, dataAt uint64
 		if read {
 			busFree, dataAt = e.ReadBlock(r, a, version)
@@ -45,8 +49,11 @@ func runPerBlock(e Engine, read bool, ready, addr, version uint64, n int, w *dra
 			maxDataAt = dataAt
 		}
 		r = w.Issue(r, busFree)
+		if served++; r >= horizon {
+			break
+		}
 	}
-	return r, maxDataAt
+	return r, maxDataAt, served
 }
 
 // macRunLen returns how many consecutive blocks starting at addr share
@@ -60,30 +67,57 @@ func macRunLen(addr, slotBytes uint64) int {
 	return int((lineEnd - off + slotBytes - 1) / slotBytes)
 }
 
-// macAccessRun is macAccess for count consecutive blocks under one MAC
-// line: the boundary block runs the full hit/miss path; the remaining
-// count-1 per-block accesses would be guaranteed hits on the just-touched
-// line (nothing else touches the MAC cache in between), so they are
-// charged through cache.AccessRun without re-walking the model. This is
-// the per-block reference of the treeless fallback loop. //tnpu:reference
-func macAccessRun(c *cache.Cache, cfg *Config, traffic *stats.Traffic, ready, addr, count uint64, write, writeValidate bool) uint64 {
-	at := macAccess(c, cfg, traffic, ready, addr, write, writeValidate)
-	if count > 1 {
-		c.AccessRun(macLineAddr(addr, cfg.MACSlotBytes), count-1, write)
-	}
-	return at
+// lineHits is a per-line body's account of the guaranteed hits it owes one
+// open metadata line: every block after the line's opening access hits it
+// (nothing else touches that cache within the call), so the hits are
+// charged in bulk once the served count is known — a horizon stop may cut
+// the line short. The first charged hit is a real access, which re-promotes
+// the line over a next-line prefetch fill exactly as the reference's first
+// covered hit does. pre marks a line whose hits through the end of the run
+// were charged up front (a streak opened it, or the body is handing the
+// rest of the line to a streak).
+type lineHits struct {
+	c     *cache.Cache
+	addr  uint64
+	owed  uint64
+	write bool
+	pre   bool
 }
 
-// counterAccessRun is counterAccess for count consecutive blocks under one
-// counter line. The embedded real access of cache.AccessRun re-promotes
-// the demand line over a next-line prefetch fill, exactly as the first
-// per-block hit after a prefetching miss would.
-func (b *baseline) counterAccessRun(ready, addr, count uint64, write bool) uint64 {
-	at := b.counterAccess(ready, addr, write)
-	if count > 1 {
-		b.counter.AccessRun(b.counterLineAddr(addr), count-1, write)
+// open charges the previous line's hits; the caller then performs the new
+// line's full access.
+func (h *lineHits) open(addr uint64) {
+	h.flush()
+	h.addr, h.pre = addr, false
+}
+
+// serve records a chunk served on the open line: its covered blocks, plus
+// the boundary block when the chunk did not open the line.
+func (h *lineHits) serve(opened bool, covered int) {
+	if h.pre {
+		return
 	}
-	return at
+	h.owed += uint64(covered)
+	if !opened {
+		h.owed++
+	}
+}
+
+// prepay charges the open line's remaining rest blocks now, for a streak
+// that takes over mid-line and never charges them itself.
+func (h *lineHits) prepay(rest int) {
+	if !h.pre {
+		h.owed += uint64(rest)
+	}
+	h.flush()
+	h.pre = true
+}
+
+func (h *lineHits) flush() {
+	if h.owed > 0 {
+		h.c.AccessRun(h.addr, h.owed, h.write)
+		h.owed = 0
+	}
 }
 
 // batchSafe reports whether the guaranteed-hit reasoning holds for the
@@ -100,131 +134,129 @@ func (b *baseline) batchSafe() bool {
 
 // ReadRun serves a read run as one bus stream. //tnpu:noalloc
 // //tnpu:exactform one StreamRun is the model itself, not an approximation of a per-block loop
-func (u *unsecure) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWindow) (nextReady, maxDataAt uint64) {
-	u.traffic.AddRead(stats.Data, uint64(n)*dram.BlockBytes)
-	next, maxFree, _ := u.cfg.Bus.StreamRun(ready, addr, n, w)
-	return next, maxFree + u.cfg.Bus.Latency()
+func (u *unsecure) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
+	next, maxFree, _, k := u.cfg.Bus.StreamRun(ready, addr, n, w, horizon)
+	u.traffic.AddRead(stats.Data, uint64(k)*dram.BlockBytes)
+	return next, maxFree + u.cfg.Bus.Latency(), k
 }
 
 // WriteRun serves a write run as one bus stream. //tnpu:noalloc
 // //tnpu:exactform one StreamRun is the model itself, not an approximation of a per-block loop
-func (u *unsecure) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWindow) (nextReady, maxDataAt uint64) {
-	u.traffic.AddWrite(stats.Data, uint64(n)*dram.BlockBytes)
-	next, maxFree, _ := u.cfg.Bus.StreamRun(ready, addr, n, w)
-	return next, maxFree
+func (u *unsecure) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
+	next, maxFree, _, k := u.cfg.Bus.StreamRun(ready, addr, n, w, horizon)
+	u.traffic.AddWrite(stats.Data, uint64(k)*dram.BlockBytes)
+	return next, maxFree, k
 }
 
 // ReadRun streams the run and tacks the XTS pipe onto arrival. //tnpu:noalloc
 // //tnpu:exactform stream plus fixed XTS latency is the model itself, exact for every run
-func (e *encryptOnly) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWindow) (nextReady, maxDataAt uint64) {
-	e.traffic.AddRead(stats.Data, uint64(n)*dram.BlockBytes)
-	next, maxFree, _ := e.cfg.Bus.StreamRun(ready, addr, n, w)
-	return next, maxFree + e.cfg.Bus.Latency() + e.cfg.XTSCycles
+func (e *encryptOnly) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
+	next, maxFree, _, k := e.cfg.Bus.StreamRun(ready, addr, n, w, horizon)
+	e.traffic.AddRead(stats.Data, uint64(k)*dram.BlockBytes)
+	return next, maxFree + e.cfg.Bus.Latency() + e.cfg.XTSCycles, k
 }
 
 // WriteRun streams the run; encryption overlaps issue. //tnpu:noalloc
 // //tnpu:exactform stream with overlapped encryption is the model itself, exact for every run
-func (e *encryptOnly) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWindow) (nextReady, maxDataAt uint64) {
-	e.traffic.AddWrite(stats.Data, uint64(n)*dram.BlockBytes)
-	next, maxFree, _ := e.cfg.Bus.StreamRun(ready, addr, n, w)
-	return next, maxFree
+func (e *encryptOnly) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
+	next, maxFree, _, k := e.cfg.Bus.StreamRun(ready, addr, n, w, horizon)
+	e.traffic.AddWrite(stats.Data, uint64(k)*dram.BlockBytes)
+	return next, maxFree, k
 }
 
 // --- tree-less (TNPU): batches whole MAC-line streaks ---
 
-// Long runs on a single channel are served as one streak (streak.go):
-// every MAC-line outcome is resolved in one cache walk and the reference
-// charge sequence replays through the issue window's dram.RunCursor in
-// closed form, admitted by the dram.Bus.BeginRun guard. The per-line
-// loop below remains as the fallback for short runs, multi-channel buses,
-// and configurations where the append invariant is unprovable.
+// Long uncontended runs on a single channel are served as one streak
+// (streak.go): every MAC-line outcome is resolved in one cache walk and the
+// reference charge sequence replays through the issue window's
+// dram.RunCursor in closed form, admitted by the dram.Bus.BeginRun guard.
+// The per-line loop below serves everything else — contended runs stopped
+// at a horizon, short runs, multi-channel buses, and configurations where
+// the append invariant is unprovable: each MAC line's first block takes
+// the full per-block path and its covered blocks stream as pure bus
+// arithmetic.
 
 // ReadRun batches MAC-line streaks of the read run. //tnpu:noalloc
-func (t *treeless) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWindow) (nextReady, maxDataAt uint64) {
-	if n >= streakMinBlocks && t.cfg.Bus.BeginRun(w, ready, 3*n+16) {
-		return t.readStreak(ready, addr, n, w)
+func (t *treeless) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
+	unbounded := horizon == dram.NoHorizon
+	if unbounded && n >= streakMinBlocks && t.cfg.Bus.BeginRun(w, ready, 3*n+16) {
+		nr, d := t.readStreak(ready, addr, n, w)
+		return nr, d, n
 	}
 	r := ready
 	lat := t.cfg.Bus.Latency()
-	for i := 0; i < n; {
+	i := 0
+	for i < n {
 		// A rejected run usually failed on a remembered idle gap; gaps are
 		// consumed (or overtaken) as the run's own blocks land, so retry
 		// the streak for the remaining lines.
-		if i > 0 && n-i >= streakMinBlocks && t.cfg.Bus.BeginRun(w, r, 3*(n-i)+16) {
+		if i > 0 && unbounded && n-i >= streakMinBlocks && t.cfg.Bus.BeginRun(w, r, 3*(n-i)+16) {
 			nr, d := t.readStreak(r, addr+uint64(i)*dram.BlockBytes, n-i, w)
-			if d > maxDataAt {
-				maxDataAt = d
-			}
-			return nr, maxDataAt
+			return nr, max64(maxDataAt, d), n
 		}
 		a := addr + uint64(i)*dram.BlockBytes
-		m := macRunLen(a, t.cfg.MACSlotBytes)
-		if m > n-i {
-			m = n - i
-		}
-		// Line-boundary block: full ReadBlock path, charging the MAC line
-		// for every block it covers in this run.
-		t.traffic.AddRead(stats.Data, dram.BlockBytes)
-		busFree := t.cfg.Bus.TransferAt(r, a, dram.BlockBytes)
-		macAt := macAccessRun(t.mac, &t.cfg, &t.traffic, r, a, uint64(m), false, true)
-		dataAt := max64(busFree+lat+t.cfg.XTSCycles, macAt) + t.cfg.MACCycles
+		busFree, dataAt := t.ReadBlock(r, a, version)
 		if dataAt > maxDataAt {
 			maxDataAt = dataAt
 		}
 		r = w.Issue(r, busFree)
+		i++
 		// Covered blocks: the MAC hit resolves at the issue time, which the
 		// data-arrival term always dominates, leaving pure bus arithmetic.
-		if m > 1 {
-			t.traffic.AddRead(stats.Data, uint64(m-1)*dram.BlockBytes)
-			nr, maxFree, _ := t.cfg.Bus.StreamRun(r, a+dram.BlockBytes, m-1, w)
+		if m := minInt(macRunLen(a, t.cfg.MACSlotBytes), n-i+1); m > 1 && r < horizon {
+			nr, maxFree, _, k := t.cfg.Bus.StreamRun(r, a+dram.BlockBytes, m-1, w, horizon)
+			t.traffic.AddRead(stats.Data, uint64(k)*dram.BlockBytes)
+			t.mac.AccessRun(macLineAddr(a, t.cfg.MACSlotBytes), uint64(k), false)
 			r = nr
 			if d := maxFree + lat + t.cfg.XTSCycles + t.cfg.MACCycles; d > maxDataAt {
 				maxDataAt = d
 			}
+			i += k
 		}
-		i += m
+		if r >= horizon {
+			break
+		}
 	}
-	return r, maxDataAt
+	return r, maxDataAt, i
 }
 
 // WriteRun batches MAC-line streaks of the write run. //tnpu:noalloc
-func (t *treeless) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWindow) (nextReady, maxDataAt uint64) {
-	if n >= streakMinBlocks && t.cfg.Bus.BeginRun(w, ready, 3*n+16) {
-		return t.writeStreak(ready, addr, n, w)
+func (t *treeless) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
+	unbounded := horizon == dram.NoHorizon
+	if unbounded && n >= streakMinBlocks && t.cfg.Bus.BeginRun(w, ready, 3*n+16) {
+		nr, d := t.writeStreak(ready, addr, n, w)
+		return nr, d, n
 	}
 	r := ready
-	for i := 0; i < n; {
+	i := 0
+	for i < n {
 		// See ReadRun: retry the streak once the rejecting gap is behind.
-		if i > 0 && n-i >= streakMinBlocks && t.cfg.Bus.BeginRun(w, r, 3*(n-i)+16) {
+		if i > 0 && unbounded && n-i >= streakMinBlocks && t.cfg.Bus.BeginRun(w, r, 3*(n-i)+16) {
 			nr, d := t.writeStreak(r, addr+uint64(i)*dram.BlockBytes, n-i, w)
-			if d > maxDataAt {
-				maxDataAt = d
-			}
-			return nr, maxDataAt
+			return nr, max64(maxDataAt, d), n
 		}
 		a := addr + uint64(i)*dram.BlockBytes
-		m := macRunLen(a, t.cfg.MACSlotBytes)
-		if m > n-i {
-			m = n - i
-		}
-		macAccessRun(t.mac, &t.cfg, &t.traffic, r, a, uint64(m), true, true)
-		t.traffic.AddWrite(stats.Data, dram.BlockBytes)
-		busFree := t.cfg.Bus.TransferAt(r, a, dram.BlockBytes)
+		busFree, _ := t.WriteBlock(r, a, version)
 		if busFree > maxDataAt {
 			maxDataAt = busFree
 		}
 		r = w.Issue(r, busFree)
-		if m > 1 {
-			t.traffic.AddWrite(stats.Data, uint64(m-1)*dram.BlockBytes)
-			nr, maxFree, _ := t.cfg.Bus.StreamRun(r, a+dram.BlockBytes, m-1, w)
+		i++
+		if m := minInt(macRunLen(a, t.cfg.MACSlotBytes), n-i+1); m > 1 && r < horizon {
+			nr, maxFree, _, k := t.cfg.Bus.StreamRun(r, a+dram.BlockBytes, m-1, w, horizon)
+			t.traffic.AddWrite(stats.Data, uint64(k)*dram.BlockBytes)
+			t.mac.AccessRun(macLineAddr(a, t.cfg.MACSlotBytes), uint64(k), true)
 			r = nr
 			if maxFree > maxDataAt {
 				maxDataAt = maxFree
 			}
+			i += k
 		}
-		i += m
+		if r >= horizon {
+			break
+		}
 	}
-	return r, maxDataAt
+	return r, maxDataAt, i
 }
 
 // --- baseline (tree-based): batches at counter-line granularity, with
@@ -237,17 +269,19 @@ func (t *treeless) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 // afterwards when enough blocks remain.
 
 // ReadRun batches counter-line chunks of the read run. //tnpu:noalloc
-func (b *baseline) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWindow) (nextReady, maxDataAt uint64) {
+func (b *baseline) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
 	if !b.batchSafe() {
-		return runPerBlock(b, true, ready, addr, version, n, w)
+		return runPerBlock(b, true, ready, addr, version, n, w, horizon)
 	}
 	arity := b.cfg.TreeArity
 	lat := b.cfg.Bus.Latency()
 	r := ready
 	nextCtr, nextMac := 0, 0
 	var ctrCount, macCount uint64
+	ctrHits, macHits := lineHits{c: b.counter}, lineHits{c: b.mac}
 	cur := w.Cursor()
-	inStreak := n >= streakMinBlocks && b.cfg.Bus.BeginRun(w, r, 5*n+16)
+	unbounded := horizon == dram.NoHorizon
+	inStreak := unbounded && n >= streakMinBlocks && b.cfg.Bus.BeginRun(w, r, 5*n+16)
 	macSwept := inStreak && b.beginMacSweep(addr, 0, n, false)
 	sweepLi := 0 // MAC-line outcomes consumed from the active sweep
 	pending := 0 // deferred data blocks awaiting one streak span charge
@@ -259,7 +293,8 @@ func (b *baseline) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWind
 			mFull = m
 		}
 	}
-	for i := 0; i < n; {
+	i := 0
+	for i < n {
 		a := addr + uint64(i)*dram.BlockBytes
 		blockIdx := a / dram.BlockBytes
 		isCtr := i == nextCtr
@@ -295,6 +330,8 @@ func (b *baseline) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWind
 			}
 			cur.Commit()
 			inStreak = false
+			// The streak charged its open lines' hits through the run's end.
+			ctrHits.pre, macHits.pre = true, true
 		}
 		if inStreak && macSwept && mFull > 0 && isMac && pending == mFull-1 && chunkEnd == i+mFull &&
 			b.ctrStretchEntryOK(blockIdx, isCtr) {
@@ -382,17 +419,20 @@ func (b *baseline) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWind
 			continue
 		}
 		// Boundary block: ReadBlock's operation order (data transfer,
-		// counter access + walk, MAC access), with each line-opening access
-		// charged for every block it covers in this run.
+		// counter access + walk, MAC access). Only a line-opening access
+		// runs the model; hits on lines this call opened are charged by
+		// ctrHits/macHits once the chunk's served count is known.
 		b.traffic.AddRead(stats.Data, dram.BlockBytes)
 		busFree := b.cfg.Bus.TransferAt(r, a, dram.BlockBytes)
 		counterAt := r
 		if isCtr {
-			counterAt = b.counterAccessRun(r, a, ctrCount, false)
+			ctrHits.open(b.counterLineAddr(a))
+			counterAt = b.counterAccess(r, a, false)
 		}
 		macAt := r
 		if isMac {
-			macAt = macAccessRun(b.mac, &b.cfg, &b.traffic, r, a, macCount, false, false)
+			macHits.open(macLineAddr(a, b.cfg.MACSlotBytes))
+			macAt = macAccess(b.mac, &b.cfg, &b.traffic, r, a, false, false)
 		}
 		dataAt := max64(busFree+lat, counterAt+b.cfg.OTPCycles)
 		dataAt = max64(dataAt+b.cfg.XORCycles, macAt) + b.cfg.MACCycles
@@ -403,23 +443,35 @@ func (b *baseline) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWind
 		// Covered blocks: counter and MAC hits resolve at the issue time,
 		// which the OTP term strictly dominates, so the per-block max
 		// collapses to bus arrival vs. last-issue OTP.
-		if pure := chunkEnd - (i + 1); pure > 0 {
-			b.traffic.AddRead(stats.Data, uint64(pure)*dram.BlockBytes)
-			nr, maxFree, lastIssue := b.cfg.Bus.StreamRun(r, a+dram.BlockBytes, pure, w)
+		covered := 0
+		if pure := chunkEnd - (i + 1); pure > 0 && r < horizon {
+			nr, maxFree, lastIssue, k := b.cfg.Bus.StreamRun(r, a+dram.BlockBytes, pure, w, horizon)
+			b.traffic.AddRead(stats.Data, uint64(k)*dram.BlockBytes)
 			r = nr
 			d := max64(maxFree+lat, lastIssue+b.cfg.OTPCycles) + b.cfg.XORCycles + b.cfg.MACCycles
 			if d > maxDataAt {
 				maxDataAt = d
 			}
+			covered = k
 		}
-		i = chunkEnd
-		// Rejoin the streak for the remaining chunks when possible.
-		inStreak = n-i >= streakMinBlocks && b.cfg.Bus.BeginRun(w, r, 5*(n-i)+16)
+		ctrHits.serve(isCtr, covered)
+		macHits.serve(isMac, covered)
+		if i += 1 + covered; r >= horizon {
+			break
+		}
+		// Rejoin the streak for the remaining chunks when possible; it
+		// charges only the lines it opens, so the open lines' remaining
+		// hits are charged now.
+		inStreak = unbounded && n-i >= streakMinBlocks && b.cfg.Bus.BeginRun(w, r, 5*(n-i)+16)
 		if inStreak {
+			ctrHits.prepay(minInt(nextCtr, n) - i)
+			macHits.prepay(minInt(nextMac, n) - i)
 			macSwept = b.beginMacSweep(addr, nextMac, n, false)
 			sweepLi = 0
 		}
 	}
+	ctrHits.flush()
+	macHits.flush()
 	if inStreak {
 		if macSwept {
 			b.sweep.CommitPrefix(sweepLi)
@@ -433,25 +485,28 @@ func (b *baseline) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWind
 		}
 		cur.Commit()
 	}
-	return r, maxDataAt
+	return r, maxDataAt, i
 }
 
 // WriteRun batches counter-line chunks of the write run. //tnpu:noalloc
-func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWindow) (nextReady, maxDataAt uint64) {
-	// A minor-counter overflow mid-run emits a re-encryption burst between
-	// two data blocks; runs about to overflow (at most one write-run in 128
-	// to any line) take the reference path so the burst lands exactly where
-	// the per-block model puts it.
-	if !b.batchSafe() || b.overflowPending(addr, n) {
-		return runPerBlock(b, false, ready, addr, version, n, w)
+func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
+	if !b.batchSafe() {
+		return runPerBlock(b, false, ready, addr, version, n, w, horizon)
 	}
 	arity := b.cfg.TreeArity
 	r := ready
 	nextCtr, nextMac := 0, 0
 	var ctrCount, macCount uint64
 	var minorLine *[integrity.Arity]uint8
+	ctrHits, macHits := lineHits{c: b.counter, write: true}, lineHits{c: b.mac, write: true}
 	cur := w.Cursor()
-	inStreak := n >= streakMinBlocks && b.cfg.Bus.BeginRun(w, r, 5*n+16)
+	// A minor-counter wrap emits a re-encryption burst between two data
+	// blocks. The streak bumps minor counters in bulk, so it serves only
+	// runs that wrap none (at most one write-run in 128 to any line wraps);
+	// the per-line body bumps each served block in order and lands the
+	// burst exactly where the per-block model puts it.
+	wrapFree := horizon == dram.NoHorizon && n >= streakMinBlocks && !b.overflowPending(addr, n)
+	inStreak := wrapFree && b.cfg.Bus.BeginRun(w, r, 5*n+16)
 	macSwept := inStreak && b.beginMacSweep(addr, 0, n, true)
 	sweepLi := 0 // MAC-line outcomes consumed from the active sweep
 	pending := 0 // deferred data blocks awaiting one streak span charge
@@ -462,7 +517,8 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 			mFull = m
 		}
 	}
-	for i := 0; i < n; {
+	i := 0
+	for i < n {
 		a := addr + uint64(i)*dram.BlockBytes
 		blockIdx := a / dram.BlockBytes
 		isCtr := i == nextCtr
@@ -495,6 +551,7 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 			}
 			cur.Commit()
 			inStreak = false
+			ctrHits.pre, macHits.pre = true, true
 		}
 		if inStreak && macSwept && mFull > 0 && isMac && chunkEnd == i+mFull &&
 			b.ctrStretchEntryOK(blockIdx, isCtr) {
@@ -600,14 +657,7 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 						maxDataAt = counterAt
 					}
 				}
-				minorLine = b.minors[lineIdx]
-				if minorLine == nil {
-					// First touch of this counter line; every later run
-					// reuses it, so steady state stays at 0 allocs/op.
-					minorLine = new([integrity.Arity]uint8) //tnpu:allocok
-					b.minors[lineIdx] = minorLine
-				}
-				b.minorMark(lineIdx)
+				minorLine = b.minorLineOf(lineIdx)
 			}
 			b.minorDigAdd(lineIdx, slot, chunkEnd-i)
 			for k := 0; k < chunkEnd-i; k++ {
@@ -636,23 +686,17 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 			continue
 		}
 		// Boundary block: WriteBlock's operation order (counter RMW, minor
-		// bump, MAC update, data transfer).
+		// bump, MAC update, data transfer), hits charged as in ReadRun.
 		counterAt := r
 		if isCtr {
-			counterAt = b.counterAccessRun(r, a, ctrCount, true)
-			minorLine = b.minors[lineIdx]
-			if minorLine == nil {
-				// First touch of this counter line; every later run
-				// reuses it, so steady state stays at 0 allocs/op.
-				minorLine = new([integrity.Arity]uint8) //tnpu:allocok
-				b.minors[lineIdx] = minorLine
-			}
-			b.minorMark(lineIdx)
+			ctrHits.open(b.geo.NodeAddr(0, lineIdx))
+			counterAt = b.counterAccess(r, a, true)
+			minorLine = b.minorLineOf(lineIdx)
 		}
-		b.minorDigAdd(lineIdx, slot, 1)
-		minorLine[slot]++
+		b.bumpSlot(r, a, lineIdx, slot, minorLine)
 		if isMac {
-			macAccessRun(b.mac, &b.cfg, &b.traffic, r, a, macCount, true, false)
+			macHits.open(macLineAddr(a, b.cfg.MACSlotBytes))
+			macAccess(b.mac, &b.cfg, &b.traffic, r, a, true, false)
 		}
 		b.traffic.AddWrite(stats.Data, dram.BlockBytes)
 		busFree := b.cfg.Bus.TransferAt(r, a, dram.BlockBytes)
@@ -660,28 +704,47 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 			maxDataAt = d
 		}
 		r = w.Issue(r, busFree)
-		// Covered blocks: cache hits and overflow-free minor bumps; the
-		// write path completes at each block's bus-clear time.
-		if pure := chunkEnd - (i + 1); pure > 0 {
-			b.minorDigAdd(lineIdx, slot+1, pure)
-			for k := 1; k <= pure; k++ {
-				minorLine[slot+k]++
+		// Covered blocks: cache hits and minor bumps of the served blocks;
+		// the write path completes at each block's bus-clear time. A block
+		// whose minor counter is about to wrap ends the chunk: it is the
+		// next boundary, where bumpSlot lands its re-encryption burst.
+		covered := 0
+		pure := chunkEnd - (i + 1)
+		for j := 1; j <= pure; j++ {
+			if minorLine[slot+j] == 1<<7-1 {
+				pure = j - 1
+				break
 			}
-			b.traffic.AddWrite(stats.Data, uint64(pure)*dram.BlockBytes)
-			nr, maxFree, _ := b.cfg.Bus.StreamRun(r, a+dram.BlockBytes, pure, w)
+		}
+		if pure > 0 && r < horizon {
+			nr, maxFree, _, k := b.cfg.Bus.StreamRun(r, a+dram.BlockBytes, pure, w, horizon)
+			b.minorDigAdd(lineIdx, slot+1, k)
+			for j := 1; j <= k; j++ {
+				minorLine[slot+j]++
+			}
+			b.traffic.AddWrite(stats.Data, uint64(k)*dram.BlockBytes)
 			r = nr
 			if maxFree > maxDataAt {
 				maxDataAt = maxFree
 			}
+			covered = k
 		}
-		i = chunkEnd
+		ctrHits.serve(isCtr, covered)
+		macHits.serve(isMac, covered)
+		if i += 1 + covered; r >= horizon {
+			break
+		}
 		// Rejoin the streak for the remaining chunks when possible.
-		inStreak = n-i >= streakMinBlocks && b.cfg.Bus.BeginRun(w, r, 5*(n-i)+16)
+		inStreak = wrapFree && n-i >= streakMinBlocks && b.cfg.Bus.BeginRun(w, r, 5*(n-i)+16)
 		if inStreak {
+			ctrHits.prepay(minInt(nextCtr, n) - i)
+			macHits.prepay(minInt(nextMac, n) - i)
 			macSwept = b.beginMacSweep(addr, nextMac, n, true)
 			sweepLi = 0
 		}
 	}
+	ctrHits.flush()
+	macHits.flush()
 	if inStreak {
 		if macSwept {
 			b.sweep.CommitPrefix(sweepLi)
@@ -695,7 +758,7 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 		}
 		cur.Commit()
 	}
-	return r, maxDataAt
+	return r, maxDataAt, i
 }
 
 // overflowPending reports whether writing blocks [addr, addr+n*64) would

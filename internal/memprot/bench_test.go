@@ -47,7 +47,7 @@ func BenchmarkReadRun(b *testing.B) {
 					b.Fatalf("%v engine does not implement RunEngine", scheme)
 				}
 				w := dram.NewIssueWindow(16)
-				re.ReadRun(0, 0, 1, blocks, w)
+				re.ReadRun(0, 0, 1, blocks, w, dram.NoHorizon)
 			}
 			b.SetBytes(blocks * dram.BlockBytes)
 		})
@@ -68,11 +68,11 @@ func BenchmarkReadRunHot(b *testing.B) {
 			}
 			re := e.(RunEngine)
 			w := dram.NewIssueWindow(16)
-			r, _ := re.ReadRun(0, 0, 1, blocks, w) // warm caches and buffers
+			r, _, _ := re.ReadRun(0, 0, 1, blocks, w, dram.NoHorizon) // warm caches and buffers
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, _ = re.ReadRun(r, 0, 1, blocks, w)
+				r, _, _ = re.ReadRun(r, 0, 1, blocks, w, dram.NoHorizon)
 			}
 			b.SetBytes(blocks * dram.BlockBytes)
 		})
@@ -90,11 +90,11 @@ func BenchmarkWriteRunHot(b *testing.B) {
 			}
 			re := e.(RunEngine)
 			w := dram.NewIssueWindow(16)
-			r, _ := re.WriteRun(0, 0, 1, blocks, w)
+			r, _, _ := re.WriteRun(0, 0, 1, blocks, w, dram.NoHorizon)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, _ = re.WriteRun(r, 0, 1, blocks, w)
+				r, _, _ = re.WriteRun(r, 0, 1, blocks, w, dram.NoHorizon)
 			}
 			b.SetBytes(blocks * dram.BlockBytes)
 		})
@@ -116,8 +116,8 @@ func TestBatchedRunNoAllocs(t *testing.T) {
 		w := dram.NewIssueWindow(16)
 		var r uint64
 		step := func() {
-			r, _ = re.ReadRun(r, 0, 1, blocks, w)
-			r, _ = re.WriteRun(r, 0, 1, blocks, w)
+			r, _, _ = re.ReadRun(r, 0, 1, blocks, w, dram.NoHorizon)
+			r, _, _ = re.WriteRun(r, 0, 1, blocks, w, dram.NoHorizon)
 		}
 		step() // warmup
 		if avg := testing.AllocsPerRun(20, step); avg != 0 {
@@ -144,9 +144,9 @@ func BenchmarkWriteRun(b *testing.B) {
 					}
 					w := dram.NewIssueWindow(16)
 					if batched {
-						e.(RunEngine).WriteRun(0, 0, 1, blocks, w)
+						e.(RunEngine).WriteRun(0, 0, 1, blocks, w, dram.NoHorizon)
 					} else {
-						runPerBlock(e, false, 0, 0, 1, blocks, w)
+						runPerBlock(e, false, 0, 0, 1, blocks, w, dram.NoHorizon)
 					}
 				}
 				b.SetBytes(blocks * dram.BlockBytes)

@@ -533,14 +533,7 @@ func (b *baseline) minorStretchBump(addr uint64, i, blocks int) {
 	blockIdx := addr/dram.BlockBytes + uint64(i)
 	for k := 0; k < blocks; {
 		lineIdx, slot := b.geo.CounterIndex(blockIdx + uint64(k))
-		minorLine := b.minors[lineIdx]
-		if minorLine == nil {
-			// First touch of this counter line; every later run reuses it,
-			// so steady state stays at 0 allocs/op.
-			minorLine = new([integrity.Arity]uint8) //tnpu:allocok
-			b.minors[lineIdx] = minorLine
-		}
-		b.minorMark(lineIdx)
+		minorLine := b.minorLineOf(lineIdx)
 		cnt := minInt(blocks-k, int(b.cfg.TreeArity)-slot)
 		b.minorDigAdd(lineIdx, slot, cnt)
 		for j := 0; j < cnt; j++ {

@@ -26,7 +26,7 @@ func stripRuns(r Result) Result {
 }
 
 // diffMulti runs the same multi-NPU workload through the block-granular
-// reference and the horizon-bounded arbitration loop and requires exact
+// reference and the horizon arbitration loop and requires exact
 // agreement on every observable except NPUStats.Runs.
 func diffMulti(t *testing.T, progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config) {
 	t.Helper()
@@ -41,7 +41,7 @@ func diffMulti(t *testing.T, progs []*compiler.Program, scheme memprot.Scheme, c
 		return
 	}
 	if got, want := stripRuns(arb), stripRuns(ref); !reflect.DeepEqual(got, want) {
-		t.Fatalf("horizon-bounded arbitration diverges from block interleave (scheme %v, cfg %s):\n  block:      %+v\n  arbitrated: %+v",
+		t.Fatalf("horizon arbitration diverges from block interleave (scheme %v, cfg %s):\n  block:      %+v\n  arbitrated: %+v",
 			scheme, cfg.Name, want, got)
 	}
 }
@@ -140,8 +140,8 @@ func (f *fuzzReader) u16() uint64 { return uint64(f.byte())<<8 | uint64(f.byte()
 // sizes produce runs that straddle the co-tenant's ready time, compute
 // stalls that desynchronize otherwise-lockstep machines, and a
 // counter-hammer that parks a minor counter one short of / exactly at /
-// one past the 7-bit wrap so the baseline burst guard's edge lands inside
-// a would-be streak.
+// one past the 7-bit wrap so the baseline re-encryption burst lands inside
+// a winner's turn.
 func buildMultiFuzzProgram(f *fuzzReader) *compiler.Program {
 	var tr isa.Trace
 	nInstr := 2 + int(f.byte()%8)
@@ -166,8 +166,8 @@ func buildMultiFuzzProgram(f *fuzzReader) *compiler.Program {
 			in.Segments = append(in.Segments, isa.Segment{Addr: f.u16() * 64, Bytes: blocks * dram.BlockBytes})
 		default:
 			// Near-overflow hammer: rewrite one aligned range 126/127/128
-			// times so the baseline write-burst guard (overflowPending)
-			// trips exactly at, one before, or one past the wrap.
+			// times so the last rewrite stops one short of, exactly at, or
+			// one past the baseline minor-counter wrap.
 			in.Op = isa.OpMvOut
 			in.Tensor = tensor.ID(f.byte() % 8)
 			in.Tile = int(f.byte() % 16)
@@ -255,7 +255,7 @@ func FuzzMultiVsBlock(f *testing.F) {
 // --- allocation pin --------------------------------------------------------
 
 // TestMultiNPUNoAllocs pins the steady-state arbitration loop at zero
-// allocations per iteration: one scan plus one horizon-bounded serve.
+// allocations per iteration: one scan plus one horizon-stopped serve.
 // The baseline scheme is excluded — its minors journal allocates on each
 // first-touched counter line (the same waived first-touch allocations as
 // the single-NPU pin).
@@ -312,7 +312,7 @@ func TestMultiNPUNoAllocs(t *testing.T) {
 // --- benchmark -------------------------------------------------------------
 
 // BenchmarkMultiNPU measures co-tenant simulation on two paths: the
-// block-granular reference ("block") and live horizon-bounded arbitration
+// block-granular reference ("block") and live horizon arbitration
 // ("arbitrated").
 func BenchmarkMultiNPU(b *testing.B) {
 	cfg := npu.LargeNPU()

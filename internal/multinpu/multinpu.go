@@ -26,8 +26,9 @@ const slotStride uint64 = 2 << 20
 
 // NPUStats attributes served work to one NPU — the per-tenant QoS view of
 // a co-tenant run. Cycles, Blocks, and byte counters are identical across
-// execution paths (pinned by the differential suite); Runs counts
-// engine-level run bursts and is observability for the batched path only
+// execution paths (pinned by the differential suite); Runs counts the
+// engine run calls that served the NPU's blocks (one per segment an
+// arbitration turn touches) and is observability for the batched path only
 // (zero under block-granular interleave).
 type NPUStats struct {
 	Cycles     uint64
@@ -130,17 +131,17 @@ func RunMixed(progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config, 
 	return assemble(scheme, eng, machines), nil
 }
 
-// arbitrate is the horizon-bounded streak arbitration loop (DESIGN.md
-// §6f): each scan selects the earliest-ready machine exactly as the block
-// reference does, but also computes the interaction horizon — the minimum
-// ready time over the other machines — and lets the winner serve as much
-// of its instruction as provably issues strictly below that horizon.
-// Other machines' ready times cannot change while the winner serves
-// (NextReady mutates state only for machines between instructions, and
-// every machine is active or exhausted after a scan), so the horizon is
-// frozen for the duration of the streak and the serve order is exactly
-// the reference's. Ties rotate as in the reference: the winner keeps
-// serving only while strictly below every other ready time.
+// arbitrate is the horizon arbitration loop (DESIGN.md §6f): each scan
+// selects the earliest-ready machine exactly as the block reference does,
+// but also computes the interaction horizon — the minimum ready time over
+// the other machines — and lets the winner serve every block the reference
+// would hand it in a row: its engine run path stops after the first block
+// whose next issue time reaches the horizon. Other machines' ready times
+// cannot change while the winner serves (NextReady mutates state only for
+// machines between instructions, and every machine is active or exhausted
+// after a scan), so the horizon is frozen for the whole turn and the serve
+// order is exactly the reference's. Ties rotate as in the reference: the
+// winner keeps serving only while strictly below every other ready time.
 //
 //tnpu:noalloc
 func arbitrate(machines []*npu.Machine) {
@@ -172,8 +173,8 @@ func arbitrate(machines []*npu.Machine) {
 
 // arbitrateBlocks is the retained block-granular reference: always serve
 // one block to the machine whose next block is ready earliest; ties
-// rotate so no NPU starves. The horizon-bounded loop above is pinned
-// cycle- and stats-identical to this one by the differential harness and
+// rotate so no NPU starves. The horizon loop above is pinned cycle- and
+// stats-identical to this one by the differential harness and
 // FuzzMultiVsBlock.
 //
 //tnpu:noalloc

@@ -260,8 +260,8 @@ func buildFuzzProgram(f *fuzzReader) *compiler.Program {
 			// range far past the 7-bit minor-counter limit. The lone
 			// half-range head-start segment puts the tail blocks one bump
 			// ahead, so the first wrap lands mid-run (block 24 of 48), not
-			// on a run boundary — exercising the overflowPending guard and
-			// the re-encryption burst inside the reference fallback.
+			// on a run boundary — exercising the streak's overflowPending
+			// guard and the re-encryption burst inside a per-line chunk.
 			in.Op = isa.OpMvOut
 			in.Tensor = tensor.ID(f.byte() % 8)
 			in.Tile = int(f.byte() % 16)

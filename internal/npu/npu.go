@@ -108,12 +108,8 @@ type Machine struct {
 	window *dram.IssueWindow
 
 	// runEng is non-nil when the engine supports the batched fast path;
-	// batched selects it (the default when available). bounder is non-nil
-	// when the engine additionally admits the closed-form run time bound
-	// that lets a multi-NPU arbiter burst whole runs below an interaction
-	// horizon (ServeRunUntil).
+	// batched selects it (the default when available).
 	runEng  memprot.RunEngine
-	bounder memprot.RunBounder
 	batched bool
 
 	// iotlb, when non-nil, models the per-instruction IOMMU translation.
@@ -126,9 +122,9 @@ type Machine struct {
 	blocksMoved uint64
 
 	// Per-NPU attribution counters (multi-NPU QoS stats): blocks served by
-	// direction, and how many engine-level run bursts served them. Blocks
-	// counts are execution-path invariant; runsServed is observability only
-	// (it differs between the per-block reference and the batched path).
+	// direction, and how many engine run calls served them. Blocks counts
+	// are execution-path invariant; runsServed is observability only (it
+	// differs between the per-block reference and the batched path).
 	blocksRead    uint64
 	blocksWritten uint64
 	runsServed    uint64
@@ -167,7 +163,6 @@ func NewMachineAt(prog *compiler.Program, eng memprot.Engine, dataOffset, slotOf
 		window:     dram.NewIssueWindow(dmaOutstanding),
 	}
 	m.runEng, _ = eng.(memprot.RunEngine)
-	m.bounder, _ = eng.(memprot.RunBounder)
 	m.batched = m.runEng != nil && !forcePerBlock.Load()
 	return m
 }
@@ -316,148 +311,65 @@ func (m *Machine) ServeBlock() {
 	m.active = -1
 }
 
-// ServeRun serves every remaining block of the active DMA instruction —
-// whole runs per segment, bounded only by segment ends and the DMA issue
-// window (the engines iterate metadata-line streaks internally) — and
-// retires it. Callers must have obtained a ready time from NextReady
-// first. When the engine lacks the batched interface (or
-// SetBatched(false)), it steps the per-block reference path to the same
-// end state.
-func (m *Machine) ServeRun() {
+// ServeRun serves every remaining block of the active DMA instruction and
+// retires it: ServeRunUntil with no co-tenant to yield to.
+func (m *Machine) ServeRun() { m.ServeRunUntil(dram.NoHorizon) }
+
+// ServeRunUntil serves the active DMA instruction up to the interaction
+// horizon: the earliest cycle at which any other machine sharing the bus
+// could become issue-ready. It serves exactly the blocks block-granular
+// arbitration would hand this machine in a row — each block in turn, until
+// one's next issue time reaches the horizon — so serving order is the
+// reference's. The batched path hands each segment to the engine's run
+// path, which stops at the same block; otherwise it steps the per-block
+// reference. Callers must have obtained a ready time from NextReady first;
+// at least one block is always served (the caller selected this machine,
+// so it wins the tie even when its ready time equals the horizon). On
+// return either the instruction retired or issueAt >= horizon and another
+// machine may be ready.
+func (m *Machine) ServeRunUntil(horizon uint64) {
 	if !m.batched {
-		for m.active >= 0 {
+		for {
 			m.ServeBlock()
+			if m.active < 0 || m.issueAt >= horizon {
+				return
+			}
 		}
-		return
 	}
 	in := &m.prog.Trace.Instrs[m.active]
 	for {
 		n := int((m.segEnd - m.blockAddr + dram.BlockBytes - 1) / dram.BlockBytes)
 		var next, dataAt uint64
+		var k int
 		if in.Op == isa.OpMvIn {
-			next, dataAt = m.runEng.ReadRun(m.issueAt, m.blockAddr+m.dataOffset, in.Version, n, m.window)
-			m.blocksRead += uint64(n)
+			next, dataAt, k = m.runEng.ReadRun(m.issueAt, m.blockAddr+m.dataOffset, in.Version, n, m.window, horizon)
+			m.blocksRead += uint64(k)
 		} else {
-			next, dataAt = m.runEng.WriteRun(m.issueAt, m.blockAddr+m.dataOffset, in.Version, n, m.window)
-			m.blocksWritten += uint64(n)
+			next, dataAt, k = m.runEng.WriteRun(m.issueAt, m.blockAddr+m.dataOffset, in.Version, n, m.window, horizon)
+			m.blocksWritten += uint64(k)
 		}
 		m.runsServed++
-		m.blocksMoved += uint64(n)
+		m.blocksMoved += uint64(k)
 		m.issueAt = next
 		if dataAt > m.maxDataAt {
 			m.maxDataAt = dataAt
 		}
-		m.segIdx++
-		if m.segIdx >= len(in.Segments) {
+		if k < n {
+			// Stopped at the horizon inside the segment.
+			m.blockAddr += uint64(k) * dram.BlockBytes
+			return
+		}
+		if m.segIdx++; m.segIdx >= len(in.Segments) {
 			break
 		}
 		m.loadSegment()
+		if m.issueAt >= horizon {
+			return
+		}
 	}
 	m.retire(m.active, m.maxDataAt)
 	m.dmaFree = m.issueAt
 	m.active = -1
-}
-
-// ServeRunUntil serves the active DMA instruction up to the interaction
-// horizon: the earliest cycle at which any other machine sharing the bus
-// could become issue-ready. It bursts whole runs through the batched path
-// whenever the engine's closed-form time bound proves every block of the
-// remaining instruction would issue strictly below the horizon, and steps
-// the per-block reference otherwise — so serving order is exactly what
-// block-granular arbitration would have produced. Callers must have
-// obtained a ready time from NextReady first; at least one block is always
-// served (the caller selected this machine, so it wins the tie even when
-// its ready time equals the horizon). On return either the instruction
-// retired or issueAt >= horizon and another machine may be ready.
-func (m *Machine) ServeRunUntil(horizon uint64) {
-	if m.batched && horizon == ^uint64(0) {
-		// No other machine has pending work: the whole instruction is
-		// uncontended, exactly the single-NPU case.
-		m.ServeRun()
-		return
-	}
-	// Within one serve window the burst budget (horizon minus the bound
-	// base) only shrinks as blocks are served, so a failed bound attempt
-	// mostly predicts the next one failing too — but the remaining run also
-	// shrinks, so a later attempt can succeed. Exponential backoff between
-	// attempts keeps the contended (lockstep) regime at O(1) amortized
-	// bound arithmetic per block while still finding late-fitting bursts.
-	tryBurst := m.batched && m.bounder != nil
-	skip, backoff := uint64(0), uint64(1)
-	for {
-		if tryBurst && m.issueAt < horizon {
-			if skip == 0 {
-				if m.tryRunBelow(horizon) {
-					return
-				}
-				backoff *= 2
-				skip = backoff
-			} else {
-				skip--
-			}
-		}
-		m.ServeBlock()
-		if m.active < 0 || m.issueAt >= horizon {
-			return
-		}
-	}
-}
-
-// tryRunBelow bursts the rest of the active instruction iff the engine's
-// run bound proves the final issue time stays strictly below the horizon.
-// The bound's increments are summed across all remaining segments with an
-// early exit once the budget is exhausted, so a failed attempt in a
-// contended window costs O(1) arithmetic in the common case. After a
-// successful burst the actually reached issue time is checked against the
-// bound: a violation means the bound model is unsound for this engine and
-// the simulation can no longer claim equivalence, so it panics.
-//
-//tnpu:noalloc
-func (m *Machine) tryRunBelow(horizon uint64) bool {
-	in := &m.prog.Trace.Instrs[m.active]
-	write := in.Op != isa.OpMvIn
-	base := max64(m.issueAt, m.window.MaxSlot())
-	if b := m.bounder.RunBoundBase(); b > base {
-		base = b
-	}
-	if base >= horizon {
-		return false
-	}
-	budget := horizon - base
-	var total uint64
-	addr, end := m.blockAddr, m.segEnd
-	for si := m.segIdx; ; {
-		n := int((end - addr + dram.BlockBytes - 1) / dram.BlockBytes)
-		incr, ok := m.bounder.RunBoundIncr(addr+m.dataOffset, n, write)
-		if !ok || incr >= budget-total {
-			return false
-		}
-		total += incr
-		if si++; si >= len(in.Segments) {
-			break
-		}
-		seg := in.Segments[si]
-		addr, end = seg.Addr&^(dram.BlockBytes-1), seg.Addr+seg.Bytes
-	}
-	// The arithmetic bound fits under the horizon; now consult the
-	// (possibly state-scanning) burst guard for each remaining run.
-	addr, end = m.blockAddr, m.segEnd
-	for si := m.segIdx; ; {
-		n := int((end - addr + dram.BlockBytes - 1) / dram.BlockBytes)
-		if !m.bounder.RunBurstSafe(addr+m.dataOffset, n, write) {
-			return false
-		}
-		if si++; si >= len(in.Segments) {
-			break
-		}
-		seg := in.Segments[si]
-		addr, end = seg.Addr&^(dram.BlockBytes-1), seg.Addr+seg.Bytes
-	}
-	m.ServeRun()
-	if m.issueAt > base+total {
-		panic("npu: run burst exceeded its closed-form horizon bound") //tnpu:allocok (invariant violation; never reached in steady state)
-	}
-	return true
 }
 
 // Run drives the machine to completion (single-NPU operation).
@@ -485,8 +397,8 @@ func (m *Machine) BlocksRead() uint64 { return m.blocksRead }
 // BlocksWritten returns the blocks served on the write (mvout) path.
 func (m *Machine) BlocksWritten() uint64 { return m.blocksWritten }
 
-// RunsServed returns how many engine-level run bursts served this
-// machine's blocks — zero on the per-block reference path.
+// RunsServed returns how many engine run calls served this machine's
+// blocks — zero on the per-block reference path.
 func (m *Machine) RunsServed() uint64 { return m.runsServed }
 
 // Utilization returns the PE array's busy fraction over the whole run —

@@ -591,7 +591,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
 
 // handleNPUCountSweep serves the scalability curve: normalized execution
 // time at 1–3 NPUs per scheme and class, now cheap enough to compute on
-// demand (the horizon-bounded arbitration). The
+// demand (the horizon arbitration). The
 // artifact is figure-shaped — class-tagged series over NPU-count
 // categories — so it shares the figure endpoints' JSON/SVG rendering.
 // Both Table II configurations go into the cache key because the sweep
