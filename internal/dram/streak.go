@@ -347,37 +347,10 @@ func (cur *RunCursor) Commit() {
 			if start > rec.g {
 				off = start - rec.g
 			}
-			if off >= rec.n {
-				continue
-			}
-			if rec.lead|rec.trail != 0 {
-				// Metadata charges separate the record's periods.
-				for ; off < rec.n; off++ {
-					w.slots[pos] = cur.clearAt(rec.charge(off))
-					if pos++; pos == len(w.slots) {
-						pos = 0
-					}
-				}
-				continue
-			}
-			// A plain record's data blocks are consecutive charges: one
-			// division for the first clear, then each later one steps by
-			// one charge, carrying the remainder as advance does.
-			j := rec.charge(off)
-			t := j*cur.rr + cur.rem0
-			clear, rem := cur.clear0+j*cur.q+t/cur.den, t%cur.den
-			for {
-				w.slots[pos] = clear
+			for ; off < rec.n; off++ {
+				w.slots[pos] = cur.clearAt(rec.charge(off))
 				if pos++; pos == len(w.slots) {
 					pos = 0
-				}
-				if off++; off == rec.n {
-					break
-				}
-				clear += cur.q
-				if rem += cur.rr; rem >= cur.den {
-					rem -= cur.den
-					clear++
 				}
 			}
 		}

@@ -81,7 +81,7 @@ func RunBatch(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config, req
 			runEnd = issue
 		}
 		issue = eng.VersionFetch(runEnd, memprot.VTableSlot(uint32(out.ID), 0), false)
-		_, end = s.read(issue, out.Addr, out.Blocks())
+		end = s.read(issue, out.Addr, out.Blocks())
 	}
 	res.TotalCycles = end
 	res.PerRequestCycles = (end - res.InitCycles) / uint64(requests)

@@ -89,7 +89,7 @@ func run(prog *compiler.Program, eng memprot.Engine, s stream) Result {
 	// Phase 3: the CPU fetches the final output tensor via ts_read_block.
 	out := prog.Tensors[len(prog.Tensors)-1]
 	issue := eng.VersionFetch(runEnd, memprot.VTableSlot(uint32(out.ID), 0), false)
-	_, done := s.read(issue, out.Addr, out.Blocks())
+	done := s.read(issue, out.Addr, out.Blocks())
 	res.OutputCycles = done - runEnd
 	res.Total = done
 	eng.Flush(done)
@@ -121,7 +121,7 @@ func newStream(eng memprot.Engine, bus *dram.Bus) stream {
 // write streams n blocks from addr under version 1, the first issued at t,
 // and returns the last block's bus-clear time (t when n is zero).
 func (s stream) write(t, addr, n uint64) uint64 {
-	if s.run != nil {
+	if s.run != nil && n > 0 {
 		t, _, _ = s.run.WriteRun(t, addr, 1, int(n), s.w, dram.NoHorizon)
 		return t
 	}
@@ -131,25 +131,23 @@ func (s stream) write(t, addr, n uint64) uint64 {
 	return t
 }
 
-// read streams n blocks from addr, the first issued at t, and returns the
-// last block's bus-clear time and when the latest block's data was ready
-// (both t when n is zero).
-func (s stream) read(t, addr, n uint64) (issue, done uint64) {
-	issue, done = t, t
+// read streams n blocks from addr, the first issued at t, and returns when
+// the latest block's data was ready (t when n is zero).
+func (s stream) read(t, addr, n uint64) uint64 {
+	done := t
 	if s.run != nil && n > 0 {
-		var d uint64
-		issue, d, _ = s.run.ReadRun(t, addr, 1, int(n), s.w, dram.NoHorizon)
+		_, d, _ := s.run.ReadRun(t, addr, 1, int(n), s.w, dram.NoHorizon)
 		if d > done {
 			done = d
 		}
-		return issue, done
+		return done
 	}
 	for blk := uint64(0); blk < n; blk++ {
-		busFree, dataAt := s.eng.ReadBlock(issue, addr+blk*dram.BlockBytes, 1)
-		issue = busFree
+		busFree, dataAt := s.eng.ReadBlock(t, addr+blk*dram.BlockBytes, 1)
+		t = busFree
 		if dataAt > done {
 			done = dataAt
 		}
 	}
-	return issue, done
+	return done
 }

@@ -342,10 +342,12 @@ func (b *baseline) ctrSimple(addr, rLow uint64) bool {
 	return true
 }
 
-// ctrStreakAccess is counterAccessRun inside a streak. The chunk was
-// pre-classified by ctrSimple, so a miss's walk is exactly one counter
-// fetch verified against a resident level-1 ancestor, on a free MSHR,
-// with any dirty-victim writeback absorbed by a resident hash parent. //tnpu:noalloc
+// ctrStreakAccess is counterAccess for a whole counter line inside a
+// streak: one access, with the line's other count-1 blocks charged as
+// hits through the run's end. The chunk was pre-classified by ctrSimple,
+// so a miss's walk is exactly one counter fetch verified against a
+// resident level-1 ancestor, on a free MSHR, with any dirty-victim
+// writeback absorbed by a resident hash parent. //tnpu:noalloc
 func (b *baseline) ctrStreakAccess(cur *dram.RunCursor, rB, addr, count uint64, write bool) uint64 {
 	lineIdx, _ := b.geo.CounterIndex(addr / dram.BlockBytes)
 	res := b.counter.Access(b.geo.NodeAddr(0, lineIdx), write)
@@ -374,10 +376,11 @@ func (b *baseline) ctrStreakAccess(cur *dram.RunCursor, rB, addr, count uint64, 
 	return done
 }
 
-// macStreakAccess is macAccessRun inside a streak. Every MAC outcome is
-// append-safe (writeback and fetch both charge at the boundary's issue
-// time, and the MAC cache never cascades), so no pre-classification is
-// needed. //tnpu:noalloc
+// macStreakAccess is macAccess for a whole MAC line inside a streak: one
+// access, with the line's other count-1 blocks charged as hits through
+// the run's end. Every MAC outcome is append-safe (writeback and fetch
+// both charge at the boundary's issue time, and the MAC cache never
+// cascades), so no pre-classification is needed. //tnpu:noalloc
 func (b *baseline) macStreakAccess(cur *dram.RunCursor, rB, addr, count uint64, write bool) uint64 {
 	res := b.mac.Access(macLineAddr(addr, b.cfg.MACSlotBytes), write)
 	b.mac.AddRunHits(count - 1)
