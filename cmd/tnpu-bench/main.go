@@ -54,7 +54,7 @@ func mainRun() int {
 	mdFlag := flag.String("md", "", "also write a Markdown report to this file")
 	parallelFlag := flag.Int("parallel", 0, "simulation worker count (0 = GOMAXPROCS, 1 = sequential)")
 	verboseFlag := flag.Bool("v", false, "log per-cell progress to stderr and print a run summary at exit")
-	memoDirFlag := flag.String("memodir", "", "persistent memo-store directory: layer and whole-run memos recorded there survive the process and make later runs start warm (default: off)")
+	memoDirFlag := flag.String("memodir", "", "persistent memo-store directory: whole-run cell results recorded there survive the process and make later runs start warm (default: off)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation (heap) profile at exit to this file")
 	perBlockFlag := flag.Bool("perblock", false, "force the per-block DMA reference path instead of the batched fast path")
@@ -123,14 +123,11 @@ func mainRun() int {
 	}
 	if *verboseFlag {
 		fmt.Fprint(os.Stderr, r.Log().Summary())
-		hits, misses := r.MemoStats()
-		fmt.Fprintf(os.Stderr, "layer memo: %d hits, %d misses; cell cache: %d hits\n",
-			hits, misses, r.Log().CacheHits())
+		fmt.Fprintf(os.Stderr, "cell cache: %d hits\n", r.Log().CacheHits())
 		if r.MemoDir() != "" {
-			lm := r.LayerMemoStats()
 			st := r.CellStoreStats()
-			fmt.Fprintf(os.Stderr, "memo store %s: %d layer disk hits, %d records, %d evictions; store %d/%d loads hit, %d saves, %d corrupt\n",
-				r.MemoDir(), lm.DiskHits, lm.Records, lm.Evictions, st.Hits, st.Loads, st.Saves, st.Corrupt)
+			fmt.Fprintf(os.Stderr, "cell store %s: %d/%d loads hit, %d saves, %d corrupt\n",
+				r.MemoDir(), st.Hits, st.Loads, st.Saves, st.Corrupt)
 		}
 	}
 	return code

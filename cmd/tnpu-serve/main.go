@@ -62,7 +62,7 @@ func run() int {
 	modelsFlag := flag.String("models", "", "comma-separated workload subset (default: all 14)")
 	parallelFlag := flag.Int("parallel", 0, "simulation worker count (0 = GOMAXPROCS)")
 	queueFlag := flag.Int("queue", 0, "max admitted jobs before load shedding with 503 (0 = 1024)")
-	memoDirFlag := flag.String("memodir", "", `persistent memo-store directory for layer and whole-run memos (default: "memo" beside the result cache; "off" disables)`)
+	memoDirFlag := flag.String("memodir", "", `persistent memo-store directory for whole-run cell results (default: "memo" beside the result cache; "off" disables)`)
 	flag.Parse()
 
 	cacheDir := *cacheFlag

@@ -4,7 +4,7 @@
 // determinism of emitted output (detmap), consumption of verification
 // errors (secerr), the zero-allocation batched hot path (noalloc),
 // per-goroutine engine ownership (goroutinesafe), cycle/byte unit
-// discipline (cycleunits), canonical-state serialization coverage
+// discipline (cycleunits), content-addressing digest coverage
 // (canoncover), side-effect-free closed-form bounds (purity), and
 // guarded fast paths with reference fallbacks (boundsound). The last
 // three are interprocedural: they compose across packages through the
@@ -17,9 +17,9 @@
 //
 // Standalone flags: -json (machine-readable diagnostics on stdout),
 // -v (per-analyzer wall time), -only a1,a2 (restrict the suite),
-// -certify out.json (write canoncover's certified field sets, the
+// -certify out.json (write canoncover's certified leaf sets, the
 // source of testdata/canoncover.json backing the runtime reflection
-// cross-checks).
+// cross-check).
 //
 // Both modes exit non-zero on any diagnostic. scripts/lint.sh runs it
 // alongside gofmt/vet/staticcheck, and the CI lint job gates merges on

@@ -157,23 +157,23 @@ func TestOnlyUnknownAnalyzer(t *testing.T) {
 	}
 }
 
-// TestCertifyWritesArtifact runs -certify over a minimal canon pair and
-// checks the emitted artifact names the type and its covered fields —
-// the mechanism that produces testdata/canoncover.json at the repo root.
+// TestCertifyWritesArtifact runs -certify over a minimal digest-covered
+// struct and checks the emitted artifact names the type and its covered
+// leaf fields — the mechanism that produces testdata/canoncover.json at
+// the repo root.
 func TestCertifyWritesArtifact(t *testing.T) {
 	inTempModule(t, map[string]string{
 		"go.mod": "module vetcert\n\ngo 1.22\n",
 		"s.go": `// Package vetcert is a tnpu-vet -certify test fixture.
 package vetcert
 
-// S is a minimal canonical-state pair.
+// S is a minimal digest target.
 type S struct{ a uint64 }
 
-// AppendCanon serializes s.
-func (s *S) AppendCanon(b []byte) []byte { return append(b, byte(s.a)) }
-
-// RestoreCanon rebuilds s.
-func (s *S) RestoreCanon(b []byte) { s.a = uint64(b[0]) }
+// Digest renders every field of s.
+//
+//tnpu:digestcover S
+func Digest(s S) uint64 { return s.a }
 `,
 	})
 	checker.Certify = canoncover.Certify

@@ -1,37 +1,24 @@
-// Package canoncover defines an Analyzer that proves canonical-state
-// serialization covers every stored field.
+// Package canoncover defines an Analyzer that proves content-addressing
+// digests cover every result-affecting configuration field.
 //
-// Layer memoization (DESIGN.md §6d/§6e) replays recorded engine state
-// across layers — and, via the persistent memo store, across processes —
-// keyed by the canonical byte rendering a memprot.LayerState produces.
-// A behavioral field missing from that rendering silently serves stale
-// cycles: the canon of two genuinely different states collides and the
-// replay installs the wrong one (the PR 6 chunk-stretch bug, found only
-// by differential fuzzing). This analyzer makes the invariant static:
+// Every cached simulation result — the runner's whole-run cells in the
+// memo store and serve's result cache — is keyed by a digest of the
+// configuration that produced it (DESIGN.md §6g). A field missing from
+// that digest silently serves a stale result: two configurations that
+// differ only in the forgotten field share one key. This analyzer makes
+// the invariant static: a function whose doc comment carries
+// //tnpu:digestcover <pkg.Type> must mention every unwaived leaf field of
+// that struct (nested structs flattened; mentioning a whole sub-struct
+// covers its subtree). Genuinely non-behavioral fields (display labels)
+// are waived field-by-field with //tnpu:canonskip <reason> at the
+// declaration; waivers live in the type's own package and travel here as
+// facts — exp.ConfigDigest is checked against npu.Config without either
+// package importing the other's AST.
 //
-//   - For every named struct type with both AppendCanon and RestoreCanon
-//     methods, each stored field must be reachable from the append-side
-//     serialization channels (AppendCanon/AppendAccum/AppendDelta) AND
-//     the restore-side ones (RestoreCanon/AddAccum/ApplyDelta), where
-//     reachability is a field mention in the method body or, transitively,
-//     in another method of the same type called on the receiver.
-//     Genuinely non-behavioral fields (derived geometry, scratch
-//     cursors, journal indexes) are waived field-by-field with
-//     //tnpu:canonskip <reason> at the declaration; a waiver on a field
-//     that both sides in fact cover is reported as stale.
-//
-//   - The same discipline for content-addressing digests: a function
-//     whose doc comment carries //tnpu:digestcover <pkg.Type> must
-//     mention every unwaived leaf field of that struct (nested structs
-//     flattened; mentioning a whole sub-struct covers its subtree).
-//     Waivers live on the field declarations in the type's own package
-//     and travel here as facts — exp.ConfigDigest is checked against
-//     npu.Config without either package importing the other's AST.
-//
-// Every checked type's field disposition is also exported as a
+// Every checked digest's leaf disposition is also exported as a
 // "canoncover.certified" fact; `tnpu-vet -certify` serializes the
 // harvest so a committed JSON copy can back the runtime reflection
-// cross-checks (belt and suspenders for builds that never run vet).
+// cross-check (belt and suspenders for builds that never run vet).
 package canoncover
 
 import (
@@ -69,15 +56,11 @@ var RequiredDigests = map[string]map[string]string{
 	"exp": {"ConfigDigest": "npu.Config"},
 }
 
-var appendChannels = []string{"AppendCanon", "AppendAccum", "AppendDelta"}
-var restoreChannels = []string{"RestoreCanon", "AddAccum", "ApplyDelta"}
-
 // CertFact is one type's certified field disposition.
 type CertFact struct {
-	// Type is the fully qualified type name ("tnpu/internal/memprot.baseline").
+	// Type is the fully qualified type name ("tnpu/internal/npu.Config").
 	Type string `json:"type"`
-	// Covered fields are proven serialized on both sides (for digest
-	// targets: leaf paths proven mentioned).
+	// Covered leaf paths are proven mentioned by the digest.
 	Covered []string `json:"covered"`
 	// Waived fields carry //tnpu:canonskip.
 	Waived []string `json:"waived,omitempty"`
@@ -89,7 +72,7 @@ type skipFact struct {
 
 var Analyzer = &analysis.Analyzer{
 	Name:          "canoncover",
-	Doc:           "check that AppendCanon/RestoreCanon serialization and //tnpu:digestcover digests cover every stored field not waived by //tnpu:canonskip",
+	Doc:           "check that //tnpu:digestcover digests cover every leaf field of their target struct not waived by //tnpu:canonskip",
 	Run:           run,
 	UsesFacts:     true,
 	DefaultWaiver: WaiverMarker,
@@ -123,11 +106,6 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 
-	for _, name := range names {
-		if err := checkCanonPair(pass, set, name, structs[name]); err != nil {
-			return err
-		}
-	}
 	if err := checkDigestFuncs(pass, set); err != nil {
 		return err
 	}
@@ -156,68 +134,6 @@ func collectStructDecls(pass *analysis.Pass) map[string]*ast.StructType {
 	return out
 }
 
-// checkCanonPair enforces two-sided coverage for one struct type that
-// implements the canon pair.
-func checkCanonPair(pass *analysis.Pass, set *summary.Set, typeName string, st *ast.StructType) error {
-	if set.Lookup(typeName+".AppendCanon") == nil || set.Lookup(typeName+".RestoreCanon") == nil {
-		return nil
-	}
-	coveredBy := func(channels []string) map[string]bool {
-		out := make(map[string]bool)
-		for _, ch := range channels {
-			if info := set.Lookup(typeName + "." + ch); info != nil {
-				for f := range set.FieldsClosure(info) {
-					out[f] = true
-				}
-			}
-		}
-		return out
-	}
-	appendCov := coveredBy(appendChannels)
-	restoreCov := coveredBy(restoreChannels)
-
-	cert := CertFact{Type: pass.Pkg.Path() + "." + typeName}
-	for _, field := range st.Fields.List {
-		waived := fieldWaived(pass, st, field)
-		fieldNames := make([]string, 0, len(field.Names))
-		for _, id := range field.Names {
-			fieldNames = append(fieldNames, id.Name)
-		}
-		if len(field.Names) == 0 {
-			// Embedded field: coverage tracks the root name.
-			fieldNames = append(fieldNames, embeddedName(field.Type))
-		}
-		for _, fname := range fieldNames {
-			if fname == "" || fname == "_" {
-				continue
-			}
-			app, res := appendCov[fname], restoreCov[fname]
-			switch {
-			case waived && app && res:
-				pass.Reportf(field.Pos(),
-					"stale //tnpu:canonskip: field %s.%s is serialized by both Append* and Restore* channels; drop the waiver",
-					typeName, fname)
-				cert.Waived = append(cert.Waived, fname)
-			case waived:
-				cert.Waived = append(cert.Waived, fname)
-			case app && res:
-				cert.Covered = append(cert.Covered, fname)
-			case !app:
-				pass.Reportf(field.Pos(),
-					"memo-unsafe: field %s.%s is never written by AppendCanon/AppendAccum/AppendDelta; serialize it or annotate //tnpu:canonskip <reason>",
-					typeName, fname)
-			default:
-				pass.Reportf(field.Pos(),
-					"memo-unsafe: field %s.%s is written by the Append* channels but never restored by RestoreCanon/AddAccum/ApplyDelta; restore it or annotate //tnpu:canonskip <reason>",
-					typeName, fname)
-			}
-		}
-	}
-	sort.Strings(cert.Covered)
-	sort.Strings(cert.Waived)
-	return pass.Facts.Export(pass.Pkg.Path(), typeName, CertFactName, cert)
-}
-
 // fieldWaived reports whether a struct field carries a canonskip waiver:
 // a trailing comment on its own line, or a dedicated comment line directly
 // above. A previous field's trailing waiver does not bleed down onto the
@@ -236,19 +152,6 @@ func fieldWaived(pass *analysis.Pass, st *ast.StructType, field *ast.Field) bool
 		}
 	}
 	return true
-}
-
-// embeddedName returns the root name an embedded field is known by.
-func embeddedName(t ast.Expr) string {
-	switch x := t.(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.StarExpr:
-		return embeddedName(x.X)
-	case *ast.SelectorExpr:
-		return x.Sel.Name
-	}
-	return ""
 }
 
 // checkDigestFuncs verifies every //tnpu:digestcover-marked function.
@@ -480,7 +383,7 @@ func pathCovered(leaf string, mentioned map[string]bool) bool {
 // Certify renders the certification artifact from a finished run's fact
 // store: every certified type's field disposition, sorted, as indented
 // JSON. cmd/tnpu-vet wires this into `-certify`, and the committed copy
-// backs the runtime reflection cross-checks in memprot and exp.
+// backs the runtime reflection cross-check in exp.
 func Certify(store *facts.Store) ([]byte, error) {
 	var out []CertFact
 	for _, pkg := range store.Packages(CertFactName) {

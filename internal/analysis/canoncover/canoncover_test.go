@@ -7,10 +7,6 @@ import (
 	"tnpu/internal/analysis/canoncover"
 )
 
-func TestCanonPair(t *testing.T) {
-	analysistest.Run(t, "testdata", canoncover.Analyzer, "canonpair")
-}
-
 func TestDigestCover(t *testing.T) {
 	analysistest.Run(t, "testdata", canoncover.Analyzer, "npu", "exp", "missing/exp")
 }

@@ -1,10 +1,9 @@
 // Package summary computes lightweight per-function summaries over one
-// type-checked package: which receiver fields a method touches, which
-// functions it calls, and whether it is pure (mutates nothing reachable
-// from its receiver, parameters, or package state). The three
-// interprocedural analyzers (canoncover, purity, boundsound) all build
-// on the same summaries — canoncover closes field mentions over
-// same-receiver helper calls, purity runs a worklist fixpoint over the
+// type-checked package: which functions it calls, and whether it is pure
+// (mutates nothing reachable from its receiver, parameters, or package
+// state). The three interprocedural analyzers (canoncover, purity,
+// boundsound) all build on the same summaries — canoncover finds the
+// digest functions by name, purity runs a worklist fixpoint over the
 // intra-package call graph and consults cross-package facts at the
 // boundary, boundsound walks the call edges for fallback reachability.
 //
@@ -41,10 +40,6 @@ const (
 type CallSite struct {
 	Callee *types.Func
 	Pos    token.Pos
-	// OnRecv marks calls of another method of the same named type on
-	// this method's own receiver (the edges field-mention closure
-	// follows).
-	OnRecv bool
 }
 
 // FuncInfo is the summary of one function or method declaration.
@@ -54,10 +49,7 @@ type FuncInfo struct {
 	// RecvNamed is the receiver's named type (pointer stripped), nil for
 	// plain functions.
 	RecvNamed *types.Named
-	// Fields holds the root receiver struct fields this method mentions
-	// directly (embedded promotions resolve to the embedded field).
-	Fields map[string]bool
-	Calls  []CallSite
+	Calls     []CallSite
 
 	// Pure is the fixpoint purity verdict; when false, ImpurePos and
 	// ImpureWhat hold the first witness (a mutation in this body, or the
@@ -85,8 +77,6 @@ type Options struct {
 type Set struct {
 	Funcs  map[*types.Func]*FuncInfo
 	byName map[string]*FuncInfo
-
-	closure map[*types.Func]map[string]bool
 }
 
 // ObjName renders a *types.Func the way facts keys and Set.Lookup expect:
@@ -118,33 +108,6 @@ func (s *Set) Names() []string {
 		out = append(out, name)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// FieldsClosure returns the receiver fields fn mentions directly or
-// through same-receiver method calls, transitively.
-func (s *Set) FieldsClosure(fn *FuncInfo) map[string]bool {
-	if s.closure == nil {
-		s.closure = make(map[*types.Func]map[string]bool)
-	}
-	if c, ok := s.closure[fn.Obj]; ok {
-		return c
-	}
-	out := make(map[string]bool)
-	s.closure[fn.Obj] = out // breaks recursion cycles
-	for f := range fn.Fields {
-		out[f] = true
-	}
-	for _, call := range fn.Calls {
-		if !call.OnRecv {
-			continue
-		}
-		if callee, ok := s.Funcs[call.Callee]; ok {
-			for f := range s.FieldsClosure(callee) {
-				out[f] = true
-			}
-		}
-	}
 	return out
 }
 
@@ -252,10 +215,9 @@ func stdlibPurity(fn *types.Func) Purity {
 // summarize walks one function body.
 func summarize(pass *analysis.Pass, opt Options, fd *ast.FuncDecl, obj *types.Func) *FuncInfo {
 	info := &FuncInfo{
-		Decl:   fd,
-		Obj:    obj,
-		Fields: make(map[string]bool),
-		Pure:   true,
+		Decl: fd,
+		Obj:  obj,
+		Pure: true,
 	}
 	w := &walker{pass: pass, opt: opt, info: info}
 	if fd.Recv != nil && len(fd.Recv.List) == 1 {
@@ -405,13 +367,10 @@ func (w *walker) fresh(e ast.Expr) bool {
 	return false
 }
 
-// walk is the main pass: field mentions, call edges, and impurity
-// witnesses.
+// walk is the main pass: call edges and impurity witnesses.
 func (w *walker) walk(body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch x := n.(type) {
-		case *ast.SelectorExpr:
-			w.recordFieldMention(x)
 		case *ast.CallExpr:
 			w.recordCall(x)
 		case *ast.AssignStmt:
@@ -438,40 +397,6 @@ func (w *walker) walk(body *ast.BlockStmt) {
 		}
 		return true
 	})
-}
-
-// recordFieldMention notes receiver struct fields referenced through the
-// receiver identifier; embedded promotions resolve to the embedded root
-// field.
-func (w *walker) recordFieldMention(sel *ast.SelectorExpr) {
-	if w.recvObj == nil || w.info.RecvNamed == nil {
-		return
-	}
-	base, ok := ast.Unparen(sel.X).(*ast.Ident)
-	if !ok || w.objOf(base) != w.recvObj {
-		return
-	}
-	selection := w.pass.TypesInfo.Selections[sel]
-	if selection == nil {
-		return
-	}
-	idx := selection.Index()
-	switch selection.Kind() {
-	case types.FieldVal:
-		// idx[0] is a field of the receiver struct.
-	case types.MethodVal, types.MethodExpr:
-		if len(idx) < 2 {
-			return // direct method: a call edge, not a field mention
-		}
-		// Promoted method: idx[0] is the embedded field it came through.
-	default:
-		return
-	}
-	st, ok := w.info.RecvNamed.Underlying().(*types.Struct)
-	if !ok || idx[0] >= st.NumFields() {
-		return
-	}
-	w.info.Fields[st.Field(idx[0]).Name()] = true
 }
 
 // recordCall resolves one call expression into a CallSite and checks the
@@ -512,11 +437,7 @@ func (w *walker) recordCall(call *ast.CallExpr) {
 				break // dynamic dispatch
 			}
 			fn, _ := selection.Obj().(*types.Func)
-			onRecv := false
-			if base, ok := ast.Unparen(f.X).(*ast.Ident); ok && w.recvObj != nil {
-				onRecv = w.objOf(base) == w.recvObj && len(selection.Index()) == 1
-			}
-			w.info.Calls = append(w.info.Calls, CallSite{Callee: fn, Pos: call.Pos(), OnRecv: onRecv})
+			w.info.Calls = append(w.info.Calls, CallSite{Callee: fn, Pos: call.Pos()})
 			return
 		}
 		if fn, ok := w.pass.TypesInfo.Uses[f.Sel].(*types.Func); ok {

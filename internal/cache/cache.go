@@ -13,19 +13,18 @@ import (
 // Cache is a tag-only set-associative cache with true-LRU replacement and
 // write-back, write-allocate policy.
 type Cache struct {
-	name      string //tnpu:canonskip immutable identity label, fixed at construction
 	lineBytes uint64
 	sets      int
 	ways      int
-	lineShift uint //tnpu:canonskip derived from lineBytes at construction, immutable
+	lineShift uint
 	// setMask replaces the modulo in set selection when the set count is a
 	// power of two (every realistic geometry); maskOK gates it so odd set
 	// counts still work.
-	setMask uint64 //tnpu:canonskip derived from sets at construction, immutable
-	maskOK  bool   //tnpu:canonskip derived from sets at construction, immutable
+	setMask uint64
+	maskOK  bool
 	// lines[set][way]; way order is LRU order: index 0 is most recent.
 	lines [][]line
-	stats stats.CacheStats //tnpu:canonskip accumulator; owners carry it via Stats().AppendAccum/AddAccum
+	stats stats.CacheStats
 }
 
 // setIndex maps a line tag to its set.
@@ -77,7 +76,6 @@ func New(name string, sizeBytes, lineBytes, ways int) *Cache {
 		shift++
 	}
 	c := &Cache{
-		name:      name,
 		lineBytes: uint64(lineBytes),
 		sets:      sets,
 		ways:      ways,

@@ -9,7 +9,7 @@ import (
 // cloneCache duplicates a cache's full tag state so a streak call can be
 // checked against the per-line reference on a twin.
 func cloneCache(c *Cache) *Cache {
-	d := New(c.name, c.SizeBytes(), int(c.lineBytes), c.ways)
+	d := New("clone", c.SizeBytes(), int(c.lineBytes), c.ways)
 	for s := range c.lines {
 		d.lines[s] = append(d.lines[s][:0], c.lines[s]...)
 	}

@@ -1,7 +1,8 @@
-// Package canon provides the byte encoding shared by every layer-state
-// canonicalizer in the simulator (see DESIGN.md §6e). Values are fixed-width
-// little-endian u64 so encodings are positional: two states are equal exactly
-// when their canon byte strings are equal, with no delimiters to confuse.
+// Package canon provides the byte encoding of persisted cell results and
+// their statistics tails (see DESIGN.md §6g). Values are fixed-width
+// little-endian u64 so encodings are positional: two values are equal
+// exactly when their canon byte strings are equal, with no delimiters to
+// confuse.
 package canon
 
 import "encoding/binary"
@@ -13,8 +14,8 @@ func AppendU64(dst []byte, v uint64) []byte {
 }
 
 // U64 decodes the leading u64 from src and returns it with the remaining
-// bytes. Panics if src is short: canon blobs are produced and consumed by
-// the same code paths, so truncation is a programming error, not input.
+// bytes. Panics if src is short: callers decoding untrusted bytes check
+// the length first, so truncation here is a programming error, not input.
 func U64(src []byte) (uint64, []byte) {
 	if len(src) < 8 {
 		panic("canon: truncated blob")

@@ -2,12 +2,12 @@
 // loads the certification artifact that `tnpu-vet -certify` writes
 // (testdata/canoncover.json at the repository root) and cross-checks it
 // against the live types via reflection. The static analyzer proves the
-// Append*/Restore* methods and digest functions cover the certified
-// field sets; these helpers prove the certified sets still describe the
-// compiled structs. Together they close the loop: adding a field
-// without re-running certification (scripts/lint.sh regenerates and
-// diffs the artifact) fails the package's cross-check test, and
-// re-running certification on an uncovered field fails tnpu-vet.
+// digest functions cover the certified leaf sets; these helpers prove the
+// certified sets still describe the compiled structs. Together they close
+// the loop: adding a field without re-running certification
+// (scripts/lint.sh regenerates and diffs the artifact) fails the
+// package's cross-check test, and re-running certification on an
+// uncovered field fails tnpu-vet.
 package certcheck
 
 import (
@@ -26,7 +26,7 @@ type Entry struct {
 }
 
 // Load reads a certification artifact and indexes it by qualified type
-// name (e.g. "tnpu/internal/memprot.baseline").
+// name (e.g. "tnpu/internal/npu.Config").
 func Load(t *testing.T, path string) map[string]Entry {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -42,19 +42,6 @@ func Load(t *testing.T, path string) map[string]Entry {
 		certs[e.Type] = e
 	}
 	return certs
-}
-
-// FieldsMatch asserts that the certified covered∪waived field names for
-// typeName are exactly the struct fields of v's type. It backs the
-// canonical-state pairs, whose certificates list direct fields.
-func FieldsMatch(t *testing.T, certs map[string]Entry, typeName string, v any) {
-	t.Helper()
-	rt := reflect.TypeOf(v)
-	var live []string
-	for i := 0; i < rt.NumField(); i++ {
-		live = append(live, rt.Field(i).Name)
-	}
-	compare(t, certs, typeName, rt, live)
 }
 
 // LeafPathsMatch asserts that the certified covered∪waived entries for
@@ -90,7 +77,7 @@ func LeafPathsMatch(t *testing.T, certs map[string]Entry, typeName string, v any
 	compare(t, certs, typeName, rt, live)
 }
 
-// compare diffs the live field/path set against the certificate in both
+// compare diffs the live leaf-path set against the certificate in both
 // directions so the failure names the exact drift.
 func compare(t *testing.T, certs map[string]Entry, typeName string, rt reflect.Type, live []string) {
 	t.Helper()

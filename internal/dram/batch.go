@@ -25,7 +25,7 @@ package dram
 type IssueWindow struct {
 	slots []uint64
 	idx   int
-	run   RunCursor //tnpu:canonskip run-scoped cursor, dead outside BeginRun..Commit
+	run   RunCursor
 }
 
 // NewIssueWindow returns a window allowing depth outstanding requests.
@@ -62,6 +62,14 @@ func (w *IssueWindow) Issue(r, busFree uint64) (next uint64) {
 
 // Depth returns the window's outstanding-request bound.
 func (w *IssueWindow) Depth() int { return len(w.slots) }
+
+// Clears appends the window's outstanding clear times to dst, oldest
+// first, so two windows that gate the next issues identically read the
+// same whatever their cursor position.
+func (w *IssueWindow) Clears(dst []uint64) []uint64 {
+	dst = append(dst, w.slots[w.idx:]...)
+	return append(dst, w.slots[:w.idx]...)
+}
 
 // NoHorizon is the horizon of an uncontended run: no other client can
 // become ready, so nothing stops the run before its last block.

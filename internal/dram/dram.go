@@ -67,7 +67,7 @@ type Bus struct {
 	latency uint64
 	// aggNum/aggDen is the aggregate (whole-interface) cycles-per-byte
 	// rational, before the bandwidth is split across channels.
-	aggNum, aggDen uint64 //tnpu:canonskip derived from Config at construction, immutable
+	aggNum, aggDen uint64
 	chans          []channel
 }
 
@@ -76,7 +76,7 @@ type channel struct {
 	num, den uint64
 	// bq and br are one block's whole cycles and leftover numerator,
 	// BlockBytes*num = bq*den + br, so a one-block charge needs no division.
-	bq, br     uint64 //tnpu:canonskip derived from num/den at construction, immutable
+	bq, br     uint64
 	busyUntil  uint64
 	rem        uint64 // carried numerator remainder, < den
 	bytesMoved uint64

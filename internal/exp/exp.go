@@ -93,17 +93,9 @@ type Runner struct {
 
 	sweepRuns map[sweepRunKey]*cell[uint64]
 
-	// memo replays recurring (layer, state-signature) executions across
-	// cells: sweep points, NPU counts, and classes re-run the same layers
-	// from identical engine states far more often than not. Shared by
-	// every single-NPU machine the runner builds; safe under the worker
-	// pool.
-	memo *npu.LayerMemo
-
 	// cellStore, when attached via SetMemoDir, persists whole-run cell
-	// results (and, through the layer memo, recorded layer entries)
-	// across processes. Set once before first use, like Models; a nil
-	// store is a valid no-op (see memostore).
+	// results across processes. Set once before first use, like Models; a
+	// nil store is a valid no-op (see memostore).
 	cellStore *memostore.Store
 
 	freezeOnce sync.Once
@@ -154,10 +146,7 @@ func (r *Runner) freeze() {
 // (fixed Table II classes) and sweeps (arbitrary configurations) share one
 // cache: the bandwidth and latency sweeps vary only bus parameters, so all
 // their points — and any figure cell with the same compiler view — share
-// one compiled program. Sharing the *compiler.Program pointer is also what
-// lets the layer memo replay across harness entry points: memo keys carry
-// program identity, so a figure run and a sweep point at the same
-// configuration replay each other's layers.
+// one compiled program.
 type progKey struct {
 	short string
 	cfg   compiler.Config
@@ -228,7 +217,6 @@ func NewRunner(models ...string) *Runner {
 		e2es:      make(map[e2eKey]*cell[e2e.Result]),
 		attacks:   make(map[attackKey]*cell[*attack.Report]),
 		sweepRuns: make(map[sweepRunKey]*cell[uint64]),
-		memo:      npu.NewLayerMemo(),
 	}
 }
 
@@ -302,12 +290,6 @@ func (r *Runner) ImprovementAvailable() bool {
 // completion counts, and compile-vs-simulate totals.
 func (r *Runner) Log() *RunLog { return &r.log }
 
-// MemoStats reports the shared layer memo's lookup outcomes — how many
-// layer executions replayed from cache versus ran live.
-func (r *Runner) MemoStats() (hits, misses uint64) {
-	return r.memo.Hits(), r.memo.Misses()
-}
-
 // Program compiles (once) a model for a class.
 func (r *Runner) Program(short string, class Class) (*compiler.Program, error) {
 	return r.program(short, class.Config().CompilerConfig())
@@ -337,7 +319,7 @@ func (r *Runner) Run(short string, class Class, scheme memprot.Scheme, count int
 			if err != nil {
 				return multinpu.Result{}, err
 			}
-			res, err := multinpu.RunMemo(p, scheme, class.Config(), count, r.memo)
+			res, err := multinpu.Run(p, scheme, class.Config(), count)
 			if err != nil {
 				return multinpu.Result{}, fmt.Errorf("exp: %s/%s/%s x%d: %w", short, class, scheme, count, err)
 			}
@@ -367,7 +349,7 @@ func (r *Runner) RunMixed(shorts []string, class Class, scheme memprot.Scheme) (
 				}
 				progs[i] = p
 			}
-			res, err := multinpu.RunMixed(progs, scheme, class.Config(), r.memo)
+			res, err := multinpu.RunMixed(progs, scheme, class.Config())
 			if err != nil {
 				return multinpu.Result{}, fmt.Errorf("exp: mixed[%s]/%s/%s: %w", joined, class, scheme, err)
 			}

@@ -65,39 +65,3 @@ func TestImprovementNoModels(t *testing.T) {
 		t.Error("Improvement with no models returned no error (previously NaN)")
 	}
 }
-
-// TestMemoReplaysAcrossEntryPoints pins the cross-harness layer memo: a
-// figure cell and a sweep point at the same hardware configuration share
-// one compiled program, so the sweep's default point replays the layers the
-// figure recorded — and a parallel runner (memo record/replay interleaving
-// under the worker pool; run under -race in CI) must stay byte-identical
-// to a sequential one.
-func TestMemoReplaysAcrossEntryPoints(t *testing.T) {
-	seq := NewRunner("df")
-	seq.Workers = 1
-	par := NewRunner("df")
-	par.Workers = 4
-
-	type out struct{ fig, sweep string }
-	run := func(r *Runner) out {
-		f, err := r.Figure14()
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := r.BandwidthSweep("df")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out{f.String(), s.String()}
-	}
-	so, po := run(seq), run(par)
-	if so != po {
-		t.Errorf("parallel memoized harness differs from sequential:\n--- sequential\n%s%s--- parallel\n%s%s",
-			so.fig, so.sweep, po.fig, po.sweep)
-	}
-	for _, r := range []*Runner{seq, par} {
-		if hits, _ := r.MemoStats(); hits == 0 {
-			t.Error("no memo hits: the sweep's default point did not replay the figure's layers")
-		}
-	}
-}

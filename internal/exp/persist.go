@@ -1,15 +1,12 @@
 // Whole-run memos (DESIGN.md §6g): with a persistent memo store attached,
 // the runner serializes finished cell results — single/multi-NPU runs,
-// mixed-tenancy tuples, end-to-end flows, sweep points — through the same
-// memostore that backs the layer memo. Layer memos alone cannot make a
-// cold process cheap: multi-NPU arbitration (counts 2–3) and the
-// end-to-end flow never touch the layer memo, so their cells are
-// persisted whole. Keys run through exp.Digest under CodeVersion plus a
+// mixed-tenancy tuples, end-to-end flows, sweep points — through
+// memostore, so a later process reloads each cell whole instead of
+// simulating it. Keys run through exp.Digest under CodeVersion plus a
 // body-format tag, so both a simulator change and a framing change strand
 // old entries. Bodies are canon-encoded (fixed-width little-endian u64),
 // restored by accumulating into zero values; a body that fails structural
-// validation is deleted and recomputed, mirroring the layer memo's
-// discipline.
+// validation is deleted and recomputed.
 package exp
 
 import (
@@ -29,9 +26,9 @@ import (
 // independently of CodeVersion (which tracks simulation semantics).
 const cellMemoTag = "cellmemo1"
 
-// SetMemoDir attaches a persistent memo store under dir: layer memo
-// entries and whole-run cell results recorded by this runner are written
-// there and reloaded by later processes. Must be called before the first
+// SetMemoDir attaches a persistent memo store under dir: whole-run cell
+// results recorded by this runner are written there and reloaded by
+// later processes. Must be called before the first
 // figure/sweep call, like the rest of the runner configuration (enforced:
 // panics after first use). An empty dir is a no-op.
 func (r *Runner) SetMemoDir(dir string) error {
@@ -46,20 +43,20 @@ func (r *Runner) SetMemoDir(dir string) error {
 		return err
 	}
 	r.cellStore = st
-	r.memo.AttachStore(st, CodeVersion)
 	return nil
 }
 
 // MemoDir returns the attached persistent memo directory ("" if none).
 func (r *Runner) MemoDir() string { return r.cellStore.Dir() }
 
-// LayerMemoStats exposes the full layer-memo counter snapshot (including
-// persistence outcomes); MemoStats keeps the compact hits/misses view.
-func (r *Runner) LayerMemoStats() npu.MemoStats { return r.memo.Stats() }
+// LayerMemoStats always returns the zero npu.MemoStats.
+//
+// Deprecated: the layer memo it reported on is gone; CellStoreStats
+// reports the whole-run cell store.
+func (r *Runner) LayerMemoStats() npu.MemoStats { return npu.MemoStats{} }
 
 // CellStoreStats reports the persistent store's counters (zero when no
-// memo dir is attached). The counters aggregate layer-memo and whole-run
-// traffic: both ride the same store.
+// memo dir is attached).
 func (r *Runner) CellStoreStats() memostore.Stats { return r.cellStore.Stats() }
 
 // persisted wraps one cell computation with the whole-run memo: try the

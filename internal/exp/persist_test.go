@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tnpu/internal/memprot"
-	"tnpu/internal/npu"
 	"tnpu/internal/npu/memostore"
 )
 
@@ -36,7 +35,7 @@ func buildArtifacts(t *testing.T, r *Runner) []string {
 // TestMemoDirRoundTrip pins the whole-run memo guarantee: a fresh runner
 // (a "new process") over a directory an earlier runner recorded into
 // reproduces every artifact byte-identically without simulating anything —
-// every cell loads from the store, no layer is recorded.
+// every cell loads from the store, and the warm runner saves nothing.
 func TestMemoDirRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 
@@ -61,8 +60,8 @@ func TestMemoDirRoundTrip(t *testing.T) {
 	if s.Hits == 0 {
 		t.Errorf("warm runner hit nothing on the store: %+v", s)
 	}
-	if lm := warm.LayerMemoStats(); lm.Records != 0 || lm.Misses != 0 {
-		t.Errorf("warm runner simulated layers (records=%d misses=%d); every cell should load whole", lm.Records, lm.Misses)
+	if s.Saves != 0 {
+		t.Errorf("warm runner saved %d cells; every cell should load whole, none simulated", s.Saves)
 	}
 }
 
@@ -186,49 +185,4 @@ func TestPersistedRunResultRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(e2eRes, e2eDec) {
 		t.Errorf("e2e result round-trip mismatch:\n want %+v\n got  %+v", e2eRes, e2eDec)
 	}
-}
-
-// TestMemoDirWarmStartUsesLayerStore covers the layer-memo persistence
-// path through the runner (whole-run memos normally short-circuit it):
-// a warm runner whose *cell* entries were stranded by a cell-format bump
-// still replays layers from the store instead of re-recording them.
-func TestMemoDirWarmStartUsesLayerStore(t *testing.T) {
-	dir := t.TempDir()
-	cold := NewRunner("df")
-	if err := cold.SetMemoDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	cfg := Small.Config()
-	want, err := cold.runPoint("df", cfg, memprot.TreeLess)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Strand the whole-run cell so the warm runner must simulate — its
-	// layer lookups should then come off the persistent store.
-	st, err := memostore.New(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Delete(sweepCellKey("df", cfg, memprot.TreeLess))
-
-	warm := NewRunner("df")
-	if err := warm.SetMemoDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	got, err := warm.runPoint("df", cfg, memprot.TreeLess)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("layer-store replay run = %d cycles, cold run = %d", got, want)
-	}
-	lm := warm.LayerMemoStats()
-	if lm.DiskHits == 0 {
-		t.Errorf("warm simulation loaded no layers from the store: %+v", lm)
-	}
-	if lm.Records != 0 {
-		t.Errorf("warm simulation re-recorded %d layers, want 0", lm.Records)
-	}
-	var _ npu.MemoStats = lm
 }

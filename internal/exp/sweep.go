@@ -51,7 +51,7 @@ type sweepRunKey struct {
 
 // runPoint simulates (once) one (config, scheme) sweep cell, reusing the
 // compiled program for the point's compiler config (shared with Program's
-// figure cells, so the layer memo replays across figures and sweeps).
+// figure cells).
 func (r *Runner) runPoint(short string, cfg npu.Config, scheme memprot.Scheme) (uint64, error) {
 	k := sweepRunKey{short, cfg, scheme}
 	label := fmt.Sprintf("%s/sweep/%s", short, scheme)
@@ -67,7 +67,7 @@ func (r *Runner) runPoint(short string, cfg npu.Config, scheme memprot.Scheme) (
 				return 0, err
 			}
 			mach := npu.NewMachine(prog, eng)
-			mach.RunMemoized(r.memo)
+			mach.Run()
 			return mach.Cycles(), nil
 		})
 	})
@@ -76,38 +76,18 @@ func (r *Runner) runPoint(short string, cfg npu.Config, scheme memprot.Scheme) (
 // sweepOver evaluates all three schemes at each configuration, fanning the
 // (point, scheme) grid across the worker pool; cells land at their grid
 // index so the table is identical to a sequential build.
-//
-// Record-once cell ordering (DESIGN.md §6g): every sweep includes the
-// class-default configuration as one of its points (1x bandwidth, 480KB
-// SPM, 100-cycle DRAM are all the Small NPU's Table II values), and that
-// point's layer recordings are exactly the ones the figure grids and the
-// other sweeps replay. Those base cells run as a first wave, so by the
-// time the replay-heavy fan-out starts, the shared signatures are already
-// recorded (or flight-claimed) instead of being recorded redundantly by
-// whichever workers reach them first.
 func (r *Runner) sweepOver(name, short string, points []sweepPoint) (Sweep, error) {
 	s := Sweep{Name: name, Model: short, Points: make([]SweepPoint, len(points))}
 	schemes := []memprot.Scheme{memprot.Unsecure, memprot.Baseline, memprot.TreeLess}
 	cycles := make([]uint64, len(points)*len(schemes))
-	base := npu.SmallNPU()
-	runWave := func(baseWave bool) error {
-		return r.forEach(len(cycles), func(i int) error {
-			p, scheme := points[i/len(schemes)], schemes[i%len(schemes)]
-			if (p.cfg == base) != baseWave {
-				return nil
-			}
-			c, err := r.runPoint(short, p.cfg, scheme)
-			if err != nil {
-				return err
-			}
-			cycles[i] = c
-			return nil
-		})
-	}
-	err := runWave(true)
-	if err == nil {
-		err = runWave(false)
-	}
+	err := r.forEach(len(cycles), func(i int) error {
+		c, err := r.runPoint(short, points[i/len(schemes)].cfg, schemes[i%len(schemes)])
+		if err != nil {
+			return err
+		}
+		cycles[i] = c
+		return nil
+	})
 	if err != nil {
 		return Sweep{Name: name, Model: short}, err
 	}

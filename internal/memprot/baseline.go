@@ -15,7 +15,7 @@ import (
 // performance bottleneck the paper measures in Fig. 4/5.
 type baseline struct {
 	cfg     Config
-	geo     integrity.Geometry //tnpu:canonskip derived from cfg at construction, immutable
+	geo     integrity.Geometry
 	counter *cache.Cache
 	hash    *cache.Cache
 	mac     *cache.Cache
@@ -35,21 +35,10 @@ type baseline struct {
 	minors    map[uint64]*[integrity.Arity]uint8
 	Overflows uint64
 
-	// Layer-memoization bookkeeping (canon.go): minorsDig is the 128-bit
-	// wrapping-sum digest standing in for the minors map inside layer
-	// canons, and touched/touchedLi journal the counter lines mutated in
-	// the current layer for O(touched) post-state deltas. All three are
-	// maintained only once BeginLayer arms memoOn, so un-memoized runs pay
-	// a predicted-not-taken branch per counter-line touch and nothing more.
-	memoOn    bool //tnpu:canonskip memo-harness arming flag, managed by BeginLayer outside replay
-	minorsDig [2]uint64
-	touched   map[uint64]struct{} //tnpu:canonskip per-layer journal index, reset by BeginLayer
-	touchedLi []uint64            //tnpu:canonskip per-layer journal consumed by AppendDelta, reset by BeginLayer
-
 	// sweep is the streak's MAC-line range resolver (see streak.go),
 	// engine-owned so the batched hot path allocates nothing; the bus run
 	// cursor belongs to the issue window.
-	sweep cache.Sweep //tnpu:canonskip per-call scratch resolver, no state across calls
+	sweep cache.Sweep
 }
 
 func newBaseline(cfg Config) *baseline {
@@ -73,7 +62,7 @@ func (b *baseline) bumpMinor(ready, addr uint64) {
 }
 
 // minorLineOf returns a counter line's minor counters, allocating them on
-// the line's first touch, and journals the touch for the layer memo.
+// the line's first touch.
 func (b *baseline) minorLineOf(lineIdx uint64) *[integrity.Arity]uint8 {
 	line := b.minors[lineIdx]
 	if line == nil {
@@ -82,18 +71,15 @@ func (b *baseline) minorLineOf(lineIdx uint64) *[integrity.Arity]uint8 {
 		line = new([integrity.Arity]uint8)
 		b.minors[lineIdx] = line
 	}
-	b.minorMark(lineIdx)
 	return line
 }
 
 // bumpSlot is bumpMinor for the block at addr, whose counters are line's
 // slot.
 func (b *baseline) bumpSlot(ready, addr, lineIdx uint64, slot int, line *[integrity.Arity]uint8) {
-	b.minorDigAdd(lineIdx, slot, 1)
 	if line[slot]++; line[slot] < 1<<7 {
 		return
 	}
-	b.minorDigReset(lineIdx, line)
 	*line = [integrity.Arity]uint8{}
 	b.Overflows++
 	burst := uint64(integrity.Arity) * 2 * dram.BlockBytes

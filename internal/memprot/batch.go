@@ -659,7 +659,6 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 				}
 				minorLine = b.minorLineOf(lineIdx)
 			}
-			b.minorDigAdd(lineIdx, slot, chunkEnd-i)
 			for k := 0; k < chunkEnd-i; k++ {
 				minorLine[slot+k]++
 			}
@@ -718,7 +717,6 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 		}
 		if pure > 0 && r < horizon {
 			nr, maxFree, _, k := b.cfg.Bus.StreamRun(r, a+dram.BlockBytes, pure, w, horizon)
-			b.minorDigAdd(lineIdx, slot+1, k)
 			for j := 1; j <= k; j++ {
 				minorLine[slot+j]++
 			}

@@ -1,10 +1,11 @@
 package memprot
 
 import (
-	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
+	"tnpu/internal/cache"
 	"tnpu/internal/dram"
 )
 
@@ -15,14 +16,37 @@ func refRun(e Engine, write bool, ready, addr uint64, n int, w *dram.IssueWindow
 	return runPerBlock(e, !write, ready, addr, 1, n, w, horizon)
 }
 
-// horizonState renders everything a run can change: the engine's caches,
-// walk MSHRs, minor-counter digest and bus state (AppendCanon), its
-// traffic, cache statistics and bus counters (AppendAccum), and the issue
-// window ring.
-func horizonState(e Engine, w *dram.IssueWindow) []byte {
-	ls := e.(LayerState)
-	st := ls.AppendAccum(ls.AppendCanon(nil, 0))
-	return w.AppendCanon(st, 0)
+// engineState is everything a run can change, in comparable form.
+type engineState struct {
+	engine any      // the engine struct; its caches and bus via their pointers
+	window []uint64 // the issue window's outstanding clear times
+}
+
+// horizonState captures everything a run can change: a copy of the engine
+// struct, whose caches (tags, dirty bits, LRU order, statistics), walk
+// MSHRs, minors map, traffic and bus channels reflect.DeepEqual reaches
+// through their pointers, and the issue window's outstanding clear times.
+// The per-call scratch fields (the MAC-line sweep resolvers and the
+// tree-less outcome buffer) hold nothing between calls and are cleared.
+func horizonState(e Engine, w *dram.IssueWindow) engineState {
+	var v any
+	switch e := e.(type) {
+	case *baseline:
+		c := *e
+		c.sweep = cache.Sweep{}
+		v = c
+	case *treeless:
+		c := *e
+		c.sweep, c.macOut = cache.Sweep{}, nil
+		v = c
+	case *unsecure:
+		v = *e
+	case *encryptOnly:
+		v = *e
+	default:
+		panic(fmt.Sprintf("horizonState: unknown engine %T", e))
+	}
+	return engineState{v, w.Clears(nil)}
 }
 
 // horizonRig builds an engine on a fresh bus and drives it into a
@@ -40,7 +64,6 @@ func horizonRig(t *testing.T, scheme Scheme, mem dram.Config, odd bool, runAddr 
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.(LayerState).BeginLayer() // arm the baseline minors digest, which AppendCanon compares
 	var at uint64
 	const coTenant = 64 << 20
 	for i := uint64(0); i < 1200; i++ {
@@ -121,7 +144,7 @@ func TestRunHorizonStop(t *testing.T) {
 							if want := k + 1; k < stops && fs != want {
 								t.Fatalf("stop %d: served %d blocks, want %d", k, fs, want)
 							}
-							if !bytes.Equal(horizonState(fast, fw), horizonState(ref, rw)) {
+							if !reflect.DeepEqual(horizonState(fast, fw), horizonState(ref, rw)) {
 								t.Fatalf("stop %d: state after the stopped run diverges from the per-block loop", k)
 							}
 							if fs == n {
@@ -136,7 +159,7 @@ func TestRunHorizonStop(t *testing.T) {
 							if fn != rn || fd != rd || fs != rs {
 								t.Fatalf("stop %d, resumed: run = (%d, %d, %d), per-block = (%d, %d, %d)", k, fn, fd, fs, rn, rd, rs)
 							}
-							if !bytes.Equal(horizonState(fast, fw), horizonState(ref, rw)) {
+							if !reflect.DeepEqual(horizonState(fast, fw), horizonState(ref, rw)) {
 								t.Fatalf("stop %d: state after the resumed run diverges from the per-block loop", k)
 							}
 						}

@@ -538,7 +538,6 @@ func (b *baseline) minorStretchBump(addr uint64, i, blocks int) {
 		lineIdx, slot := b.geo.CounterIndex(blockIdx + uint64(k))
 		minorLine := b.minorLineOf(lineIdx)
 		cnt := minInt(blocks-k, int(b.cfg.TreeArity)-slot)
-		b.minorDigAdd(lineIdx, slot, cnt)
 		for j := 0; j < cnt; j++ {
 			minorLine[slot+j]++
 		}

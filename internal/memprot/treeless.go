@@ -41,8 +41,8 @@ type treeless struct {
 	// ranges in closed form, and macOut is the reused per-line outcome
 	// buffer for the mixed fallback. Engine-owned so the batched hot path
 	// allocates nothing; the bus run cursor belongs to the issue window.
-	sweep  cache.Sweep    //tnpu:canonskip per-call scratch resolver, no state across calls
-	macOut []cache.Result //tnpu:canonskip reused per-call outcome buffer, contents dead between calls
+	sweep  cache.Sweep
+	macOut []cache.Result
 
 	// Version-table path: the table is CPU-enclave data, so accesses hit
 	// the CPU cache hierarchy; vcache models that residency (the tables
@@ -51,7 +51,7 @@ type treeless struct {
 	// accesses verified by fpGeo's tree through the small
 	// fpCounter/fpHash caches.
 	vcache    *cache.Cache
-	fpGeo     integrity.Geometry //tnpu:canonskip derived from cfg at construction, immutable
+	fpGeo     integrity.Geometry
 	fpCounter *cache.Cache
 	fpHash    *cache.Cache
 }

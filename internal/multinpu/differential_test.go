@@ -31,9 +31,9 @@ func stripRuns(r Result) Result {
 func diffMulti(t *testing.T, progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config) {
 	t.Helper()
 	ForceBlockInterleave(true)
-	ref, errRef := RunMixed(progs, scheme, cfg, nil)
+	ref, errRef := RunMixed(progs, scheme, cfg)
 	ForceBlockInterleave(false)
-	arb, errArb := RunMixed(progs, scheme, cfg, nil)
+	arb, errArb := RunMixed(progs, scheme, cfg)
 	if (errRef == nil) != (errArb == nil) {
 		t.Fatalf("error divergence: block=%v arbitrated=%v", errRef, errArb)
 	}
@@ -236,9 +236,9 @@ func FuzzMultiVsBlock(f *testing.F) {
 		cfg.Mem = mem
 
 		ForceBlockInterleave(true)
-		ref, errRef := RunMixed(progs, scheme, cfg, nil)
+		ref, errRef := RunMixed(progs, scheme, cfg)
 		ForceBlockInterleave(false)
-		arb, errArb := RunMixed(progs, scheme, cfg, nil)
+		arb, errArb := RunMixed(progs, scheme, cfg)
 		if (errRef == nil) != (errArb == nil) {
 			t.Fatalf("error divergence: block=%v arbitrated=%v", errRef, errArb)
 		}

@@ -67,14 +67,6 @@ func ForceBlockInterleave(on bool) { forceBlockInterleave.Store(on) }
 // Run executes count copies of prog (the paper runs the same inference
 // model on every NPU) under one shared bus and protection engine.
 func Run(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config, count int) (Result, error) {
-	return RunMemo(prog, scheme, cfg, count, nil)
-}
-
-// RunMemo is Run with a shared layer memo (may be nil). Layer memoization
-// applies to single-NPU runs, which execute whole DMA runs on one machine;
-// multi-NPU runs interleave machines on the shared engine, so their layers
-// have no private state signature and always run live.
-func RunMemo(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config, count int, memo *npu.LayerMemo) (Result, error) {
 	if count <= 0 {
 		return Result{}, fmt.Errorf("multinpu: count must be positive, got %d", count)
 	}
@@ -82,15 +74,21 @@ func RunMemo(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config, coun
 	for i := range progs {
 		progs[i] = prog
 	}
-	return RunMixed(progs, scheme, cfg, memo)
+	return RunMixed(progs, scheme, cfg)
+}
+
+// RunMemo is Run; the memo argument is ignored.
+//
+// Deprecated: the layer memo is gone; call Run.
+func RunMemo(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config, count int, _ *npu.LayerMemo) (Result, error) {
+	return Run(prog, scheme, cfg, count)
 }
 
 // RunMixed executes a different program per NPU — the mixed-tenancy
 // extension of the Sec. V-C setup (each context still gets its own memory
 // region and version table; only bandwidth, the security engine, and the
-// metadata caches are shared). memo (may be nil) gives mixed-tenancy runs
-// the same treatment as RunMemo's homogeneous runs.
-func RunMixed(progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config, memo *npu.LayerMemo) (Result, error) {
+// metadata caches are shared).
+func RunMixed(progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config) (Result, error) {
 	count := len(progs)
 	if count == 0 {
 		return Result{}, fmt.Errorf("multinpu: no programs")
@@ -117,9 +115,8 @@ func RunMixed(progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config, 
 	if count == 1 {
 		// A lone NPU has the engine to itself: run whole DMA runs through
 		// the batched path (cycle-identical to the block interleave below,
-		// pinned by the differential suite) and let the memo replay
-		// recurring layers.
-		machines[0].RunMemoized(memo)
+		// pinned by the differential suite).
+		machines[0].Run()
 		return assemble(scheme, eng, machines), nil
 	}
 

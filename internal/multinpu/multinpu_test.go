@@ -156,7 +156,7 @@ func TestRunMixedWorkloads(t *testing.T) {
 	cfg := npu.SmallNPU()
 	pa := compileFor(t, "df", cfg)
 	pb := compileFor(t, "agz", cfg)
-	mixed, err := RunMixed([]*compiler.Program{pa, pb}, memprot.TreeLess, cfg, nil)
+	mixed, err := RunMixed([]*compiler.Program{pa, pb}, memprot.TreeLess, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestRunMixedWorkloads(t *testing.T) {
 
 func TestRunMixedErrors(t *testing.T) {
 	cfg := npu.SmallNPU()
-	if _, err := RunMixed(nil, memprot.Unsecure, cfg, nil); err == nil {
+	if _, err := RunMixed(nil, memprot.Unsecure, cfg); err == nil {
 		t.Error("empty program list accepted")
 	}
 }

@@ -1,9 +1,9 @@
 // Package memostore is the disk layer under the simulator's caches
-// (DESIGN.md §6g): a content-addressed store of recorded simulation
-// effects — layer memo entries, whole-run results — that survives process
-// restarts, so a cold harness replays what an earlier process recorded
-// instead of re-deriving it. The serving layer's result cache
-// (internal/serve.Store) persists its artifacts through it too.
+// (DESIGN.md §6g): a content-addressed store of whole-run cell results
+// that survives process restarts, so a cold harness reloads what an
+// earlier process computed instead of re-deriving it. The serving layer's
+// result cache (internal/serve.Store) persists its artifacts through it
+// too.
 //
 // Keys are hex SHA-256 digests (safe as file names, collision-free by
 // construction), entries are framed with a versioned magic plus a body
@@ -11,12 +11,12 @@
 // (concurrent writers of one key race safely — the contents are
 // identical by construction, either rename wins), and a corrupt or
 // truncated entry is deleted and reported as a miss so the caller simply
-// re-records it. Callers bake the simulator code version into every key,
+// recomputes it. Callers bake the simulator code version into every key,
 // so a code bump strands stale entries rather than serving them.
 //
 // There is no compute callback and no singleflight here: the layers
-// above own the record path (and their own record-once scheduling); the
-// store is plain Load/Save.
+// above own the compute path (and their own singleflight); the store is
+// plain Load/Save.
 package memostore
 
 import (
@@ -37,8 +37,8 @@ import (
 const entryMagic = "TNPUMEMO1"
 
 // Store is a disk-backed content-addressed memo store. A nil *Store is a
-// valid no-op store: Load always misses and Save drops the body, so the
-// memo layers wire it unconditionally.
+// valid no-op store: Load always misses and Save drops the body, so
+// callers wire it unconditionally.
 type Store struct {
 	dir string
 

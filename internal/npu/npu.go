@@ -131,12 +131,6 @@ type Machine struct {
 
 	dataOffset uint64
 	slotOffset uint64
-
-	// canonBuf/accBuf are reused scratch for layer-memoization blobs
-	// (memo.go), so a memoized run's boundary checks allocate only when a
-	// layer is recorded.
-	canonBuf []byte
-	accBuf   []byte
 }
 
 // dmaOutstanding is the DMA engine's maximum outstanding block requests.
@@ -479,3 +473,27 @@ func max64(a, b uint64) uint64 {
 	}
 	return b
 }
+
+// LayerMemo is what remains of the deleted layer-signature memo: an empty
+// value kept so existing callers still compile. Whole-run cell results
+// persist through exp.Runner's memo store instead.
+//
+// Deprecated: the layer memo is gone; nothing fills or reads a LayerMemo.
+type LayerMemo struct{}
+
+// NewLayerMemo returns an empty LayerMemo.
+//
+// Deprecated: the layer memo is gone.
+func NewLayerMemo() *LayerMemo { return &LayerMemo{} }
+
+// MemoStats is the counter snapshot LayerMemo.Stats returns.
+//
+// Deprecated: the layer memo is gone; every field reads zero.
+type MemoStats struct {
+	Hits, Misses, Records, DiskHits uint64
+}
+
+// Stats always returns the zero MemoStats.
+//
+// Deprecated: the layer memo is gone.
+func (*LayerMemo) Stats() MemoStats { return MemoStats{} }

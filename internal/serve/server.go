@@ -36,8 +36,8 @@ type Options struct {
 	// CodeVersion overrides exp.CodeVersion in cache keys (tests use
 	// this to prove version bumps strand stale entries).
 	CodeVersion string
-	// MemoDir is the persistent memo-store directory (layer memos and
-	// whole-run cell results; DESIGN.md §6g). Empty = "memo" beside the
+	// MemoDir is the persistent memo-store directory (whole-run cell
+	// results; DESIGN.md §6g). Empty = "memo" beside the
 	// result cache; "off" disables persistence. Unlike the result cache
 	// — whose entries are final artifacts — the memo store holds the
 	// regenerable intermediates that make recomputing those artifacts
@@ -102,9 +102,9 @@ func New(opts Options) (*Server, error) {
 		memoDir = filepath.Join(opts.CacheDir, "memo")
 	}
 	if memoDir != "off" {
-		// The memo salt stays exp.CodeVersion even when opts.CodeVersion
+		// Cell keys stay under exp.CodeVersion even when opts.CodeVersion
 		// overrides the artifact keys: the override exercises result-cache
-		// stranding, while memo entries are tied to what actually changes
+		// stranding, while cell entries are tied to what actually changes
 		// their meaning — the simulator revision.
 		if err := r.SetMemoDir(memoDir); err != nil {
 			return nil, err
@@ -744,8 +744,8 @@ func (s *Server) handleMixed(w http.ResponseWriter, req *http.Request) {
 }
 
 // StatsDoc is the /stats payload: every counter the service keeps —
-// disk-cache outcomes, the harness's in-memory cell cache, the shared
-// layer memo, queue pressure, SSE delivery, and process vitals.
+// disk-cache outcomes, the harness's in-memory cell cache, the persistent
+// cell store, queue pressure, SSE delivery, and process vitals.
 type StatsDoc struct {
 	CodeVersion   string   `json:"code_version"`
 	UptimeSeconds float64  `json:"uptime_seconds"`
@@ -760,21 +760,8 @@ type StatsDoc struct {
 		Rejected uint64 `json:"rejected"`
 	} `json:"queue"`
 
-	// Memo is the shared layer-replay cache (exp.Runner.LayerMemoStats):
-	// in-memory replays, live recordings, record-once flight waits,
-	// replays loaded off the persistent store, and budget evictions.
-	Memo struct {
-		Hits       uint64 `json:"hits"`
-		Misses     uint64 `json:"misses"`
-		FlightHits uint64 `json:"flight_hits"`
-		DiskHits   uint64 `json:"disk_hits"`
-		Records    uint64 `json:"records"`
-		Evictions  uint64 `json:"evictions"`
-		Bytes      int    `json:"bytes"`
-	} `json:"memo"`
-
-	// MemoStore is the persistent memo store backing both the layer memo
-	// and the whole-run cell memos (empty dir = persistence disabled).
+	// MemoStore is the persistent store of whole-run cell results (empty
+	// dir = persistence disabled).
 	MemoStore struct {
 		Dir string `json:"dir"`
 		memostore.Stats
@@ -814,14 +801,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	doc.Queue.Capacity = s.maxQueue
 	doc.Queue.Rejected = s.rejected.Load()
 
-	lm := s.runner.LayerMemoStats()
-	doc.Memo.Hits = lm.Hits
-	doc.Memo.Misses = lm.Misses
-	doc.Memo.FlightHits = lm.FlightHits
-	doc.Memo.DiskHits = lm.DiskHits
-	doc.Memo.Records = lm.Records
-	doc.Memo.Evictions = lm.Evictions
-	doc.Memo.Bytes = lm.Bytes
 	doc.MemoStore.Dir = s.runner.MemoDir()
 	doc.MemoStore.Stats = s.runner.CellStoreStats()
 

@@ -2,9 +2,8 @@ package stats
 
 import "tnpu/internal/canon"
 
-// AppendAccum appends every traffic counter to dst (accumulator canon; see
-// DESIGN.md §6e). Counters are monotone, so a memoized layer's contribution
-// is the wrapping difference between two AppendAccum snapshots.
+// AppendAccum appends every traffic counter to dst in canon encoding (the
+// persisted cell-result tail; see DESIGN.md §6g).
 func (t *Traffic) AppendAccum(dst []byte) []byte {
 	for c := TrafficClass(0); c < numTrafficClasses; c++ {
 		dst = canon.AppendU64(dst, t.read[c])
@@ -13,8 +12,8 @@ func (t *Traffic) AppendAccum(dst []byte) []byte {
 	return dst
 }
 
-// AddAccum adds a delta blob produced by subtracting two AppendAccum
-// snapshots into t and returns the remaining bytes.
+// AddAccum adds an AppendAccum blob into t and returns the remaining
+// bytes; into a zero Traffic it restores the encoded counters.
 func (t *Traffic) AddAccum(src []byte) []byte {
 	var v uint64
 	for c := TrafficClass(0); c < numTrafficClasses; c++ {

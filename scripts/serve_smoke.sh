@@ -12,8 +12,10 @@
 # A third leg then wipes only the result-cache entries ($cache/*.memo;
 # the persistent memo store lives in a separate -memodir and is kept) and
 # restarts: the server must regenerate every artifact, but from whole-run
-# memos rather than simulation, so the leg must beat the cold leg's wall
-# time and /stats must show memo-store hits.
+# cell results rather than simulation. /stats must show memo-store hits
+# and no saves (no cell simulated), and the leg's regeneration time — the
+# harness's summed cell time on /stats, which leaves out the HTTP serving
+# and `go test` start-up both legs pay — must beat the cold leg's.
 #
 # Usage:
 #   scripts/serve_smoke.sh            # default 300 requests per leg
@@ -92,6 +94,7 @@ cold_start="$(now_ms)"
 TNPU_SERVE_URL="$server_url" TNPU_SERVE_LOAD="$load" \
   go test ./internal/serve -run TestLoadAgainstExternalServer -count=1 -v
 cold_ms="$(( $(now_ms) - cold_start ))"
+cold_stats="$(curl -fsS "$server_url/stats")"
 stop
 
 echo "== warm leg: $load requests after a restart, zero computes allowed =="
@@ -110,14 +113,24 @@ memowarm_ms="$(( $(now_ms) - memowarm_start ))"
 stats="$(curl -fsS "$server_url/stats")"
 stop
 
-echo "cold leg ${cold_ms}ms, memo-warm regeneration ${memowarm_ms}ms"
-if [ "$memowarm_ms" -ge "$cold_ms" ]; then
-  echo "serve_smoke: memo-warm regeneration (${memowarm_ms}ms) did not beat the cold leg (${cold_ms}ms)" >&2
+# stat_field JSON OBJECT FIELD prints one integer field of a /stats object.
+stat_field() { printf '%s' "$1" | sed -n "s/.*\"$2\":{[^}]*\"$3\":\([0-9]*\).*/\1/p"; }
+cold_cells_ms="$(stat_field "$cold_stats" harness simulate_wall_ms)"
+memowarm_cells_ms="$(stat_field "$stats" harness simulate_wall_ms)"
+echo "cold leg ${cold_ms}ms (${cold_cells_ms}ms of cell work), memo-warm leg ${memowarm_ms}ms (${memowarm_cells_ms}ms of cell work)"
+if [ -z "$cold_cells_ms" ] || [ -z "$memowarm_cells_ms" ] || [ "$memowarm_cells_ms" -ge "$cold_cells_ms" ]; then
+  echo "serve_smoke: memo-warm regeneration (${memowarm_cells_ms}ms of cell work) did not beat the cold leg (${cold_cells_ms}ms)" >&2
   exit 1
 fi
-memo_hits="$(printf '%s' "$stats" | sed -n 's/.*"memo_store":{[^}]*"hits":\([0-9]*\).*/\1/p')"
+memo_hits="$(stat_field "$stats" memo_store hits)"
 if [ -z "$memo_hits" ] || [ "$memo_hits" -eq 0 ]; then
   echo "serve_smoke: memo-warm leg reported no memo-store hits; /stats was:" >&2
+  printf '%s\n' "$stats" >&2
+  exit 1
+fi
+memo_saves="$(stat_field "$stats" memo_store saves)"
+if [ "$memo_saves" != 0 ]; then
+  echo "serve_smoke: memo-warm leg simulated and saved ${memo_saves:-?} cells; /stats was:" >&2
   printf '%s\n' "$stats" >&2
   exit 1
 fi
