@@ -130,19 +130,7 @@ func (c *channel) batchable(ready, n uint64) bool {
 	if c.bq == 0 {
 		return false
 	}
-	if ready >= c.maxGapEnd {
-		// Every gap closes at or before ready, and bq >= 1, so no block
-		// of the run can start inside one.
-		return true
-	}
-	for _, g := range c.gaps {
-		s := g.start
-		if ready > s {
-			s = ready
-		}
-		if s+c.bq <= g.end {
-			return false
-		}
-	}
-	return true
+	// Gap fitting only gets harder as ready grows, so checking the floor
+	// at the earliest ready covers every block of the run.
+	return !c.holdsBlock(ready)
 }

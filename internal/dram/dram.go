@@ -81,21 +81,10 @@ type channel struct {
 	rem        uint64 // carried numerator remainder, < den
 	bytesMoved uint64
 	busyCycles uint64
-	// gaps are idle [start,end) windows behind busyUntil, newest last,
-	// bounded to keep Transfer O(1) amortized.
-	gaps []gap
-	// maxGapEnd is an upper bound on the end of every remembered gap
-	// (never below the true maximum, so requests with ready >= maxGapEnd
-	// can skip the gap scan: any such request starts at or after every
-	// gap's end and cannot fit inside one).
-	maxGapEnd uint64
+	// gapList holds the idle [start,end) windows behind busyUntil and
+	// their first-fit index (gaps.go).
+	gapList
 }
-
-type gap struct{ start, end uint64 }
-
-// maxGaps bounds the remembered idle windows; older gaps are forgotten
-// (slightly pessimistic, never optimistic).
-const maxGaps = 64
 
 // NewBus constructs a bus from cfg. It panics on invalid configuration
 // because configs are compile-time constants in this simulator.
@@ -114,6 +103,7 @@ func NewBus(cfg Config) *Bus {
 		// Each channel serves 1/n of the bandwidth: n x the cycles/byte.
 		c := channel{num: num * uint64(n) / g, den: den / g}
 		c.bq, c.br = BlockBytes*c.num/c.den, BlockBytes*c.num%c.den
+		c.q = c.bq
 		b.chans[i] = c
 	}
 	return b
@@ -189,31 +179,14 @@ func (c *channel) transfer(ready, bytes uint64) (done uint64) {
 	// cannot fit inside one (a zero-cycle transfer can still land exactly
 	// at a gap's end, hence <=).
 	if ready <= c.maxGapEnd {
-		for i := range c.gaps {
-			g := &c.gaps[i]
-			start := ready
-			if g.start > start {
-				start = g.start
-			}
-			if start+cycles <= g.end {
-				end := start + cycles
-				switch {
-				case start == g.start && end == g.end:
-					c.gaps = append(c.gaps[:i], c.gaps[i+1:]...)
-				case start == g.start:
-					g.start = end
-				case end == g.end:
-					g.end = start
-				default:
-					// Split: keep the earlier half here, append the later.
-					later := gap{end, g.end}
-					g.end = start
-					if len(c.gaps) < maxGaps {
-						c.gaps = append(c.gaps, later)
-					}
-				}
-				return end
-			}
+		var i int
+		if bytes == BlockBytes {
+			i = c.blockFit(ready, cycles)
+		} else {
+			i = c.scanFit(ready, cycles)
+		}
+		if i >= 0 {
+			return c.take(i, ready, cycles)
 		}
 	}
 
@@ -222,22 +195,10 @@ func (c *channel) transfer(ready, bytes uint64) (done uint64) {
 		start = c.busyUntil
 	} else if start > c.busyUntil {
 		// Record the idle window we are skipping over.
-		c.recordGap(c.busyUntil, start)
+		c.record(c.busyUntil, start)
 	}
 	c.busyUntil = start + cycles
 	return c.busyUntil
-}
-
-// recordGap remembers the idle window [start, end), evicting the oldest
-// entry at capacity and maintaining the gap-end upper bound.
-func (c *channel) recordGap(start, end uint64) {
-	if len(c.gaps) == maxGaps {
-		c.gaps = c.gaps[1:]
-	}
-	c.gaps = append(c.gaps, gap{start, end})
-	if end > c.maxGapEnd {
-		c.maxGapEnd = end
-	}
 }
 
 // Read models a latency-bound read: the bus is occupied as in Transfer and

@@ -51,24 +51,42 @@ func (f Figure) String() string {
 	return b.String()
 }
 
-// seriesOver builds one series by evaluating fn per model, fanning the
-// models out across the runner's worker pool. Values land at their model's
-// index, so the series is identical to a sequential build.
-func (r *Runner) seriesOver(class Class, label string, fn func(short string) (float64, error)) (Series, error) {
-	s := Series{Class: class, Label: label, Models: r.Models}
-	s.Values = make([]float64, len(r.Models))
-	err := r.forEach(len(r.Models), func(i int) error {
-		v, err := fn(r.Models[i])
+// seriesSpec is one figure series before evaluation: its class, its
+// label, and the per-model value.
+type seriesSpec struct {
+	class Class
+	label string
+	value func(short string) (float64, error)
+}
+
+// figure evaluates a figure's whole (series x model) grid through one
+// forEach, series-major: cell k is series k/len(models), model
+// k%len(models). Values land in their index-addressed slots and the error
+// is the lowest-index one, so the figure, and the error on failure, are
+// those of evaluating the series one after another, each over the models
+// in order; one pool spans every series, so no worker idles at a series
+// boundary. On error the figure carries no series.
+func (r *Runner) figure(id, title string, specs []seriesSpec) (Figure, error) {
+	f := Figure{ID: id, Title: title}
+	n := len(r.Models)
+	var series []Series
+	for _, sp := range specs {
+		series = append(series, Series{Class: sp.class, Label: sp.label, Models: r.Models, Values: make([]float64, n)})
+	}
+	err := r.forEach(len(specs)*n, func(k int) error {
+		s, m := k/n, k%n
+		v, err := specs[s].value(r.Models[m])
 		if err != nil {
 			return err
 		}
-		s.Values[i] = v
+		series[s].Values[m] = v
 		return nil
 	})
 	if err != nil {
-		return s, err
+		return f, err
 	}
-	return s, nil
+	f.Series = series
+	return f, nil
 }
 
 // AllFigures computes every figure of the evaluation, fanning the
@@ -85,74 +103,58 @@ func (r *Runner) AllFigures() ([]Figure, error) {
 	return figs, err
 }
 
+// normalizedSeries is one normalized-execution-time series per (class,
+// scheme) at count NPUs, class-major.
+func (r *Runner) normalizedSeries(count int, schemes ...memprot.Scheme) []seriesSpec {
+	var specs []seriesSpec
+	for _, class := range Classes() {
+		for _, scheme := range r.schemeSubset(schemes...) {
+			specs = append(specs, seriesSpec{class, scheme.String(), func(short string) (float64, error) {
+				return r.normalized(short, class, scheme, count)
+			}})
+		}
+	}
+	return specs
+}
+
 // Figure4 reproduces the motivation figure: execution time of the
 // tree-based baseline normalized to unsecure runs, both NPU classes.
 func (r *Runner) Figure4() (Figure, error) {
-	f := Figure{ID: "Figure 4", Title: "Tree-based protection overhead (normalized execution time)"}
-	for _, class := range Classes() {
-		for _, scheme := range r.schemeSubset(memprot.Baseline) {
-			scheme := scheme
-			s, err := r.seriesOver(class, scheme.String(), func(short string) (float64, error) {
-				return r.normalized(short, class, scheme, 1)
-			})
-			if err != nil {
-				return f, err
-			}
-			f.Series = append(f.Series, s)
-		}
-	}
-	return f, nil
+	return r.figure("Figure 4", "Tree-based protection overhead (normalized execution time)",
+		r.normalizedSeries(1, memprot.Baseline))
 }
 
 // Figure5 reproduces the counter-cache miss-rate figure.
 func (r *Runner) Figure5() (Figure, error) {
-	f := Figure{ID: "Figure 5", Title: "Counter cache miss rates (tree-based baseline)"}
-	if !r.SchemeEnabled(memprot.Baseline) {
-		return f, nil
-	}
-	for _, class := range Classes() {
-		s, err := r.seriesOver(class, "miss-rate", func(short string) (float64, error) {
-			res, err := r.Run(short, class, memprot.Baseline, 1)
-			if err != nil {
-				return 0, err
-			}
-			return res.Counter.MissRate(), nil
-		})
-		if err != nil {
-			return f, err
+	var specs []seriesSpec
+	if r.SchemeEnabled(memprot.Baseline) {
+		for _, class := range Classes() {
+			specs = append(specs, seriesSpec{class, "miss-rate", func(short string) (float64, error) {
+				res, err := r.Run(short, class, memprot.Baseline, 1)
+				if err != nil {
+					return 0, err
+				}
+				return res.Counter.MissRate(), nil
+			}})
 		}
-		f.Series = append(f.Series, s)
 	}
-	return f, nil
+	return r.figure("Figure 5", "Counter cache miss rates (tree-based baseline)", specs)
 }
 
 // Figure14 reproduces the headline result: execution times of unsecure,
 // baseline, and TNPU, normalized to unsecure.
 func (r *Runner) Figure14() (Figure, error) {
-	f := Figure{ID: "Figure 14", Title: "Execution time normalized to unsecure (1 NPU)"}
-	for _, class := range Classes() {
-		for _, scheme := range r.schemeSubset(memprot.Baseline, memprot.TreeLess) {
-			scheme := scheme
-			s, err := r.seriesOver(class, scheme.String(), func(short string) (float64, error) {
-				return r.normalized(short, class, scheme, 1)
-			})
-			if err != nil {
-				return f, err
-			}
-			f.Series = append(f.Series, s)
-		}
-	}
-	return f, nil
+	return r.figure("Figure 14", "Execution time normalized to unsecure (1 NPU)",
+		r.normalizedSeries(1, memprot.Baseline, memprot.TreeLess))
 }
 
 // Figure15 reproduces the traffic figure: total data volume normalized to
 // the unsecure run.
 func (r *Runner) Figure15() (Figure, error) {
-	f := Figure{ID: "Figure 15", Title: "Memory traffic normalized to unsecure"}
+	var specs []seriesSpec
 	for _, class := range Classes() {
 		for _, scheme := range r.schemeSubset(memprot.Baseline, memprot.TreeLess) {
-			scheme := scheme
-			s, err := r.seriesOver(class, scheme.String(), func(short string) (float64, error) {
+			specs = append(specs, seriesSpec{class, scheme.String(), func(short string) (float64, error) {
 				u, err := r.Run(short, class, memprot.Unsecure, 1)
 				if err != nil {
 					return 0, err
@@ -165,44 +167,36 @@ func (r *Runner) Figure15() (Figure, error) {
 					return 0, fmt.Errorf("exp: %s/%s: unsecure run moved zero bytes, cannot normalize traffic", short, class)
 				}
 				return float64(v.Traffic.Total()) / float64(u.Traffic.Total()), nil
-			})
-			if err != nil {
-				return f, err
-			}
-			f.Series = append(f.Series, s)
+			}})
 		}
 	}
-	return f, nil
+	return r.figure("Figure 15", "Memory traffic normalized to unsecure", specs)
 }
 
 // Figure16 reproduces the scalability study: 1–3 NPUs, normalized to the
-// unsecure run with the same NPU count.
+// unsecure run with the same NPU count. Its twelve series (class x count x
+// scheme) share one pool, so the 1-NPU cells overlap the long 2- and
+// 3-NPU ones.
 func (r *Runner) Figure16() (Figure, error) {
-	f := Figure{ID: "Figure 16", Title: "Execution time vs NPU count (normalized to same-count unsecure)"}
+	var specs []seriesSpec
 	for _, class := range Classes() {
 		for count := 1; count <= 3; count++ {
 			for _, scheme := range r.schemeSubset(memprot.Baseline, memprot.TreeLess) {
-				scheme, count := scheme, count
-				s, err := r.seriesOver(class, fmt.Sprintf("%s x%d", scheme, count), func(short string) (float64, error) {
+				specs = append(specs, seriesSpec{class, fmt.Sprintf("%s x%d", scheme, count), func(short string) (float64, error) {
 					return r.normalized(short, class, scheme, count)
-				})
-				if err != nil {
-					return f, err
-				}
-				f.Series = append(f.Series, s)
+				}})
 			}
 		}
 	}
-	return f, nil
+	return r.figure("Figure 16", "Execution time vs NPU count (normalized to same-count unsecure)", specs)
 }
 
 // Figure17 reproduces the end-to-end latency figure.
 func (r *Runner) Figure17() (Figure, error) {
-	f := Figure{ID: "Figure 17", Title: "End-to-end latency normalized to unsecure"}
+	var specs []seriesSpec
 	for _, class := range Classes() {
 		for _, scheme := range r.schemeSubset(memprot.Baseline, memprot.TreeLess) {
-			scheme := scheme
-			s, err := r.seriesOver(class, scheme.String(), func(short string) (float64, error) {
+			specs = append(specs, seriesSpec{class, scheme.String(), func(short string) (float64, error) {
 				u, err := r.EndToEnd(short, class, memprot.Unsecure)
 				if err != nil {
 					return 0, err
@@ -215,14 +209,10 @@ func (r *Runner) Figure17() (Figure, error) {
 					return 0, fmt.Errorf("exp: %s/%s: unsecure end-to-end run took zero cycles, cannot normalize", short, class)
 				}
 				return float64(v.Total) / float64(u.Total), nil
-			})
-			if err != nil {
-				return f, err
-			}
-			f.Series = append(f.Series, s)
+			}})
 		}
 	}
-	return f, nil
+	return r.figure("Figure 17", "End-to-end latency normalized to unsecure", specs)
 }
 
 // Table3 reproduces the benchmark table: our computed footprints against

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"testing"
@@ -10,23 +11,30 @@ import (
 
 // TestParallelOutputByteIdentical asserts the tentpole guarantee: a
 // parallel runner renders exactly the same bytes as a sequential one, for
-// figure series and for sweep tables.
+// figure grids and for sweep tables.
 func TestParallelOutputByteIdentical(t *testing.T) {
 	seq := NewRunner("df", "agz")
 	seq.Workers = 1
 	par := NewRunner("df", "agz")
 	par.Workers = 4
 
-	sf, err := seq.Figure14()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf, err := par.Figure14()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sf.String() != pf.String() {
-		t.Errorf("parallel Figure 14 differs from sequential:\n--- sequential\n%s--- parallel\n%s", sf.String(), pf.String())
+	// Figure 16 runs its twelve series (class x count x scheme) through
+	// one pool, so cells of different series complete interleaved.
+	for _, fig := range []struct {
+		name string
+		gen  func(*Runner) (Figure, error)
+	}{{"Figure 14", (*Runner).Figure14}, {"Figure 16", (*Runner).Figure16}} {
+		sf, err := fig.gen(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pf, err := fig.gen(par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sf.String() != pf.String() {
+			t.Errorf("parallel %s differs from sequential:\n--- sequential\n%s--- parallel\n%s", fig.name, sf.String(), pf.String())
+		}
 	}
 
 	gens := map[string]func(*Runner) (Sweep, error){
@@ -169,17 +177,72 @@ func TestSweepReusesCompiledProgram(t *testing.T) {
 }
 
 // TestParallelErrorPropagation keeps the sequential error contract under
-// the pool: an unknown model still surfaces as an error.
+// the pool: an unknown model still surfaces as an error, and a figure
+// grid spanning every series reports the same (lowest-index) error as a
+// sequential run.
 func TestParallelErrorPropagation(t *testing.T) {
 	r := NewRunner("df", "nope", "agz")
 	r.Workers = 4
 	if _, err := r.Figure4(); err == nil {
-		t.Error("unknown model accepted by parallel seriesOver")
+		t.Error("unknown model accepted by a parallel figure grid")
+	}
+	seq := NewRunner("df", "nope", "agz")
+	seq.Workers = 1
+	_, serr := seq.Figure16()
+	_, perr := r.Figure16()
+	if serr == nil || perr == nil {
+		t.Fatalf("unknown model accepted by Figure 16: sequential %v, parallel %v", serr, perr)
+	}
+	if serr.Error() != perr.Error() {
+		t.Errorf("parallel Figure 16 error %q, sequential %q", perr, serr)
 	}
 	if _, err := r.Improvement(Small, 1); err == nil {
 		t.Error("unknown model accepted by parallel Improvement")
 	}
 	if _, _, _, err := r.VersionStorage(Small); err == nil {
 		t.Error("unknown model accepted by parallel VersionStorage")
+	}
+}
+
+// TestFigureGridErrorOrder pins the grid's error contract with distinct
+// errors: whatever the schedule, a figure reports the error of its lowest
+// (series, model) cell in series-major order, the one the sequential
+// series-by-series loop stops at.
+func TestFigureGridErrorOrder(t *testing.T) {
+	failing := map[[2]int]bool{{0, 2}: true, {1, 0}: true, {1, 1}: true, {2, 1}: true}
+	var specs []seriesSpec
+	for s := 0; s < 3; s++ {
+		specs = append(specs, seriesSpec{Small, fmt.Sprint("s", s), func(short string) (float64, error) {
+			m := int(short[1] - '0')
+			if failing[[2]int{s, m}] {
+				return 0, fmt.Errorf("series %d model %d", s, m)
+			}
+			return float64(s*10 + m), nil
+		}})
+	}
+	for _, workers := range []int{1, 2, 4, 16} {
+		r := NewRunner("m0", "m1", "m2")
+		r.Workers = workers
+		f, err := r.figure("F", "grid", specs)
+		if err == nil || err.Error() != "series 0 model 2" {
+			t.Errorf("%d workers: error %v, want the lowest failing cell's (series 0 model 2)", workers, err)
+		}
+		if f.Series != nil {
+			t.Errorf("%d workers: failed figure carries %d series", workers, len(f.Series))
+		}
+	}
+	clear(failing)
+	r := NewRunner("m0", "m1", "m2")
+	r.Workers = 4
+	f, err := r.figure("F", "grid", specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, series := range f.Series {
+		for m, v := range series.Values {
+			if v != float64(s*10+m) {
+				t.Errorf("series %d model %d landed %v", s, m, v)
+			}
+		}
 	}
 }

@@ -1,8 +1,10 @@
 // Worker pool and run observability for the experiment harness.
 //
-// Every figure series, sweep table, and headline metric is a grid of
+// Every figure, sweep table, and headline metric is a grid of
 // independent simulation cells (each owns its dram.Bus and
 // memprot.Engine), so the harness fans them out across a bounded pool.
+// A figure is one grid over all its (series x model) cells, series-major,
+// so the pool drains once per figure rather than once per series.
 // Results land in index-addressed slots, which makes parallel output
 // byte-identical to the sequential order regardless of scheduling; the
 // singleflight memoization in exp.go guarantees each cell is still

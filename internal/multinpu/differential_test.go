@@ -26,19 +26,18 @@ func stripRuns(r Result) Result {
 }
 
 // diffMulti runs the same multi-NPU workload through the block-granular
-// reference and the horizon arbitration loop and requires exact
-// agreement on every observable except NPUStats.Runs.
+// reference and the horizon arbitration loop and requires both to succeed
+// and to agree exactly on every observable except NPUStats.Runs.
 func diffMulti(t *testing.T, progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config) {
 	t.Helper()
 	ForceBlockInterleave(true)
 	ref, errRef := RunMixed(progs, scheme, cfg)
 	ForceBlockInterleave(false)
 	arb, errArb := RunMixed(progs, scheme, cfg)
-	if (errRef == nil) != (errArb == nil) {
-		t.Fatalf("error divergence: block=%v arbitrated=%v", errRef, errArb)
-	}
-	if errRef != nil {
-		return
+	if errRef != nil || errArb != nil {
+		// The suites run real workloads, which must simulate: an error on
+		// both paths would otherwise pass without comparing anything.
+		t.Fatalf("run failed: block=%v arbitrated=%v", errRef, errArb)
 	}
 	if got, want := stripRuns(arb), stripRuns(ref); !reflect.DeepEqual(got, want) {
 		t.Fatalf("horizon arbitration diverges from block interleave (scheme %v, cfg %s):\n  block:      %+v\n  arbitrated: %+v",
@@ -72,15 +71,33 @@ func TestMultiNPUDifferential(t *testing.T) {
 }
 
 // TestMixedTenancyDifferential pins the arbitration equivalence when the
-// co-tenants run different models (desynchronized readiness patterns).
+// co-tenants run different models (desynchronized readiness patterns):
+// df+res on two Small NPUs, and four tenants of unequal lengths (ncf, agz,
+// df, sent) that run out of work at different turns, the path on which
+// the arbitration's ready cache drops a machine. The four-tenant tuple
+// runs on Small and Large; -short keeps Small.
 func TestMixedTenancyDifferential(t *testing.T) {
-	cfg := npu.SmallNPU()
-	df := compileFor(t, "df", cfg)
-	res := compileFor(t, "res", cfg)
+	small := npu.SmallNPU()
+	df := compileFor(t, "df", small)
+	res := compileFor(t, "res", small)
 	for _, scheme := range memprot.AllSchemes() {
 		t.Run(scheme.String(), func(t *testing.T) {
-			diffMulti(t, []*compiler.Program{df, res}, scheme, cfg)
+			diffMulti(t, []*compiler.Program{df, res}, scheme, small)
 		})
+	}
+	for _, cfg := range []npu.Config{small, npu.LargeNPU()} {
+		if testing.Short() && cfg.Name != small.Name {
+			continue
+		}
+		var progs []*compiler.Program
+		for _, short := range []string{"ncf", "agz", "df", "sent"} {
+			progs = append(progs, compileFor(t, short, cfg))
+		}
+		for _, scheme := range memprot.AllSchemes() {
+			t.Run(fmt.Sprintf("%s/ncf+agz+df+sent/%s", cfg.Name, scheme), func(t *testing.T) {
+				diffMulti(t, progs, scheme, cfg)
+			})
+		}
 	}
 }
 
@@ -254,11 +271,11 @@ func FuzzMultiVsBlock(f *testing.F) {
 
 // --- allocation pin --------------------------------------------------------
 
-// TestMultiNPUNoAllocs pins the steady-state arbitration loop at zero
-// allocations per iteration: one scan plus one horizon-stopped serve.
-// The baseline scheme is excluded — its minors journal allocates on each
-// first-touched counter line (the same waived first-touch allocations as
-// the single-NPU pin).
+// TestMultiNPUNoAllocs pins the steady-state arbitration turn at zero
+// allocations: it drives arbitrate's own per-turn function (the cached
+// ready scan, the horizon-stopped serve and the winner's refresh). The
+// baseline scheme is excluded because minorLineOf allocates a counter
+// line's minor counters on the line's first touch.
 func TestMultiNPUNoAllocs(t *testing.T) {
 	cfg := npu.SmallNPU()
 	prog := compileFor(t, "df", cfg)
@@ -273,37 +290,19 @@ func TestMultiNPUNoAllocs(t *testing.T) {
 			for i := range machines {
 				machines[i] = npu.NewMachineAt(prog, eng, uint64(i)*contextStride, uint64(i)*slotStride)
 			}
-			last := 0
-			step := func() {
-				// One arbitrate() iteration: rotating second-min scan, then
-				// a horizon-clipped serve of the winner.
-				count := len(machines)
-				best, bestReady := -1, ^uint64(0)
-				horizon := ^uint64(0)
-				for off := 1; off <= count; off++ {
-					i := (last + off) % count
-					ready, ok := machines[i].NextReady()
-					if !ok {
-						continue
-					}
-					if ready < bestReady {
-						horizon = bestReady
-						best, bestReady = i, ready
-					} else if ready < horizon {
-						horizon = ready
-					}
-				}
-				if best < 0 {
-					return
-				}
-				machines[best].ServeRunUntil(horizon)
-				last = best
-			}
+			a := newArbiter(machines)
 			for i := 0; i < 50; i++ { // warm caches and the issue windows
-				step()
+				if !a.turn() {
+					t.Fatal("run exhausted during warm-up")
+				}
 			}
-			if avg := testing.AllocsPerRun(100, step); avg != 0 {
-				t.Errorf("arbitration iteration allocates %.1f times per step", avg)
+			exhausted := false
+			avg := testing.AllocsPerRun(100, func() { exhausted = !a.turn() })
+			if exhausted {
+				t.Fatal("run exhausted while measuring; the pin measured idle turns")
+			}
+			if avg != 0 {
+				t.Errorf("arbitration turn allocates %.1f times per turn", avg)
 			}
 		})
 	}

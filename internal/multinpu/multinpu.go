@@ -128,7 +128,7 @@ func RunMixed(progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config) 
 	return assemble(scheme, eng, machines), nil
 }
 
-// arbitrate is the horizon arbitration loop (DESIGN.md §6f): each scan
+// arbitrate is the horizon arbitration loop (DESIGN.md §6f): each turn
 // selects the earliest-ready machine exactly as the block reference does,
 // but also computes the interaction horizon — the minimum ready time over
 // the other machines — and lets the winner serve every block the reference
@@ -139,33 +139,81 @@ func RunMixed(progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config) 
 // after a scan), so the horizon is frozen for the whole turn and the serve
 // order is exactly the reference's. Ties rotate as in the reference: the
 // winner keeps serving only while strictly below every other ready time.
+func arbitrate(machines []*npu.Machine) {
+	a := newArbiter(machines)
+	for a.turn() {
+	}
+}
+
+// arbiter is one contended run's arbitration state. ready caches every
+// machine's NextReady time, noReady once it has run out of work. The same
+// frozen-horizon argument makes the cache exact: a turn changes only the
+// winner's ready time, and the winner's NextReady — the one call of a
+// reference scan that can have side effects — runs right after its turn,
+// with only side-effect-free calls between there and the point where the
+// reference's next scan makes it.
+type arbiter struct {
+	machines []*npu.Machine
+	ready    []uint64
+	last     int
+}
+
+// noReady marks a machine with no work left. The turn scan can never pick
+// it: like the reference's skipped machine, it is below neither the best
+// nor the horizon.
+const noReady = ^uint64(0)
+
+// newArbiter sizes the ready cache once per run and fills it in the
+// reference's first scan order (1, ..., n-1, 0), which is also the order
+// of the machines' first-instruction side effects.
+func newArbiter(machines []*npu.Machine) *arbiter {
+	a := &arbiter{machines: machines, ready: make([]uint64, len(machines))}
+	for off := 1; off <= len(machines); off++ {
+		a.refresh(off % len(machines))
+	}
+	return a
+}
+
+// refresh re-reads machine i's ready time into the cache.
 //
 //tnpu:noalloc
-func arbitrate(machines []*npu.Machine) {
-	count := len(machines)
-	last := 0
-	for {
-		best, bestReady := -1, ^uint64(0)
-		horizon := ^uint64(0)
-		for off := 1; off <= count; off++ {
-			i := (last + off) % count
-			ready, ok := machines[i].NextReady()
-			if !ok {
-				continue
-			}
-			if ready < bestReady {
-				horizon = bestReady
-				best, bestReady = i, ready
-			} else if ready < horizon {
-				horizon = ready
-			}
-		}
-		if best < 0 {
-			break
-		}
-		machines[best].ServeRunUntil(horizon)
-		last = best
+func (a *arbiter) refresh(i int) {
+	ready, ok := a.machines[i].NextReady()
+	if !ok {
+		ready = noReady
 	}
+	a.ready[i] = ready
+}
+
+// turn serves one arbitration turn: a rotating scan of the cached ready
+// times for the winner and the horizon, the winner's horizon-stopped
+// serve, and the winner's refresh. It reports false, serving nothing, once
+// every machine has run out of work.
+//
+//tnpu:noalloc
+func (a *arbiter) turn() bool {
+	count := len(a.ready)
+	best, bestReady := -1, noReady
+	horizon := noReady
+	i := a.last
+	for off := 1; off <= count; off++ {
+		if i++; i == count {
+			i = 0
+		}
+		if ready := a.ready[i]; ready < bestReady {
+			horizon = bestReady
+			best, bestReady = i, ready
+		} else if ready < horizon {
+			horizon = ready
+		}
+	}
+	if best < 0 {
+		return false
+	}
+	a.machines[best].ServeRunUntil(horizon)
+	a.refresh(best)
+	a.last = best
+	return true
 }
 
 // arbitrateBlocks is the retained block-granular reference: always serve
