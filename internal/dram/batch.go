@@ -130,7 +130,5 @@ func (c *channel) batchable(ready, n uint64) bool {
 	if c.bq == 0 {
 		return false
 	}
-	// Gap fitting only gets harder as ready grows, so checking the floor
-	// at the earliest ready covers every block of the run.
 	return !c.holdsBlock(ready)
 }

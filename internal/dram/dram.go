@@ -103,7 +103,6 @@ func NewBus(cfg Config) *Bus {
 		// Each channel serves 1/n of the bandwidth: n x the cycles/byte.
 		c := channel{num: num * uint64(n) / g, den: den / g}
 		c.bq, c.br = BlockBytes*c.num/c.den, BlockBytes*c.num%c.den
-		c.q = c.bq
 		b.chans[i] = c
 	}
 	return b
@@ -179,14 +178,8 @@ func (c *channel) transfer(ready, bytes uint64) (done uint64) {
 	// cannot fit inside one (a zero-cycle transfer can still land exactly
 	// at a gap's end, hence <=).
 	if ready <= c.maxGapEnd {
-		var i int
-		if bytes == BlockBytes {
-			i = c.blockFit(ready, cycles)
-		} else {
-			i = c.scanFit(ready, cycles)
-		}
-		if i >= 0 {
-			return c.take(i, ready, cycles)
+		if i := c.fitGap(ready, cycles); i >= 0 {
+			return c.takeGap(i, ready, cycles)
 		}
 	}
 
@@ -195,7 +188,7 @@ func (c *channel) transfer(ready, bytes uint64) (done uint64) {
 		start = c.busyUntil
 	} else if start > c.busyUntil {
 		// Record the idle window we are skipping over.
-		c.record(c.busyUntil, start)
+		c.recordGap(c.busyUntil, start)
 	}
 	c.busyUntil = start + cycles
 	return c.busyUntil

@@ -15,18 +15,18 @@ import "math/bits"
 //
 //	max(ready, g.start) + c <= g.end  <=>  g.end-g.start >= c  &&  g.end >= ready+c
 //
-// so for a one-block charge (c is bq or bq+1, the only two costs a block
-// can have) the gaps shorter than c can never fit, whatever the ready time.
-// Two bitmasks over list positions mark the gaps of length >= bq and
-// >= bq+1; a one-block search visits, lowest position first, only the gaps
-// its mask admits and returns the first whose end is late enough — the gap
-// the list scan returns, because the skipped positions are exactly those
-// the scan would have rejected on length. Nothing else changes: the
-// sub-bq fragments the masks skip stay in the list, keep their slots and
-// age out by eviction exactly as before, since dropping them would change
-// which gap a later eviction removes and therefore cycles. Other charge
-// sizes keep the plain scan. FuzzGapIndexVsScan pins the index against a
-// test-only copy of the list scan.
+// so a gap shorter than c can never hold the charge, whatever the ready
+// time. Two bitmasks over list positions mark the gaps of length >= bq and
+// >= bq+1, bq being the channel's whole cycles per block; a search visits,
+// lowest position first, only the gaps the charge's length class admits
+// and returns the first that passes both tests — the gap the list scan
+// returns, because every skipped position is one the scan would reject on
+// length. A one-block charge (bq or bq+1 cycles) visits only gaps long
+// enough to hold it. Nothing else changes: the sub-bq fragments the masks
+// skip stay in the list, keep their slots and age out by eviction exactly
+// as before, since dropping them would change which gap a later eviction
+// removes and therefore cycles. FuzzGapIndexVsScan pins the index against
+// a test-only copy of the list scan.
 
 type gap struct{ start, end uint64 }
 
@@ -35,17 +35,15 @@ type gap struct{ start, end uint64 }
 // index masks.
 const maxGaps = 64
 
-// gapList is a channel's remembered idle windows and their index.
+// gapList is a channel's remembered idle windows and their index. The
+// methods that maintain it are on channel, whose bq the length classes are
+// measured against.
 type gapList struct {
-	// gaps is the list, oldest first: a window into buf that slides
-	// forward on eviction and is copied back to buf's front when it
-	// reaches buf's end, so the list allocates once, at its first gap.
+	// gaps is the list, oldest first.
 	gaps []gap
-	buf  []gap
-	// fitQ and fitQ1 have bit i set iff gaps[i] is at least q or q+1
-	// cycles long, q being the channel's whole cycles per block.
+	// fitQ and fitQ1 have bit i set iff gaps[i] is at least bq or bq+1
+	// cycles long.
 	fitQ, fitQ1 uint64
-	q           uint64
 	// maxGapEnd is an upper bound on the end of every remembered gap
 	// (never below the true maximum, so requests with ready >= maxGapEnd
 	// can skip the gap search: any such request starts at or after every
@@ -53,98 +51,81 @@ type gapList struct {
 	maxGapEnd uint64
 }
 
-// classBits returns g's length-class bits for position i.
-func (l *gapList) classBits(g gap, i int) (q, q1 uint64) {
-	if n := g.end - g.start; n >= l.q {
+// gapClass returns g's length-class bits for list position i.
+func (c *channel) gapClass(g gap, i int) (q, q1 uint64) {
+	if n := g.end - g.start; n >= c.bq {
 		q = 1 << i
-		if n > l.q {
+		if n > c.bq {
 			q1 = q
 		}
 	}
 	return q, q1
 }
 
-// reclass recomputes position i's mask bits after its gap shrank.
-func (l *gapList) reclass(i int) {
-	q, q1 := l.classBits(l.gaps[i], i)
+// reclassGap recomputes position i's mask bits after its gap shrank.
+func (c *channel) reclassGap(i int) {
+	q, q1 := c.gapClass(c.gaps[i], i)
 	others := ^uint64(1 << i)
-	l.fitQ = l.fitQ&others | q
-	l.fitQ1 = l.fitQ1&others | q1
+	c.fitQ = c.fitQ&others | q
+	c.fitQ1 = c.fitQ1&others | q1
 }
 
-// push appends g at the end of the list, which must have room.
-func (l *gapList) push(g gap) {
-	n := len(l.gaps)
-	if n == cap(l.gaps) {
-		if l.buf == nil {
-			l.buf = make([]gap, 2*maxGaps)
-		}
-		l.gaps = l.buf[:copy(l.buf, l.gaps)]
-	}
-	l.gaps = append(l.gaps, g)
-	q, q1 := l.classBits(g, n)
-	l.fitQ |= q
-	l.fitQ1 |= q1
+// pushGap appends g at the end of the list, which must have room.
+func (c *channel) pushGap(g gap) {
+	q, q1 := c.gapClass(g, len(c.gaps))
+	c.gaps = append(c.gaps, g)
+	c.fitQ |= q
+	c.fitQ1 |= q1
 }
 
-// record remembers the idle window [start, end), evicting the oldest
+// recordGap remembers the idle window [start, end), evicting the oldest
 // entry at capacity and maintaining the gap-end upper bound.
-func (l *gapList) record(start, end uint64) {
-	if len(l.gaps) == maxGaps {
-		l.gaps = l.gaps[1:]
-		l.fitQ >>= 1
-		l.fitQ1 >>= 1
+func (c *channel) recordGap(start, end uint64) {
+	if len(c.gaps) == maxGaps {
+		c.gaps = c.gaps[1:]
+		c.fitQ >>= 1
+		c.fitQ1 >>= 1
 	}
-	l.push(gap{start, end})
-	if end > l.maxGapEnd {
-		l.maxGapEnd = end
+	c.pushGap(gap{start, end})
+	if end > c.maxGapEnd {
+		c.maxGapEnd = end
 	}
 }
 
-// remove deletes position i, closing up the later positions.
-func (l *gapList) remove(i int) {
-	l.gaps = append(l.gaps[:i], l.gaps[i+1:]...)
+// removeGap deletes position i, closing up the later positions.
+func (c *channel) removeGap(i int) {
+	c.gaps = append(c.gaps[:i], c.gaps[i+1:]...)
 	low := uint64(1)<<i - 1
-	l.fitQ = l.fitQ&low | l.fitQ>>1&^low
-	l.fitQ1 = l.fitQ1&low | l.fitQ1>>1&^low
+	c.fitQ = c.fitQ&low | c.fitQ>>1&^low
+	c.fitQ1 = c.fitQ1&low | c.fitQ1>>1&^low
 }
 
-// blockFit returns the list position of the first gap that can hold a
-// one-block charge of cycles (q or q+1) presented at ready, or -1: the
-// scan's answer, visiting only gaps long enough for the charge.
-func (l *gapList) blockFit(ready, cycles uint64) int {
-	cand := l.fitQ
-	if cycles > l.q {
-		cand = l.fitQ1
+// fitGap returns the list position of the first gap that can hold a
+// charge of cycles presented at ready, or -1. It visits every position for
+// a charge shorter than bq, the gaps of at least bq cycles for a bq-cycle
+// charge, and those of at least bq+1 for a longer one. Keep it within the
+// compiler's inlining budget (go build -gcflags=-m): transfer, the
+// per-block path, calls it on every backfill attempt.
+func (c *channel) fitGap(ready, cycles uint64) int {
+	cand := c.fitQ1
+	if cycles == c.bq {
+		cand = c.fitQ
+	} else if cycles < c.bq {
+		cand = uint64(1)<<len(c.gaps) - 1
 	}
-	need := ready + cycles
 	for ; cand != 0; cand &= cand - 1 {
-		if i := bits.TrailingZeros64(cand); l.gaps[i].end >= need {
+		i := bits.TrailingZeros64(cand)
+		if g := c.gaps[i]; g.end >= ready+cycles && g.end-g.start >= cycles {
 			return i
 		}
 	}
 	return -1
 }
 
-// scanFit is the plain first-fit scan, for charges of any size.
-func (l *gapList) scanFit(ready, cycles uint64) int {
-	for i := range l.gaps {
-		g := &l.gaps[i]
-		start := ready
-		if g.start > start {
-			start = g.start
-		}
-		if start+cycles <= g.end {
-			return i
-		}
-	}
-	return -1
-}
-
-// take serves a charge of cycles presented at ready inside gap i, which
+// takeGap serves a charge of cycles presented at ready inside gap i, which
 // must fit it, and returns its clear time.
-func (l *gapList) take(i int, ready, cycles uint64) (end uint64) {
-	g := &l.gaps[i]
+func (c *channel) takeGap(i int, ready, cycles uint64) (end uint64) {
+	g := &c.gaps[i]
 	start := ready
 	if g.start > start {
 		start = g.start
@@ -152,27 +133,27 @@ func (l *gapList) take(i int, ready, cycles uint64) (end uint64) {
 	end = start + cycles
 	switch {
 	case start == g.start && end == g.end:
-		l.remove(i)
+		c.removeGap(i)
 	case start == g.start:
 		g.start = end
-		l.reclass(i)
+		c.reclassGap(i)
 	case end == g.end:
 		g.end = start
-		l.reclass(i)
+		c.reclassGap(i)
 	default:
 		// Split: keep the earlier half here, append the later.
 		later := gap{end, g.end}
 		g.end = start
-		l.reclass(i)
-		if len(l.gaps) < maxGaps {
-			l.push(later)
+		c.reclassGap(i)
+		if len(c.gaps) < maxGaps {
+			c.pushGap(later)
 		}
 	}
 	return end
 }
 
 // holdsBlock reports whether some remembered gap can hold a minimum-cost
-// (q-cycle) block presented at ready.
-func (l *gapList) holdsBlock(ready uint64) bool {
-	return ready < l.maxGapEnd && l.blockFit(ready, l.q) >= 0
+// (bq-cycle) block presented at ready.
+func (c *channel) holdsBlock(ready uint64) bool {
+	return ready < c.maxGapEnd && c.fitGap(ready, c.bq) >= 0
 }

@@ -1,9 +1,6 @@
 package dram
 
-import (
-	"math/bits"
-	"testing"
-)
+import "testing"
 
 // scanChannel is the list-scan channel the gap index replaced, kept as the
 // reference: the same charge arithmetic, gap list, capacity, oldest-first
@@ -94,26 +91,26 @@ func (c *scanChannel) holdsBlock(ready uint64) bool {
 	return false
 }
 
-// checkGapIndex verifies the index masks against the list they summarize.
-func checkGapIndex(t *testing.T, l *gapList) {
+// checkGapIndex verifies c's index masks against the list they summarize.
+func checkGapIndex(t *testing.T, c *channel) {
 	t.Helper()
 	var q, q1 uint64
-	for i, g := range l.gaps {
+	for i, g := range c.gaps {
 		if g.end <= g.start {
 			t.Fatalf("gap %d is empty: %+v", i, g)
 		}
-		if n := g.end - g.start; n >= l.q {
+		if n := g.end - g.start; n >= c.bq {
 			q |= 1 << i
-			if n > l.q {
+			if n > c.bq {
 				q1 |= 1 << i
 			}
 		}
 	}
-	if q != l.fitQ || q1 != l.fitQ1 {
-		t.Fatalf("index masks %064b/%064b, list says %064b/%064b", l.fitQ, l.fitQ1, q, q1)
+	if q != c.fitQ || q1 != c.fitQ1 {
+		t.Fatalf("index masks %064b/%064b, list says %064b/%064b", c.fitQ, c.fitQ1, q, q1)
 	}
-	if len(l.gaps) > maxGaps {
-		t.Fatalf("gap list holds %d entries, capacity %d", len(l.gaps), maxGaps)
+	if len(c.gaps) > maxGaps {
+		t.Fatalf("gap list holds %d entries, capacity %d", len(c.gaps), maxGaps)
 	}
 }
 
@@ -143,8 +140,8 @@ func gapSeed(rate byte, ops ...[]byte) []byte {
 // and odd sizes, presented ahead of the horizon (opening gaps of any
 // length, sub-block fragments included), behind it, and inside a chosen
 // remembered gap (splits). The seeds fill the list with sub-block
-// fragments, split a gap at capacity so the later half is dropped, and
-// evict at 64 entries.
+// fragments, split a gap at capacity so the later half is dropped, evict
+// at 64 entries, and backfill charges shorter than bq into a fragment.
 func FuzzGapIndexVsScan(f *testing.F) {
 	f.Add([]byte{})
 	// A list full of sub-block fragments (evicting past 64), then
@@ -176,6 +173,10 @@ func FuzzGapIndexVsScan(f *testing.F) {
 	}
 	evict = append(evict, gapOp(0, 1, 4), gapOp(4, 3, 1), gapOp(5, 1, 77))
 	f.Add(gapSeed(1, evict...))
+	// Charges shorter than bq (zero cycles, then one cycle, on Small where
+	// bq is 16) backfilled into a 5-cycle fragment no block can use, the
+	// second splitting it.
+	f.Add(gapSeed(0, gapOp(1, 0, 0), gapOp(1, 0, 5), gapOp(5, 3, 0), gapOp(5, 3, 1)))
 	// The awkward rate with the minor-wrap burst between one-block charges.
 	f.Add(gapSeed(2, gapOp(4, 0, 40), gapOp(1, 0, 9), gapOp(4, 0, 3), gapOp(2, 1, 30), gapOp(3, 3, 2), gapOp(1, 2, 128)))
 
@@ -230,34 +231,10 @@ func FuzzGapIndexVsScan(f *testing.F) {
 					t.Fatalf("op %d: gap %d = %+v, list scan %+v", op, i, c.gaps[i], ref.gaps[i])
 				}
 			}
-			checkGapIndex(t, &c.gapList)
+			checkGapIndex(t, c)
 			if got, want := c.holdsBlock(ready), ref.holdsBlock(ready); got != want {
 				t.Fatalf("op %d: holdsBlock(%d) = %v, list scan %v (gaps %v)", op, ready, got, want, ref.gaps)
 			}
 		}
 	})
-}
-
-// TestGapSplitAtCapacity pins the split rule at capacity, the state the
-// second fuzz seed builds: with 64 gaps remembered (one long gap first,
-// then sub-block fragments the index never visits), a backfill inside the
-// long gap keeps the earlier half in place and drops the later half.
-func TestGapSplitAtCapacity(t *testing.T) {
-	c := &NewBus(smallCfg).chans[0]
-	c.transfer(0, BlockBytes)
-	c.transfer(c.busyUntil+200, BlockBytes)
-	for i := 0; i < 63; i++ {
-		c.transfer(c.busyUntil+1, BlockBytes)
-	}
-	if len(c.gaps) != maxGaps || bits.OnesCount64(c.fitQ) != 1 {
-		t.Fatalf("setup: %d gaps, %d of them block-sized; want %d and 1", len(c.gaps), bits.OnesCount64(c.fitQ), maxGaps)
-	}
-	long := c.gaps[0]
-	if done := c.transfer(long.start+50, BlockBytes); done != long.start+66 {
-		t.Fatalf("split backfill done at %d, want %d", done, long.start+66)
-	}
-	if len(c.gaps) != maxGaps || c.gaps[0] != (gap{long.start, long.start + 50}) || c.gaps[maxGaps-1].end-c.gaps[maxGaps-1].start != 1 {
-		t.Fatalf("split at capacity kept the later half: first %+v, last %+v", c.gaps[0], c.gaps[maxGaps-1])
-	}
-	checkGapIndex(t, &c.gapList)
 }

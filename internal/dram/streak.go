@@ -361,7 +361,7 @@ func (cur *RunCursor) Commit() {
 	c.bytesMoved += cur.j * BlockBytes
 	if cur.ready0 > cur.b0 {
 		// The first charge skipped over an idle window, as in the reference.
-		c.record(cur.b0, cur.ready0)
+		c.recordGap(cur.b0, cur.ready0)
 	}
 	c.busyCycles += cur.clear - cur.clear0
 	c.busyUntil = cur.clear
