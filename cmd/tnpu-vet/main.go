@@ -1,14 +1,13 @@
 // tnpu-vet is the multichecker for this repository's invariant suite
-// (DESIGN.md §7c): eight stdlib-only go/analysis-style passes that
+// (DESIGN.md §7c): five stdlib-only go/analysis-style passes that
 // mechanically enforce the simulator's correctness contracts —
 // determinism of emitted output (detmap), consumption of verification
 // errors (secerr), the zero-allocation batched hot path (noalloc),
-// per-goroutine engine ownership (goroutinesafe), cycle/byte unit
-// discipline (cycleunits), content-addressing digest coverage
-// (canoncover), side-effect-free closed-form bounds (purity), and
-// guarded fast paths with reference fallbacks (boundsound). The last
-// three are interprocedural: they compose across packages through the
-// facts store (internal/analysis/facts).
+// per-goroutine engine ownership (goroutinesafe), and cycle/byte unit
+// discipline (cycleunits). Each pass looks at one package at a time;
+// the invariants that once needed cross-package checking (digest
+// coverage, guarded fast paths, side-effect-free guards) now hold by
+// construction or are pinned by differential tests.
 //
 // Usage:
 //
@@ -16,10 +15,7 @@
 //	go vet -vettool=$(which tnpu-vet) ./...
 //
 // Standalone flags: -json (machine-readable diagnostics on stdout),
-// -v (per-analyzer wall time), -only a1,a2 (restrict the suite),
-// -certify out.json (write canoncover's certified leaf sets, the
-// source of testdata/canoncover.json backing the runtime reflection
-// cross-check).
+// -v (per-analyzer wall time), -only a1,a2 (restrict the suite).
 //
 // Both modes exit non-zero on any diagnostic. scripts/lint.sh runs it
 // alongside gofmt/vet/staticcheck, and the CI lint job gates merges on
@@ -30,14 +26,11 @@ import (
 	"os"
 
 	"tnpu/internal/analysis"
-	"tnpu/internal/analysis/boundsound"
-	"tnpu/internal/analysis/canoncover"
 	"tnpu/internal/analysis/checker"
 	"tnpu/internal/analysis/cycleunits"
 	"tnpu/internal/analysis/detmap"
 	"tnpu/internal/analysis/goroutinesafe"
 	"tnpu/internal/analysis/noalloc"
-	"tnpu/internal/analysis/purity"
 	"tnpu/internal/analysis/secerr"
 )
 
@@ -48,12 +41,8 @@ var Suite = []*analysis.Analyzer{
 	noalloc.Analyzer,
 	goroutinesafe.Analyzer,
 	cycleunits.Analyzer,
-	canoncover.Analyzer,
-	purity.Analyzer,
-	boundsound.Analyzer,
 }
 
 func main() {
-	checker.Certify = canoncover.Certify
 	os.Exit(checker.Main(os.Stdout, os.Stderr, os.Args[1:], Suite))
 }

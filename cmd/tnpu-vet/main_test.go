@@ -3,19 +3,19 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"tnpu/internal/analysis/canoncover"
 	"tnpu/internal/analysis/checker"
 )
 
-// inTempModule materializes files as a throwaway module and chdirs into
-// it for the duration of the test, so checker.Main's "./..." patterns
-// resolve against the fixture instead of this repository.
-func inTempModule(t *testing.T, files map[string]string) {
+// tempModule materializes files as a throwaway module and returns its
+// directory.
+func tempModule(t *testing.T, files map[string]string) string {
 	t.Helper()
 	dir := t.TempDir()
 	for name, src := range files { //tnpu:orderfree (files land on disk regardless of creation order)
@@ -23,6 +23,15 @@ func inTempModule(t *testing.T, files map[string]string) {
 			t.Fatal(err)
 		}
 	}
+	return dir
+}
+
+// inTempModule materializes files as a throwaway module and chdirs into
+// it for the duration of the test, so checker.Main's "./..." patterns
+// resolve against the fixture instead of this repository.
+func inTempModule(t *testing.T, files map[string]string) {
+	t.Helper()
+	dir := tempModule(t, files)
 	old, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
@@ -90,25 +99,33 @@ func TestRejectsFlags(t *testing.T) {
 	}
 }
 
+// detmapFixture is a module with one deliberate detmap violation: a map
+// range printing in iteration order.
+var detmapFixture = map[string]string{
+	"go.mod": "module vetfix\n\ngo 1.22\n",
+	"bad.go": `// Package vetfix is a tnpu-vet CLI test fixture.
+package vetfix
+
+import "fmt"
+
+// Dump prints in map order.
+func Dump(m map[string]int) {
+	for k, v := range m {
+		fmt.Println(k, v)
+	}
+}
+`,
+}
+
 // TestJSONOnlyAndTiming drives the standalone CLI end to end over a
-// fixture module with one deliberate purity violation: -only restricts
+// fixture module with one deliberate detmap violation: -only restricts
 // the suite, -json emits the machine-readable diagnostic array the CI
 // problem matcher and editor integrations consume, and -v prints the
 // load and per-analyzer wall times on stderr.
 func TestJSONOnlyAndTiming(t *testing.T) {
-	inTempModule(t, map[string]string{
-		"go.mod": "module vetjson\n\ngo 1.22\n",
-		"bad.go": `// Package vetjson is a tnpu-vet CLI test fixture.
-package vetjson
-
-// Bad is deliberately misannotated: it stores through its argument.
-//
-//tnpu:pure
-func Bad(p *uint64) { *p = 1 }
-`,
-	})
+	inTempModule(t, detmapFixture)
 	var stdout, stderr bytes.Buffer
-	code := checker.Main(&stdout, &stderr, []string{"-json", "-v", "-only", "purity", "./..."}, Suite)
+	code := checker.Main(&stdout, &stderr, []string{"-json", "-v", "-only", "detmap", "./..."}, Suite)
 	if code != 2 {
 		t.Fatalf("exit %d, want 2 (one finding)\nstderr:\n%s", code, stderr.String())
 	}
@@ -127,20 +144,20 @@ func Bad(p *uint64) { *p = 1 }
 		t.Fatalf("got %d diagnostics, want 1:\n%s", len(diags), stdout.String())
 	}
 	d := diags[0]
-	if filepath.Base(d.File) != "bad.go" || d.Line == 0 || d.Col == 0 {
-		t.Errorf("diagnostic position %s:%d:%d; want bad.go with line and col", d.File, d.Line, d.Col)
+	if filepath.Base(d.File) != "bad.go" || d.Line != 8 || d.Col == 0 {
+		t.Errorf("diagnostic position %s:%d:%d; want bad.go:8 with a column", d.File, d.Line, d.Col)
 	}
-	if d.Analyzer != "purity" || !strings.Contains(d.Message, "annotated //tnpu:pure but") {
-		t.Errorf("diagnostic %q from %q; want purity's misannotation message", d.Message, d.Analyzer)
+	if d.Analyzer != "detmap" || !strings.Contains(d.Message, "randomized iteration order") {
+		t.Errorf("diagnostic %q from %q; want detmap's map-range message", d.Message, d.Analyzer)
 	}
-	if d.Waiver != "pureok" {
-		t.Errorf("waiver %q; want the analyzer's default waiver pureok", d.Waiver)
+	if d.Waiver != "orderfree" {
+		t.Errorf("waiver %q; want the analyzer's default waiver orderfree", d.Waiver)
 	}
-	if !strings.Contains(stderr.String(), "load+typecheck") || !strings.Contains(stderr.String(), "purity") {
+	if !strings.Contains(stderr.String(), "load+typecheck") || !strings.Contains(stderr.String(), "detmap") {
 		t.Errorf("-v stderr missing timing lines:\n%s", stderr.String())
 	}
 	if strings.Contains(stderr.String(), "noalloc") {
-		t.Errorf("-only purity still timed other analyzers:\n%s", stderr.String())
+		t.Errorf("-only detmap still timed other analyzers:\n%s", stderr.String())
 	}
 }
 
@@ -152,50 +169,62 @@ func TestOnlyUnknownAnalyzer(t *testing.T) {
 		t.Fatalf("-only nosuch: exit %d, want 1", code)
 	}
 	if !strings.Contains(stderr.String(), `unknown analyzer "nosuch"`) ||
-		!strings.Contains(stderr.String(), "purity") {
+		!strings.Contains(stderr.String(), "detmap") {
 		t.Fatalf("-only error should list the known analyzers:\n%s", stderr.String())
 	}
 }
 
-// TestCertifyWritesArtifact runs -certify over a minimal digest-covered
-// struct and checks the emitted artifact names the type and its covered
-// leaf fields — the mechanism that produces testdata/canoncover.json at
-// the repo root.
-func TestCertifyWritesArtifact(t *testing.T) {
-	inTempModule(t, map[string]string{
-		"go.mod": "module vetcert\n\ngo 1.22\n",
-		"s.go": `// Package vetcert is a tnpu-vet -certify test fixture.
-package vetcert
+// TestVetToolProtocol drives the built binary through cmd/go's own
+// -vettool plumbing (the -flags and -V=full handshakes, then one vet.cfg
+// per package, dependencies included): a fixture with a detmap violation
+// must fail with the diagnostic on stderr, and a clean fixture must pass.
+func TestVetToolProtocol(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds tnpu-vet and runs go vet over two fixture modules")
+	}
+	bin := filepath.Join(t.TempDir(), "tnpu-vet")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build tnpu-vet: %v\n%s", err, out)
+	}
+	vet := func(files map[string]string) (string, error) {
+		cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
+		cmd.Dir = tempModule(t, files)
+		out, err := cmd.CombinedOutput()
+		return string(out), err
+	}
 
-// S is a minimal digest target.
-type S struct{ a uint64 }
+	out, err := vet(detmapFixture)
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) {
+		t.Fatalf("go vet over the detmap fixture: err %v, want a non-zero exit\n%s", err, out)
+	}
+	if !strings.Contains(out, "bad.go:8:") || !strings.Contains(out, "randomized iteration order") {
+		t.Errorf("go vet stderr lacks the detmap diagnostic at bad.go:8:\n%s", out)
+	}
 
-// Digest renders every field of s.
-//
-//tnpu:digestcover S
-func Digest(s S) uint64 { return s.a }
+	if out, err := vet(map[string]string{
+		"go.mod": "module vetclean\n\ngo 1.22\n",
+		"ok.go": `// Package vetclean is a tnpu-vet CLI test fixture.
+package vetclean
+
+import (
+	"fmt"
+	"sort"
+)
+
+// Dump prints in sorted key order.
+func Dump(m map[string]int) {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Println(k, m[k])
+	}
+}
 `,
-	})
-	checker.Certify = canoncover.Certify
-	t.Cleanup(func() { checker.Certify = nil })
-	var stdout, stderr bytes.Buffer
-	out := filepath.Join(t.TempDir(), "cert.json")
-	if code := checker.Main(&stdout, &stderr, []string{"-certify", out, "./..."}, Suite); code != 0 {
-		t.Fatalf("-certify exit %d:\n%s", code, stderr.String())
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var certs []struct {
-		Type    string   `json:"type"`
-		Covered []string `json:"covered"`
-	}
-	if err := json.Unmarshal(data, &certs); err != nil {
-		t.Fatalf("certify artifact is not JSON: %v\n%s", err, data)
-	}
-	if len(certs) != 1 || certs[0].Type != "vetcert.S" ||
-		len(certs[0].Covered) != 1 || certs[0].Covered[0] != "a" {
-		t.Fatalf("certify artifact %s; want one vetcert.S entry covering [a]", data)
+	}); err != nil {
+		t.Fatalf("go vet over the clean fixture: %v\n%s", err, out)
 	}
 }

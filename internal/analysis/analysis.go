@@ -19,8 +19,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"tnpu/internal/analysis/facts"
 )
 
 // Analyzer describes one invariant checker: a named pass over a single
@@ -38,15 +36,9 @@ type Analyzer struct {
 	// malfunction (it aborts the whole run, it is not a finding).
 	Run func(pass *Pass) error
 
-	// UsesFacts marks analyzers that export or import cross-package
-	// facts. The checker runs them over dependency packages too (with
-	// reporting disabled) so facts flow bottom-up through the import
-	// graph, and cmd/go's VetxOnly invocations run exactly this subset.
-	UsesFacts bool
-
 	// DefaultWaiver names the //tnpu:<marker> that waives this
 	// analyzer's findings; it annotates diagnostics (e.g. in -json
-	// output) that do not set an explicit Waiver of their own.
+	// output).
 	DefaultWaiver string
 }
 
@@ -57,12 +49,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-
-	// Facts is the cross-package fact store for this run. Analyzers with
-	// UsesFacts set may Export facts about objects of this package and
-	// Import facts recorded for dependencies (already analyzed — the
-	// checker visits packages in dependency order). Never nil.
-	Facts *facts.Store
 
 	// Report delivers one finding.
 	Report func(Diagnostic)
@@ -76,11 +62,6 @@ type Pass struct {
 type Diagnostic struct {
 	Pos     token.Pos
 	Message string
-
-	// Waiver optionally names the //tnpu:<marker> that would suppress
-	// this specific finding, when it differs from the analyzer's
-	// DefaultWaiver.
-	Waiver string
 }
 
 // Reportf reports a formatted finding at pos.
@@ -125,16 +106,6 @@ func (p *Pass) WaivedAt(pos token.Pos, marker string) bool {
 	return false
 }
 
-// WaivedSameLine is WaivedAt restricted to a comment on pos's own source
-// line. Per-field waivers in struct declarations use it to keep one
-// field's trailing waiver from bleeding onto the field declared on the
-// next line (whose "line above" it would otherwise be).
-func (p *Pass) WaivedSameLine(pos token.Pos, marker string) bool {
-	p.WaivedAt(pos, marker) // force the lazy comment index
-	at := p.Fset.Position(pos)
-	return hasMarkerWord(p.comments[at.Filename][at.Line], "tnpu:"+marker)
-}
-
 // hasMarkerWord reports whether text contains want as a whole marker
 // token (terminated by a non-marker character or end of text).
 func hasMarkerWord(text, want string) bool {
@@ -169,37 +140,6 @@ func DocHasMarker(doc *ast.CommentGroup, marker string) bool {
 		}
 	}
 	return false
-}
-
-// DocMarkerArg finds //tnpu:<marker> in a doc comment group and returns
-// the rest of that line after the marker (trimmed) — the argument of
-// parameterized markers (digestcover takes the target type name). ok
-// reports whether the marker is present at all.
-func DocMarkerArg(doc *ast.CommentGroup, marker string) (arg string, ok bool) {
-	if doc == nil {
-		return "", false
-	}
-	want := "tnpu:" + marker
-	for _, c := range doc.List {
-		text := c.Text
-		for i := 0; ; {
-			j := strings.Index(text[i:], want)
-			if j < 0 {
-				break
-			}
-			end := i + j + len(want)
-			if end < len(text) && isMarkerChar(text[end]) {
-				i = end
-				continue
-			}
-			rest := text[end:]
-			if k := strings.IndexByte(rest, '\n'); k >= 0 {
-				rest = rest[:k]
-			}
-			return strings.TrimSpace(rest), true
-		}
-	}
-	return "", false
 }
 
 // IsTestFile reports whether pos lies in a _test.go file. Analyzers whose

@@ -3,19 +3,14 @@
 //
 //   - Standalone: load packages by pattern through internal/analysis/load
 //     and run every analyzer over each (Run / RunPatterns) —
-//     `tnpu-vet ./...`. One load serves the whole analyzer suite, and
-//     in-module dependency packages are visited first (facts-producing
-//     analyzers only, diagnostics suppressed) so cross-package facts are
-//     always available before their consumers run.
+//     `tnpu-vet ./...`. One load serves the whole analyzer suite.
 //   - Vet tool: speak cmd/go's vet.cfg protocol (RunVetCfg) so the same
 //     binary plugs into `go vet -vettool=$(which tnpu-vet)`. cmd/go hands
-//     the tool a JSON config per package naming the source files, the
-//     export data of the dependency closure, and the .vetx facts files of
-//     already-vetted dependencies; it expects diagnostics on stderr with
-//     a non-zero exit and requires the VetxOutput facts file to be
-//     written. The facts store round-trips through those files: each
-//     written vetx carries the full transitive store, so indirect
-//     dependencies' facts survive the per-package relay.
+//     the tool a JSON config per package naming the source files and the
+//     export data of the dependency closure; it expects diagnostics on
+//     stderr with a non-zero exit and requires the VetxOutput facts file
+//     to be written. Every analyzer is intra-package, so that file is
+//     always empty and dependency-only (VetxOnly) invocations do nothing.
 //
 // In both modes a package's test variant ("pkg [pkg.test]") re-lists the
 // non-test sources, so diagnostics from variants are filtered to
@@ -30,13 +25,11 @@ import (
 	"go/token"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
 
 	"tnpu/internal/analysis"
-	"tnpu/internal/analysis/facts"
 	"tnpu/internal/analysis/load"
 )
 
@@ -47,7 +40,7 @@ type Diagnostic struct {
 	Message  string
 
 	// Waiver names the //tnpu:<marker> that would suppress this finding
-	// (the diagnostic's own, falling back to the analyzer's default).
+	// (the analyzer's default waiver).
 	Waiver string
 }
 
@@ -58,9 +51,6 @@ func (d Diagnostic) String() string {
 // Result carries everything a full standalone run produced.
 type Result struct {
 	Diagnostics []Diagnostic
-	// Facts is the cross-package fact store accumulated over the run
-	// (certification output is harvested from here).
-	Facts *facts.Store
 	// LoadTime is the wall time of listing, parsing, and type-checking —
 	// paid once for the whole suite.
 	LoadTime time.Duration
@@ -70,38 +60,25 @@ type Result struct {
 
 // runPackage applies analyzers to one loaded package. testOnly restricts
 // reported findings to _test.go files (set for test variants whose
-// non-test files were already analyzed as the base package). report=false
-// runs only fact-producing analyzers and discards their diagnostics —
-// the dependency-package mode. times, when non-nil, accumulates per-
-// analyzer wall time.
-func runPackage(pkg *load.Package, analyzers []*analysis.Analyzer, store *facts.Store, testOnly, report bool, times map[string]time.Duration) ([]Diagnostic, error) {
+// non-test files were already analyzed as the base package). times, when
+// non-nil, accumulates per-analyzer wall time.
+func runPackage(pkg *load.Package, analyzers []*analysis.Analyzer, testOnly bool, times map[string]time.Duration) ([]Diagnostic, error) {
 	var out []Diagnostic
 	for _, a := range analyzers {
-		if !report && !a.UsesFacts {
-			continue
-		}
 		pass := &analysis.Pass{
 			Analyzer:  a,
 			Fset:      pkg.Fset,
 			Files:     pkg.Syntax,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.TypesInfo,
-			Facts:     store,
 		}
 		name, waiver := a.Name, a.DefaultWaiver
 		pass.Report = func(d analysis.Diagnostic) {
-			if !report {
-				return
-			}
 			pos := pkg.Fset.Position(d.Pos)
 			if testOnly && !strings.HasSuffix(pos.Filename, "_test.go") {
 				return
 			}
-			w := d.Waiver
-			if w == "" {
-				w = waiver
-			}
-			out = append(out, Diagnostic{Position: pos, Analyzer: name, Message: d.Message, Waiver: w})
+			out = append(out, Diagnostic{Position: pos, Analyzer: name, Message: d.Message, Waiver: waiver})
 		}
 		start := time.Now()
 		if err := a.Run(pass); err != nil {
@@ -131,9 +108,9 @@ func isTestVariant(pkg *load.Package) bool {
 	return pkg.ForTest != "" && !strings.HasSuffix(pkg.Types.Name(), "_test")
 }
 
-// Run loads patterns (tests included) in dir once, applies the suite in
-// dependency order with a shared facts store, and returns diagnostics
-// (deterministically ordered), the store, and timing.
+// Run loads patterns (tests included) in dir once, applies the suite to
+// every package, and returns diagnostics (deterministically ordered) and
+// timing.
 func Run(dir string, analyzers []*analysis.Analyzer, patterns ...string) (*Result, error) {
 	start := time.Now()
 	pkgs, err := load.Load(load.Config{Dir: dir, Tests: true}, patterns...)
@@ -141,14 +118,11 @@ func Run(dir string, analyzers []*analysis.Analyzer, patterns ...string) (*Resul
 		return nil, err
 	}
 	res := &Result{
-		Facts:        facts.New(),
 		LoadTime:     time.Since(start),
 		AnalyzerTime: make(map[string]time.Duration),
 	}
-	// load.Load preserves go list -deps order: dependencies precede
-	// dependents, so facts are complete before any consumer runs.
 	for _, pkg := range pkgs {
-		ds, err := runPackage(pkg, analyzers, res.Facts, isTestVariant(pkg), pkg.Root, res.AnalyzerTime)
+		ds, err := runPackage(pkg, analyzers, isTestVariant(pkg), res.AnalyzerTime)
 		if err != nil {
 			return nil, err
 		}
@@ -158,7 +132,7 @@ func Run(dir string, analyzers []*analysis.Analyzer, patterns ...string) (*Resul
 }
 
 // RunPatterns is the diagnostics-only form of Run, kept for callers that
-// need neither facts nor timing (the analysistest harness).
+// need no timing (the analysistest harness).
 func RunPatterns(dir string, analyzers []*analysis.Analyzer, patterns ...string) ([]Diagnostic, error) {
 	res, err := Run(dir, analyzers, patterns...)
 	if err != nil {
@@ -177,37 +151,10 @@ type vetConfig struct {
 	GoFiles     []string
 	ImportMap   map[string]string
 	PackageFile map[string]string
-	PackageVetx map[string]string
 	VetxOnly    bool
 	VetxOutput  string
 
 	SucceedOnTypecheckFailure bool
-}
-
-// moduleName walks up from dir to the nearest go.mod and returns its
-// module path ("" when none is found). It distinguishes this module's
-// packages from GOROOT ones (module "std"/"cmd") in VetxOnly mode, where
-// re-type-checking the standard library from source for facts it cannot
-// carry would be pure waste.
-func moduleName(dir string) string {
-	for dir != "" {
-		data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				line = strings.TrimSpace(line)
-				if rest, ok := strings.CutPrefix(line, "module"); ok {
-					return strings.Trim(strings.TrimSpace(rest), `"`)
-				}
-			}
-			return ""
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			break
-		}
-		dir = parent
-	}
-	return ""
 }
 
 // RunVetCfg implements the vet-tool side of the protocol for one vet.cfg
@@ -221,42 +168,16 @@ func RunVetCfg(cfgPath string, analyzers []*analysis.Analyzer) ([]Diagnostic, in
 	if err := json.Unmarshal(data, &cfg); err != nil {
 		return nil, 1, fmt.Errorf("parse %s: %v", cfgPath, err)
 	}
-	// cmd/go caches the vetx output file, so one must exist on every
-	// exit path; start empty and overwrite with real facts on success.
-	writeVetx := func(store *facts.Store) error {
-		if cfg.VetxOutput == "" {
-			return nil
-		}
-		var payload []byte
-		if store != nil && store.Len() > 0 {
-			payload = store.Encode()
-		}
-		return os.WriteFile(cfg.VetxOutput, payload, 0o666)
-	}
-	if err := writeVetx(nil); err != nil {
-		return nil, 1, err
-	}
-	factual := false
-	for _, a := range analyzers {
-		if a.UsesFacts {
-			factual = true
-		}
-	}
-	if cfg.VetxOnly && (!factual || isToolchainModule(moduleName(cfg.Dir))) {
-		// Dependency-only invocation of a package that cannot carry our
-		// facts (or a suite that keeps none): the empty vetx stands.
-		return nil, 0, nil
-	}
-	store := facts.New()
-	for _, vetx := range sortedValues(cfg.PackageVetx) {
-		data, err := os.ReadFile(vetx)
-		if err != nil {
-			// A missing dep vetx degrades to missing facts, not failure.
-			continue
-		}
-		if err := store.Decode(data); err != nil {
+	// cmd/go caches the vetx output file and requires it to exist; no
+	// analyzer keeps cross-package facts, so it is always empty, and a
+	// dependency-only invocation has nothing else to do.
+	if cfg.VetxOutput != "" {
+		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
 			return nil, 1, err
 		}
+	}
+	if cfg.VetxOnly {
+		return nil, 0, nil
 	}
 	fset := token.NewFileSet()
 	var files []*ast.File
@@ -289,11 +210,8 @@ func RunVetCfg(cfgPath string, analyzers []*analysis.Analyzer) ([]Diagnostic, in
 	// cmd/go vets both "pkg" and "pkg [pkg.test]"; report test-file
 	// findings only from the variant.
 	testOnly := strings.Contains(cfg.ID, " [") && !strings.HasSuffix(typesPkg.Name(), "_test")
-	ds, err := runPackage(pkg, analyzers, store, testOnly, !cfg.VetxOnly, nil)
+	ds, err := runPackage(pkg, analyzers, testOnly, nil)
 	if err != nil {
-		return nil, 1, err
-	}
-	if err := writeVetx(store); err != nil {
 		return nil, 1, err
 	}
 	if len(ds) > 0 {
@@ -301,33 +219,6 @@ func RunVetCfg(cfgPath string, analyzers []*analysis.Analyzer) ([]Diagnostic, in
 	}
 	return nil, 0, nil
 }
-
-// isToolchainModule reports whether a module path names the Go toolchain
-// itself (GOROOT's std or cmd trees).
-func isToolchainModule(mod string) bool {
-	return mod == "std" || mod == "cmd"
-}
-
-// sortedValues returns m's values ordered by key, for deterministic
-// iteration over go list / vet.cfg string maps.
-func sortedValues(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]string, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, m[k])
-	}
-	return out
-}
-
-// Certify, when set by the driver, renders the certification artifact
-// for `tnpu-vet -certify <path>` from the facts a full run accumulated
-// (cmd/tnpu-vet points it at canoncover's harvest so this package stays
-// analyzer-agnostic).
-var Certify func(*facts.Store) ([]byte, error)
 
 // jsonDiagnostic is the -json wire form of one finding.
 type jsonDiagnostic struct {
@@ -339,7 +230,7 @@ type jsonDiagnostic struct {
 	Waiver   string `json:"waiver,omitempty"`
 }
 
-const usage = "usage: tnpu-vet [-json] [-v] [-only a1,a2] [-certify out.json] [packages] | tnpu-vet <vet.cfg>"
+const usage = "usage: tnpu-vet [-json] [-v] [-only a1,a2] [packages] | tnpu-vet <vet.cfg>"
 
 // Main is the shared entry point of cmd/tnpu-vet: it dispatches between
 // the cmd/go handshakes (-flags, -V=full), vet.cfg mode, and the
@@ -376,39 +267,24 @@ func Main(stdout, stderr io.Writer, args []string, analyzers []*analysis.Analyze
 		jsonOut  bool
 		verbose  bool
 		only     string
-		certify  string
 		patterns []string
 	)
 	for i := 0; i < len(args); i++ {
 		arg := args[i]
-		flagVal := func(name string) (string, bool) {
-			if v, ok := strings.CutPrefix(arg, "-"+name+"="); ok {
-				return v, true
-			}
-			if arg == "-"+name && i+1 < len(args) {
-				i++
-				return args[i], true
-			}
-			return "", false
-		}
 		switch {
 		case arg == "-json":
 			jsonOut = true
 		case arg == "-v":
 			verbose = true
+		case arg == "-only" && i+1 < len(args):
+			i++
+			only = args[i]
+		case strings.HasPrefix(arg, "-only="):
+			only = strings.TrimPrefix(arg, "-only=")
+		case strings.HasPrefix(arg, "-"):
+			fmt.Fprintf(stderr, "tnpu-vet: unknown flag %s\n%s\n", arg, usage)
+			return 1
 		default:
-			if v, ok := flagVal("only"); ok {
-				only = v
-				break
-			}
-			if v, ok := flagVal("certify"); ok {
-				certify = v
-				break
-			}
-			if strings.HasPrefix(arg, "-") {
-				fmt.Fprintf(stderr, "tnpu-vet: unknown flag %s\n%s\n", arg, usage)
-				return 1
-			}
 			patterns = append(patterns, arg)
 		}
 	}
@@ -450,21 +326,6 @@ func Main(stdout, stderr io.Writer, args []string, analyzers []*analysis.Analyze
 		sort.Strings(names)
 		for _, name := range names {
 			fmt.Fprintf(stderr, "tnpu-vet: %-14s %v\n", name, res.AnalyzerTime[name].Round(time.Millisecond))
-		}
-	}
-	if certify != "" {
-		if Certify == nil {
-			fmt.Fprintf(stderr, "tnpu-vet: -certify is not supported by this driver\n")
-			return 1
-		}
-		data, err := Certify(res.Facts)
-		if err != nil {
-			fmt.Fprintf(stderr, "tnpu-vet: certify: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(certify, data, 0o666); err != nil {
-			fmt.Fprintf(stderr, "tnpu-vet: %v\n", err)
-			return 1
 		}
 	}
 	if jsonOut {

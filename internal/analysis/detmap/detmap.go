@@ -36,9 +36,10 @@ import (
 
 // Analyzer is the detmap pass.
 var Analyzer = &analysis.Analyzer{
-	Name: "detmap",
-	Doc:  "flag range-over-map loops whose iteration order can leak into output",
-	Run:  run,
+	Name:          "detmap",
+	Doc:           "flag range-over-map loops whose iteration order can leak into output",
+	Run:           run,
+	DefaultWaiver: "orderfree",
 }
 
 func run(pass *analysis.Pass) error {

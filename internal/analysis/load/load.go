@@ -7,11 +7,9 @@
 // analysistest harness (x/tools' go/packages is not available to this
 // stdlib-only module).
 //
-// Standard-library dependencies contribute export data only. In-module
-// dependencies are parsed and type-checked from source even when they
-// are not roots, so fact-producing analyzers (canoncover, purity,
-// boundsound) can walk their ASTs and export cross-package facts; such
-// packages are returned with Root=false and contribute no diagnostics.
+// Only packages matching the patterns are parsed and type-checked; every
+// dependency, in-module or standard library, contributes export data
+// only, since no analyzer looks past the package it runs on.
 //
 // One Load call serves every analyzer in a run: packages are listed,
 // parsed, and type-checked exactly once, and a process-wide parse cache
@@ -52,12 +50,6 @@ type Package struct {
 	// ForTest is the import path of the package under test when this is
 	// a test variant ("a [a.test]" or "a_test [a.test]"), else "".
 	ForTest string
-
-	// Root reports whether the package matched the load patterns
-	// directly. Non-root packages are in-module dependencies loaded from
-	// source only so analyzers can compute facts over them; the checker
-	// suppresses their diagnostics.
-	Root bool
 }
 
 // listPackage mirrors the subset of `go list -json` output the loader
@@ -71,7 +63,6 @@ type listPackage struct {
 	CgoFiles   []string
 	ImportMap  map[string]string
 	DepOnly    bool
-	Standard   bool
 	ForTest    string
 	Incomplete bool
 	Error      *struct{ Err string }
@@ -88,11 +79,9 @@ type Config struct {
 	Env []string
 }
 
-// Load lists, parses, and type-checks the packages matching patterns
-// plus their in-module dependency closure. `go list -deps` emits
-// dependencies before dependents, and Load preserves that order, so a
-// caller that walks the slice front to back sees every package after
-// all of its in-module imports — the property the facts store needs.
+// Load lists, parses, and type-checks the packages matching patterns,
+// against the export data `go list -deps -export` builds for their
+// dependency closure.
 func Load(cfg Config, patterns ...string) ([]*Package, error) {
 	args := []string{"list", "-e", "-deps", "-export", "-json"}
 	if cfg.Tests {
@@ -125,9 +114,9 @@ func Load(cfg Config, patterns ...string) ([]*Package, error) {
 		if p.Name == "" {
 			continue
 		}
-		// Standard-library deps are consumed as export data; synthesized
-		// test mains ("pkg.test") carry no contracts of ours.
-		if p.Standard || strings.HasSuffix(p.ImportPath, ".test") {
+		// Dependencies are consumed as export data; synthesized test
+		// mains ("pkg.test") carry no contracts of ours.
+		if p.DepOnly || strings.HasSuffix(p.ImportPath, ".test") {
 			continue
 		}
 		listed = append(listed, p)
@@ -145,7 +134,6 @@ func Load(cfg Config, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkg.Root = !p.DepOnly
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil

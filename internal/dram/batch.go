@@ -96,11 +96,13 @@ func (b *Bus) StreamRun(ready, addr uint64, n int, w *IssueWindow, horizon uint6
 	if n <= 0 {
 		return ready, 0, ready, 0
 	}
-	if horizon == NoHorizon && b.BeginRun(w, ready, n) {
-		// Appending clears only grow, so the last block's is the maximum.
-		maxBusFree, lastIssue, nextReady = w.run.Data(ready, n)
-		w.run.Commit()
-		return nextReady, maxBusFree, lastIssue, n
+	if horizon == NoHorizon {
+		if cur := b.BeginRun(w, ready, n); cur != nil {
+			// Appending clears only grow, so the last block's is the maximum.
+			maxBusFree, lastIssue, nextReady = cur.Data(ready, n)
+			cur.Commit()
+			return nextReady, maxBusFree, lastIssue, n
+		}
 	}
 	r := ready
 	for served < n {

@@ -156,7 +156,7 @@ func TestStreamRunMatchesReference(t *testing.T) {
 					if horizon == NoHorizon && channels == 1 && fast.chans[0].batchable(clock, uint64(n)) {
 						// BeginRun only primes the window's cursor, which
 						// StreamRun re-primes, so probing it here is harmless.
-						if !fast.BeginRun(wFast, clock, n) {
+						if fast.BeginRun(wFast, clock, n) == nil {
 							t.Fatalf("step %d (n=%d): BeginRun rejected a batchable single-channel run; StreamRun would take the reference loop", step, n)
 						}
 						cursorRuns++

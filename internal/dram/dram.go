@@ -119,13 +119,9 @@ func (b *Bus) route(addr uint64) *channel {
 // BlockCycles returns the whole cycles one block transfer occupies its
 // channel, rounded down: the per-block cost floor. A floor of at least one
 // cycle means a block issued at r always clears its channel after r.
-//
-//tnpu:pure
 func (b *Bus) BlockCycles() uint64 { return b.chans[0].bq }
 
 // Latency returns the fixed DRAM access latency in cycles.
-//
-//tnpu:pure
 func (b *Bus) Latency() uint64 { return b.latency }
 
 // Transfer occupies the bus for bytes starting no earlier than ready, and
@@ -202,8 +198,6 @@ func (b *Bus) Read(ready, bytes uint64) (dataAt uint64) {
 }
 
 // Now returns the bus's latest channel horizon.
-//
-//tnpu:pure
 func (b *Bus) Now() uint64 {
 	var max uint64
 	for i := range b.chans {

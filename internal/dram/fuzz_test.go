@@ -82,10 +82,10 @@ func FuzzRunCursorVsPerBlock(f *testing.F) {
 				check(op, "StreamRun")
 			default: // a cursor run of mixed charges
 				budget := 1 + int(fb.byte())*2
-				if !fast.BeginRun(wFast, clock, budget) {
+				cur := fast.BeginRun(wFast, clock, budget)
+				if cur == nil {
 					continue
 				}
-				cur := wFast.Cursor()
 				rF, rR := clock, clock
 				for left := budget; left > 0 && fb.more(); {
 					switch sel := fb.byte(); sel % 3 {

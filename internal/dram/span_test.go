@@ -24,7 +24,6 @@ func TestSpanCursorMatchesReference(t *testing.T) {
 			wRef := NewIssueWindow(depth)
 			var clock uint64
 			runs, periodics := 0, 0
-			sc := wFast.Cursor()
 			for step := 0; step < 300; step++ {
 				clock += uint64(rng.Intn(400))
 				if rng.Intn(4) == 0 { // loose transfer: open gaps, shift remainders
@@ -35,7 +34,8 @@ func TestSpanCursorMatchesReference(t *testing.T) {
 					continue
 				}
 				budget := 1 + rng.Intn(400)
-				if !fast.BeginRun(wFast, clock, budget) {
+				sc := fast.BeginRun(wFast, clock, budget)
+				if sc == nil {
 					continue
 				}
 				runs++
@@ -145,10 +145,11 @@ func TestSpanCursorEmptyCommit(t *testing.T) {
 	bus.StreamRun(100, 0, 40, w, NoHorizon) // a committed cursor run past the prologue
 	before := snapshot(bus)
 	slots, idx := append([]uint64(nil), w.slots...), w.idx
-	if !bus.BeginRun(w, 5_000, 8) {
+	cur := bus.BeginRun(w, 5_000, 8)
+	if cur == nil {
 		t.Fatal("BeginRun rejected a plain idle bus")
 	}
-	w.Cursor().Commit()
+	cur.Commit()
 	if !equalStates(before, snapshot(bus)) {
 		t.Fatalf("empty Commit changed bus state:\nbefore: %+v\nafter:  %+v", before, snapshot(bus))
 	}
@@ -170,10 +171,10 @@ func TestSpanCursorShortRun(t *testing.T) {
 	ref := NewBus(smallCfg)
 	wF := NewIssueWindow(16)
 	wR := NewIssueWindow(16)
-	if !fast.BeginRun(wF, 100, 32) {
+	sc := fast.BeginRun(wF, 100, 32)
+	if sc == nil {
 		t.Fatal("BeginRun rejected a plain idle bus")
 	}
-	sc := wF.Cursor()
 	rF, rR := uint64(100), uint64(100)
 	_, _, rF = sc.Data(rF, 5)
 	sc.Meta(2)

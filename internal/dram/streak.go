@@ -44,7 +44,7 @@ package dram
 //     entries the reference loop would leave behind.
 
 // RunCursor accumulates one run's charges against a single channel. Each
-// IssueWindow owns one; BeginRun primes it and Cursor hands it out. Between
+// IssueWindow owns one, and only BeginRun hands it out, primed. Between
 // BeginRun and Commit the caller must route every bus charge through the
 // cursor; Commit then writes the telescoped aggregate back as if each
 // charge had gone through channel.transfer individually.
@@ -83,18 +83,19 @@ type spanRec struct {
 }
 
 // BeginRun validates the append invariant for a run of at most maxBlocks
-// block charges presented at or after ready, and primes w's cursor. On
-// false no state was touched and the caller must use the per-block or
-// per-line path. maxBlocks only bounds overflow, so a generous upper bound
-// (data plus worst-case metadata) is fine. It is the admission predicate
-// of every closed-form bus path. //tnpu:guard
-func (b *Bus) BeginRun(w *IssueWindow, ready uint64, maxBlocks int) bool {
+// block charges presented at or after ready, and returns w's cursor primed
+// for the run. On nil no state was touched and the caller must use the
+// per-block or per-line path. maxBlocks only bounds overflow, so a
+// generous upper bound (data plus worst-case metadata) is fine. It is the
+// only way to obtain a cursor, so every closed-form bus path holds one
+// only for a run this predicate admitted.
+func (b *Bus) BeginRun(w *IssueWindow, ready uint64, maxBlocks int) *RunCursor {
 	if len(b.chans) != 1 || maxBlocks <= 0 {
-		return false
+		return nil
 	}
 	c := &b.chans[0]
 	if !c.batchable(ready, uint64(maxBlocks)) {
-		return false
+		return nil
 	}
 	start0 := c.busyUntil
 	if ready > start0 {
@@ -105,7 +106,7 @@ func (b *Bus) BeginRun(w *IssueWindow, ready uint64, maxBlocks int) bool {
 	// proof local rather than resting on every caller's history.
 	for _, s := range w.slots {
 		if s > start0 {
-			return false
+			return nil
 		}
 	}
 	// Field stores rather than a composite literal: this runs once per
@@ -119,11 +120,8 @@ func (b *Bus) BeginRun(w *IssueWindow, ready uint64, maxBlocks int) bool {
 	cur.idx0 = w.idx
 	cur.g, cur.j = 0, 0
 	cur.head, cur.cnt, cur.look = 0, 0, 0
-	return true
+	return cur
 }
-
-// Cursor returns the window's run cursor, primed by a successful BeginRun.
-func (w *IssueWindow) Cursor() *RunCursor { return &w.run }
 
 // advance appends k charges at the horizon; k == 1 is division-free.
 func (cur *RunCursor) advance(k int) {

@@ -38,10 +38,10 @@ func TestRunCursorMatchesReference(t *testing.T) {
 				continue
 			}
 			budget := 1 + rng.Intn(200)
-			if !fast.BeginRun(wFast, clock, budget) {
+			cur := fast.BeginRun(wFast, clock, budget)
+			if cur == nil {
 				continue
 			}
-			cur := wFast.Cursor()
 			runs++
 			rF, rR := clock, clock
 			addr := uint64(rng.Intn(1<<20)) &^ (BlockBytes - 1)
@@ -118,10 +118,10 @@ func TestRunCursorGapAtBegin(t *testing.T) {
 	fast.TransferAt(0, 0, 64)
 	ref.TransferAt(0, 0, 64)
 	ready := uint64(10_000) // far past the horizon: the run opens on a gap
-	if !fast.BeginRun(wF, ready, 32) {
+	cur := fast.BeginRun(wF, ready, 32)
+	if cur == nil {
 		t.Fatal("BeginRun rejected a plain idle bus")
 	}
-	cur := wF.Cursor()
 	rF, rR := ready, ready
 	for i := 0; i < 20; i++ {
 		_, _, rF = cur.Data(rF, 1)
@@ -148,10 +148,11 @@ func TestRunCursorEmptyCommit(t *testing.T) {
 	w := NewIssueWindow(16)
 	bus.TransferAt(0, 0, 64)
 	before := snapshot(bus)
-	if !bus.BeginRun(w, 5_000, 8) {
+	cur := bus.BeginRun(w, 5_000, 8)
+	if cur == nil {
 		t.Fatal("BeginRun rejected a plain idle bus")
 	}
-	w.Cursor().Commit()
+	cur.Commit()
 	if !equalStates(before, snapshot(bus)) {
 		t.Fatalf("empty Commit changed bus state:\nbefore: %+v\nafter:  %+v", before, snapshot(bus))
 	}
@@ -162,16 +163,16 @@ func TestRunCursorEmptyCommit(t *testing.T) {
 // back to the per-block path.
 func TestBeginRunRejections(t *testing.T) {
 	multi := NewBus(cfgWithChannels(smallCfg, 2))
-	if multi.BeginRun(NewIssueWindow(16), 0, 8) {
+	if multi.BeginRun(NewIssueWindow(16), 0, 8) != nil {
 		t.Fatal("BeginRun accepted a multi-channel bus")
 	}
 	single := NewBus(smallCfg)
 	w := NewIssueWindow(16)
 	w.Issue(0, 1<<40) // a slot far past any reachable horizon
-	if single.BeginRun(w, 0, 8) {
+	if single.BeginRun(w, 0, 8) != nil {
 		t.Fatal("BeginRun accepted a window slot past the start horizon")
 	}
-	if single.BeginRun(NewIssueWindow(16), 0, 0) {
+	if single.BeginRun(NewIssueWindow(16), 0, 0) != nil {
 		t.Fatal("BeginRun accepted a zero-block budget")
 	}
 }

@@ -1,17 +1,19 @@
 // Content-addressing for harness results. The service layer
 // (internal/serve) persists simulation results on disk keyed by what they
 // are a pure function of: the hardware configuration, the workload, the
-// protection scheme, and the simulator's code version. Digests are built
-// field-by-field — never by reflection or %+v — so a new result-affecting
-// configuration knob must be added here deliberately, and forgetting to
-// do so is caught by TestConfigDigestCoversAllFields.
+// protection scheme, and the simulator's code version. The configuration
+// digest walks npu.Config by reflection, so a new configuration knob is
+// part of every key the moment it is declared; TestConfigDigestSensitivity
+// bumps every leaf and checks that each one moves the digest.
 package exp
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"sort"
+	"strconv"
 
 	"tnpu/internal/memprot"
 	"tnpu/internal/npu"
@@ -25,19 +27,43 @@ import (
 const CodeVersion = "tnpu-sim-7"
 
 // ConfigDigest returns a stable hex digest of everything in an NPU
-// hardware configuration that a simulation result depends on. Every
-// npu.Config field is rendered explicitly: two configs digest equal iff
-// the simulator would treat them identically.
-//
-//tnpu:digestcover npu.Config
+// hardware configuration that a simulation result depends on: every
+// npu.Config leaf, rendered as its field name and integer value in
+// declaration order. Only fields tagged `digest:"-"` (the display-only
+// Name) are skipped, so a new knob can split keys but never merge them,
+// and a leaf of any other kind panics rather than digest ambiguously.
 func ConfigDigest(cfg npu.Config) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "array=%dx%d|flow=%d|spm=%d|freq=%d|bw=%d|lat=%d|ch=%d|tlb=%d|walk=%d",
-		cfg.Array.Rows, cfg.Array.Cols, cfg.Array.Flow,
-		cfg.SPM.CapacityBytes,
-		cfg.Mem.FreqHz, cfg.Mem.BandwidthBytesPerSec, cfg.Mem.LatencyCycles, cfg.Mem.Channels,
-		cfg.TLBEntries, cfg.TLBWalkCycles)
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(appendLeaves(make([]byte, 0, 256), reflect.ValueOf(cfg)))
+	return hex.EncodeToString(sum[:])
+}
+
+// appendLeaves renders struct v's leaves into buf, recursing into nested
+// structs in declaration order.
+func appendLeaves(buf []byte, v reflect.Value) []byte {
+	t := v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if f.Tag.Get("digest") == "-" {
+			continue
+		}
+		fv := v.Field(i)
+		buf = append(buf, f.Name...)
+		switch fv.Kind() {
+		case reflect.Struct:
+			buf = append(buf, '{')
+			buf = appendLeaves(buf, fv)
+			buf = append(buf, '}')
+			continue
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			buf = strconv.AppendInt(append(buf, '='), fv.Int(), 10)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			buf = strconv.AppendUint(append(buf, '='), fv.Uint(), 10)
+		default:
+			panic(fmt.Sprintf("exp: ConfigDigest cannot render %s.%s of kind %s", t, f.Name, fv.Kind()))
+		}
+		buf = append(buf, '|')
+	}
+	return buf
 }
 
 // CellKey identifies one simulation cell — the unit the figure grids, the

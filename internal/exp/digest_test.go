@@ -1,60 +1,80 @@
 package exp
 
 import (
-	"path/filepath"
+	"reflect"
 	"testing"
 
-	"tnpu/internal/certcheck"
 	"tnpu/internal/memprot"
 	"tnpu/internal/npu"
 )
 
-// TestConfigDigestCoversAllFields cross-checks the canoncover digest
-// certificate against the live shape of npu.Config: tnpu-vet's
-// digest-coverage proof (the digestcover marker on ConfigDigest)
-// certifies the exact leaf paths the digest renders
-// (testdata/canoncover.json), and this test reflects over npu.Config to
-// confirm those paths — plus the canonskip-waived Name label — are
-// still every leaf the struct has. Adding a configuration knob without
-// updating ConfigDigest fails tnpu-vet; adding one without
-// regenerating the artifact fails here.
-func TestConfigDigestCoversAllFields(t *testing.T) {
-	certs := certcheck.Load(t, filepath.Join("..", "..", "testdata", "canoncover.json"))
-	certcheck.LeafPathsMatch(t, certs, "tnpu/internal/npu.Config", npu.Config{})
-}
-
-// TestConfigDigestSensitivity checks every simulated field perturbs the
-// digest and the display-only Name does not.
+// TestConfigDigestSensitivity walks npu.Config by reflection and bumps
+// every leaf in turn: each one must move the digest, the `digest:"-"`
+// display Name must not, and a leaf kind the walk cannot bump fails the
+// test (ConfigDigest panics on it too).
 func TestConfigDigestSensitivity(t *testing.T) {
 	base := npu.SmallNPU()
 	ref := ConfigDigest(base)
 	if ConfigDigest(base) != ref {
 		t.Fatal("digest not deterministic")
 	}
-	renamed := base
-	renamed.Name = "other"
-	if ConfigDigest(renamed) != ref {
-		t.Error("Name is display-only and must not change the digest")
-	}
-	perturb := []func(*npu.Config){
-		func(c *npu.Config) { c.Array.Rows++ },
-		func(c *npu.Config) { c.Array.Cols++ },
-		func(c *npu.Config) { c.Array.Flow++ },
-		func(c *npu.Config) { c.SPM.CapacityBytes++ },
-		func(c *npu.Config) { c.Mem.FreqHz++ },
-		func(c *npu.Config) { c.Mem.BandwidthBytesPerSec++ },
-		func(c *npu.Config) { c.Mem.LatencyCycles++ },
-		func(c *npu.Config) { c.Mem.Channels++ },
-		func(c *npu.Config) { c.TLBEntries++ },
-		func(c *npu.Config) { c.TLBWalkCycles++ },
-	}
-	for i, f := range perturb {
-		cfg := base
-		f(&cfg)
-		if ConfigDigest(cfg) == ref {
-			t.Errorf("perturbation %d did not change the digest", i)
+	leaves := 0
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			f, fv := v.Type().Field(i), v.Field(i)
+			name := path + f.Name
+			old := reflect.New(fv.Type()).Elem()
+			old.Set(fv)
+			leaf := true
+			switch {
+			case f.Tag.Get("digest") == "-":
+				if fv.Kind() != reflect.String {
+					t.Fatalf("%s is skipped by the digest but is a %s, not a display string", name, fv.Kind())
+				}
+				fv.SetString(fv.String() + "-renamed")
+				if ConfigDigest(base) != ref {
+					t.Errorf("%s is display-only and must not change the digest", name)
+				}
+				leaf = false
+			case fv.Kind() == reflect.Struct:
+				walk(name+".", fv)
+				leaf = false
+			case fv.CanInt():
+				fv.SetInt(fv.Int() + 1)
+			case fv.CanUint():
+				fv.SetUint(fv.Uint() + 1)
+			default:
+				t.Fatalf("%s has kind %s, which the digest cannot render", name, fv.Kind())
+			}
+			if leaf {
+				leaves++
+				if ConfigDigest(base) == ref {
+					t.Errorf("bumping %s did not change the digest", name)
+				}
+			}
+			fv.Set(old)
 		}
 	}
+	walk("", reflect.ValueOf(&base).Elem())
+	if leaves == 0 || ConfigDigest(base) != ref {
+		t.Fatalf("walk bumped %d leaves and left the digest %s (want %s)", leaves, ConfigDigest(base), ref)
+	}
+}
+
+// TestConfigDigestCoversAllFields pins the walk's refusal to skip a field
+// silently: a leaf of a kind it cannot render panics instead of leaving
+// the digest blind to it.
+func TestConfigDigestCoversAllFields(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a float leaf was digested without a panic")
+		}
+	}()
+	appendLeaves(nil, reflect.ValueOf(struct {
+		Rows int
+		Gain float64
+	}{}))
 }
 
 func TestCellKeyDigest(t *testing.T) {

@@ -69,8 +69,6 @@ func NewGeometryWithArity(dataBytes, arity uint64) Geometry {
 func (g Geometry) DataBytes() uint64 { return g.dataBytes }
 
 // Levels returns the number of DRAM-resident levels (root excluded).
-//
-//tnpu:pure
 func (g Geometry) Levels() int { return len(g.counts) }
 
 // NodesAt returns how many nodes level L holds.
@@ -92,8 +90,6 @@ func (g Geometry) TotalNodes() uint64 {
 
 // CounterIndex maps a data block index to its covering counter line (level
 // 0 node index) and the slot within the line.
-//
-//tnpu:pure
 func (g Geometry) CounterIndex(blockIdx uint64) (lineIdx uint64, slot int) {
 	return blockIdx / g.arity, int(blockIdx % g.arity)
 }

@@ -124,8 +124,6 @@ func (h *lineHits) flush() {
 // baseline's counter cache: a next-line prefetch into a single-line cache
 // evicts the demand line itself, breaking the "covered blocks hit" chunk
 // invariant. Every realistic configuration is safe.
-//
-//tnpu:pure
 func (b *baseline) batchSafe() bool {
 	return !b.cfg.CounterPrefetch || b.cfg.CounterCacheBytes > dram.BlockBytes
 }
@@ -133,7 +131,6 @@ func (b *baseline) batchSafe() bool {
 // --- unsecure / encrypt-only: pure bandwidth arithmetic ---
 
 // ReadRun serves a read run as one bus stream. //tnpu:noalloc
-// //tnpu:exactform one StreamRun is the model itself, not an approximation of a per-block loop
 func (u *unsecure) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
 	next, maxFree, _, k := u.cfg.Bus.StreamRun(ready, addr, n, w, horizon)
 	u.traffic.AddRead(stats.Data, uint64(k)*dram.BlockBytes)
@@ -141,7 +138,6 @@ func (u *unsecure) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWind
 }
 
 // WriteRun serves a write run as one bus stream. //tnpu:noalloc
-// //tnpu:exactform one StreamRun is the model itself, not an approximation of a per-block loop
 func (u *unsecure) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
 	next, maxFree, _, k := u.cfg.Bus.StreamRun(ready, addr, n, w, horizon)
 	u.traffic.AddWrite(stats.Data, uint64(k)*dram.BlockBytes)
@@ -149,7 +145,6 @@ func (u *unsecure) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 }
 
 // ReadRun streams the run and tacks the XTS pipe onto arrival. //tnpu:noalloc
-// //tnpu:exactform stream plus fixed XTS latency is the model itself, exact for every run
 func (e *encryptOnly) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
 	next, maxFree, _, k := e.cfg.Bus.StreamRun(ready, addr, n, w, horizon)
 	e.traffic.AddRead(stats.Data, uint64(k)*dram.BlockBytes)
@@ -157,7 +152,6 @@ func (e *encryptOnly) ReadRun(ready, addr, version uint64, n int, w *dram.IssueW
 }
 
 // WriteRun streams the run; encryption overlaps issue. //tnpu:noalloc
-// //tnpu:exactform stream with overlapped encryption is the model itself, exact for every run
 func (e *encryptOnly) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
 	next, maxFree, _, k := e.cfg.Bus.StreamRun(ready, addr, n, w, horizon)
 	e.traffic.AddWrite(stats.Data, uint64(k)*dram.BlockBytes)
@@ -179,8 +173,8 @@ func (e *encryptOnly) WriteRun(ready, addr, version uint64, n int, w *dram.Issue
 // ReadRun batches MAC-line streaks of the read run. //tnpu:noalloc
 func (t *treeless) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
 	unbounded := horizon == dram.NoHorizon
-	if unbounded && n >= streakMinBlocks && t.cfg.Bus.BeginRun(w, ready, 3*n+16) {
-		nr, d := t.readStreak(ready, addr, n, w)
+	if cur := streakCursor(t.cfg.Bus, w, unbounded, ready, n, 3); cur != nil {
+		nr, d := t.readStreak(ready, addr, n, cur)
 		return nr, d, n
 	}
 	r := ready
@@ -190,8 +184,8 @@ func (t *treeless) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWind
 		// A rejected run usually failed on a remembered idle gap; gaps are
 		// consumed (or overtaken) as the run's own blocks land, so retry
 		// the streak for the remaining lines.
-		if i > 0 && unbounded && n-i >= streakMinBlocks && t.cfg.Bus.BeginRun(w, r, 3*(n-i)+16) {
-			nr, d := t.readStreak(r, addr+uint64(i)*dram.BlockBytes, n-i, w)
+		if cur := streakCursor(t.cfg.Bus, w, i > 0 && unbounded, r, n-i, 3); cur != nil {
+			nr, d := t.readStreak(r, addr+uint64(i)*dram.BlockBytes, n-i, cur)
 			return nr, max64(maxDataAt, d), n
 		}
 		a := addr + uint64(i)*dram.BlockBytes
@@ -223,16 +217,16 @@ func (t *treeless) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWind
 // WriteRun batches MAC-line streaks of the write run. //tnpu:noalloc
 func (t *treeless) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
 	unbounded := horizon == dram.NoHorizon
-	if unbounded && n >= streakMinBlocks && t.cfg.Bus.BeginRun(w, ready, 3*n+16) {
-		nr, d := t.writeStreak(ready, addr, n, w)
+	if cur := streakCursor(t.cfg.Bus, w, unbounded, ready, n, 3); cur != nil {
+		nr, d := t.writeStreak(ready, addr, n, cur)
 		return nr, d, n
 	}
 	r := ready
 	i := 0
 	for i < n {
 		// See ReadRun: retry the streak once the rejecting gap is behind.
-		if i > 0 && unbounded && n-i >= streakMinBlocks && t.cfg.Bus.BeginRun(w, r, 3*(n-i)+16) {
-			nr, d := t.writeStreak(r, addr+uint64(i)*dram.BlockBytes, n-i, w)
+		if cur := streakCursor(t.cfg.Bus, w, i > 0 && unbounded, r, n-i, 3); cur != nil {
+			nr, d := t.writeStreak(r, addr+uint64(i)*dram.BlockBytes, n-i, cur)
 			return nr, max64(maxDataAt, d), n
 		}
 		a := addr + uint64(i)*dram.BlockBytes
@@ -279,10 +273,9 @@ func (b *baseline) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWind
 	nextCtr, nextMac := 0, 0
 	var ctrCount, macCount uint64
 	ctrHits, macHits := lineHits{c: b.counter}, lineHits{c: b.mac}
-	cur := w.Cursor()
 	unbounded := horizon == dram.NoHorizon
-	inStreak := unbounded && n >= streakMinBlocks && b.cfg.Bus.BeginRun(w, r, 5*n+16)
-	macSwept := inStreak && b.beginMacSweep(addr, 0, n, false)
+	cur := streakCursor(b.cfg.Bus, w, unbounded, r, n, 5) // nil off the streak
+	macSwept := cur != nil && b.beginMacSweep(addr, 0, n, false)
 	sweepLi := 0 // MAC-line outcomes consumed from the active sweep
 	pending := 0 // deferred data blocks awaiting one streak span charge
 	// Chunk-stretch collapse is valid when the MAC slot tiles the line and
@@ -310,7 +303,7 @@ func (b *baseline) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWind
 			nextMac = i + mm
 		}
 		chunkEnd := minInt(minInt(nextCtr, nextMac), n)
-		if inStreak && isCtr && !b.ctrSimple(a, r) {
+		if cur != nil && isCtr && !b.ctrSimple(a, r) {
 			// A counter access the closed form cannot serve (multi-level
 			// walk, busy MSHRs, prefetch fill, or an unsafe eviction
 			// cascade): flush the pending span, commit the consumed sweep
@@ -329,11 +322,11 @@ func (b *baseline) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWind
 				pending = 0
 			}
 			cur.Commit()
-			inStreak = false
+			cur = nil
 			// The streak charged its open lines' hits through the run's end.
 			ctrHits.pre, macHits.pre = true, true
 		}
-		if inStreak && macSwept && mFull > 0 && isMac && pending == mFull-1 && chunkEnd == i+mFull &&
+		if cur != nil && macSwept && mFull > 0 && isMac && pending == mFull-1 && chunkEnd == i+mFull &&
 			b.ctrStretchEntryOK(blockIdx, isCtr) {
 			// Stretch of full chunks in one MAC outcome class with resident
 			// counters: every chunk charges [span(mFull), MAC metadata] with
@@ -390,7 +383,7 @@ func (b *baseline) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWind
 				}
 			}
 		}
-		if inStreak {
+		if cur != nil {
 			// Streak chunk: ReadBlock's charge order is data first, so the
 			// pending span plus this boundary flush before the metadata.
 			b.traffic.AddRead(stats.Data, uint64(chunkEnd-i)*dram.BlockBytes)
@@ -462,8 +455,7 @@ func (b *baseline) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWind
 		// Rejoin the streak for the remaining chunks when possible; it
 		// charges only the lines it opens, so the open lines' remaining
 		// hits are charged now.
-		inStreak = unbounded && n-i >= streakMinBlocks && b.cfg.Bus.BeginRun(w, r, 5*(n-i)+16)
-		if inStreak {
+		if cur = streakCursor(b.cfg.Bus, w, unbounded, r, n-i, 5); cur != nil {
 			ctrHits.prepay(minInt(nextCtr, n) - i)
 			macHits.prepay(minInt(nextMac, n) - i)
 			macSwept = b.beginMacSweep(addr, nextMac, n, false)
@@ -472,7 +464,7 @@ func (b *baseline) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWind
 	}
 	ctrHits.flush()
 	macHits.flush()
-	if inStreak {
+	if cur != nil {
 		if macSwept {
 			b.sweep.CommitPrefix(sweepLi)
 		}
@@ -499,15 +491,14 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 	var ctrCount, macCount uint64
 	var minorLine *[integrity.Arity]uint8
 	ctrHits, macHits := lineHits{c: b.counter, write: true}, lineHits{c: b.mac, write: true}
-	cur := w.Cursor()
 	// A minor-counter wrap emits a re-encryption burst between two data
 	// blocks. The streak bumps minor counters in bulk, so it serves only
 	// runs that wrap none (at most one write-run in 128 to any line wraps);
 	// the per-line body bumps each served block in order and lands the
 	// burst exactly where the per-block model puts it.
 	wrapFree := horizon == dram.NoHorizon && n >= streakMinBlocks && !b.overflowPending(addr, n)
-	inStreak := wrapFree && b.cfg.Bus.BeginRun(w, r, 5*n+16)
-	macSwept := inStreak && b.beginMacSweep(addr, 0, n, true)
+	cur := streakCursor(b.cfg.Bus, w, wrapFree, r, n, 5) // nil off the streak
+	macSwept := cur != nil && b.beginMacSweep(addr, 0, n, true)
 	sweepLi := 0 // MAC-line outcomes consumed from the active sweep
 	pending := 0 // deferred data blocks awaiting one streak span charge
 	// Chunk-stretch collapse precondition; see ReadRun.
@@ -535,7 +526,7 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 		}
 		chunkEnd := minInt(minInt(nextCtr, nextMac), n)
 		lineIdx, slot := b.geo.CounterIndex(blockIdx)
-		if inStreak && isCtr && !b.ctrSimple(a, r) {
+		if cur != nil && isCtr && !b.ctrSimple(a, r) {
 			// See ReadRun: hand this chunk to the reference path untouched.
 			if macSwept {
 				b.sweep.CommitPrefix(sweepLi)
@@ -550,10 +541,10 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 				pending = 0
 			}
 			cur.Commit()
-			inStreak = false
+			cur = nil
 			ctrHits.pre, macHits.pre = true, true
 		}
-		if inStreak && macSwept && mFull > 0 && isMac && chunkEnd == i+mFull &&
+		if cur != nil && macSwept && mFull > 0 && isMac && chunkEnd == i+mFull &&
 			b.ctrStretchEntryOK(blockIdx, isCtr) {
 			// Stretch of full chunks in one MAC outcome class with resident
 			// counters (see ReadRun): hit chunks charge nothing on the
@@ -619,7 +610,7 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 				}
 			}
 		}
-		if inStreak {
+		if cur != nil {
 			// WriteBlock charges metadata before data, so a chunk whose
 			// lines are both resident (hence chargeless) folds straight into
 			// the pending span; otherwise the deferred data of earlier
@@ -733,8 +724,7 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 			break
 		}
 		// Rejoin the streak for the remaining chunks when possible.
-		inStreak = wrapFree && n-i >= streakMinBlocks && b.cfg.Bus.BeginRun(w, r, 5*(n-i)+16)
-		if inStreak {
+		if cur = streakCursor(b.cfg.Bus, w, wrapFree, r, n-i, 5); cur != nil {
 			ctrHits.prepay(minInt(nextCtr, n) - i)
 			macHits.prepay(minInt(nextMac, n) - i)
 			macSwept = b.beginMacSweep(addr, nextMac, n, true)
@@ -743,7 +733,7 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 	}
 	ctrHits.flush()
 	macHits.flush()
-	if inStreak {
+	if cur != nil {
 		if macSwept {
 			b.sweep.CommitPrefix(sweepLi)
 		}
@@ -762,8 +752,6 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 // overflowPending reports whether writing blocks [addr, addr+n*64) would
 // wrap any 7-bit minor counter (pre-increment value 127): each block in a
 // run bumps a distinct slot, so a scan of the covered slots decides it.
-//
-//tnpu:pure
 func (b *baseline) overflowPending(addr uint64, n int) bool {
 	blockIdx := addr / dram.BlockBytes
 	for i := 0; i < n; {

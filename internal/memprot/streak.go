@@ -26,6 +26,17 @@ import (
 // itself.
 const streakMinBlocks = 24
 
+// streakCursor admits the next n blocks at ready to the streak path: it
+// returns dram.Bus.BeginRun's primed cursor, or nil when ok is false, the
+// run is shorter than streakMinBlocks, or BeginRun rejects it. perBlock
+// bounds the bus charges per data block (data plus worst-case metadata).
+func streakCursor(bus *dram.Bus, w *dram.IssueWindow, ok bool, ready uint64, n, perBlock int) *dram.RunCursor {
+	if !ok || n < streakMinBlocks {
+		return nil
+	}
+	return bus.BeginRun(w, ready, perBlock*n+16)
+}
+
 // --- tree-less (TNPU): the whole run is one streak ---
 
 // macLineCount returns how many MAC lines the run [addr, addr+n*64) covers.
@@ -33,7 +44,7 @@ const streakMinBlocks = 24
 // the count plus the first line address describe the whole streak. Block i
 // maps to line (blockIdx+i)*slotBytes/64, a non-decreasing step function,
 // so the count is the index gap between the run's last and first blocks.
-// //tnpu:noalloc //tnpu:pure
+// //tnpu:noalloc
 func macLineCount(addr, slotBytes uint64, n int) int {
 	blockIdx := addr / dram.BlockBytes
 	first := blockIdx * slotBytes / dram.BlockBytes
@@ -41,17 +52,16 @@ func macLineCount(addr, slotBytes uint64, n int) int {
 	return int(last-first) + 1
 }
 
-// readStreak is the treeless ReadRun fast path. The caller has primed
-// w's cursor via BeginRun; every charge of a treeless read appends (data at
+// readStreak is the treeless ReadRun fast path, serving a run BeginRun
+// admitted on cur; every charge of a treeless read appends (data at
 // issue times, MAC writebacks and fetches at the current boundary's issue
 // time), so no mid-streak exit can occur. MAC-line outcomes come from a
 // cache sweep when the range is uniformly resident or absent — a hot sweep
 // collapses the whole run to one span charge, a cold sweep walks the
 // capacity prefix per line and collapses the steady-state tail to one
 // periodic charge — with the exact sequential walk as the mixed fallback.
-// //tnpu:noalloc //tnpu:fastpath
-func (t *treeless) readStreak(ready, addr uint64, n int, w *dram.IssueWindow) (nextReady, maxDataAt uint64) {
-	cur := w.Cursor()
+// //tnpu:noalloc
+func (t *treeless) readStreak(ready, addr uint64, n int, cur *dram.RunCursor) (nextReady, maxDataAt uint64) {
 	lat := t.cfg.Bus.Latency()
 	slot := t.cfg.MACSlotBytes
 	nLines := macLineCount(addr, slot, n)
@@ -188,9 +198,8 @@ func (t *treeless) readStreak(ready, addr uint64, n int, w *dram.IssueWindow) (n
 // writeStreak is the treeless WriteRun fast path: MAC updates are
 // write-validated (no fetch), so the only metadata charges are dirty MAC
 // writebacks, each preceding its line's boundary data block.
-// //tnpu:noalloc //tnpu:fastpath
-func (t *treeless) writeStreak(ready, addr uint64, n int, w *dram.IssueWindow) (nextReady, maxDataAt uint64) {
-	cur := w.Cursor()
+// //tnpu:noalloc
+func (t *treeless) writeStreak(ready, addr uint64, n int, cur *dram.RunCursor) (nextReady, maxDataAt uint64) {
 	slot := t.cfg.MACSlotBytes
 	nLines := macLineCount(addr, slot, n)
 	lineAddr := macLineAddr(addr, slot)

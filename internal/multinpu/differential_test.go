@@ -237,7 +237,8 @@ func FuzzMultiVsBlock(f *testing.F) {
 			LatencyCycles:        []uint64{0, 10, 100}[fr.byte()%3],
 			Channels:             int(fr.byte()%4) + 1,
 		}
-		scheme := memprot.AllSchemes()[fr.byte()%4]
+		schemes := memprot.AllSchemes()
+		scheme := schemes[int(fr.byte())%len(schemes)]
 		count := 2 + int(fr.byte()%2)
 		identical := fr.byte()%2 == 0
 		progs := make([]*compiler.Program, count)

@@ -423,7 +423,8 @@ func FuzzBatchedVsPerBlock(f *testing.F) {
 			LatencyCycles:        []uint64{0, 10, 100}[fr.byte()%3],
 			Channels:             int(fr.byte()%4) + 1,
 		}
-		scheme := memprot.AllSchemes()[fr.byte()%4]
+		schemes := memprot.AllSchemes()
+		scheme := schemes[int(fr.byte())%len(schemes)]
 		// Draw the protection knobs once: mutate runs twice (once per path)
 		// and must apply the identical configuration both times.
 		slot := []uint64{4, 8, 16, 24, 64}[fr.byte()%5]

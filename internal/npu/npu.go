@@ -22,7 +22,7 @@ import (
 
 // Config is one NPU's hardware description (Table II).
 type Config struct {
-	Name  string //tnpu:canonskip display label, never read by the timing model
+	Name  string `digest:"-"` // display label, never read by the timing model
 	Array systolic.Array
 	SPM   spm.SPM
 	Mem   dram.Config
