@@ -142,9 +142,9 @@ func DocHasMarker(doc *ast.CommentGroup, marker string) bool {
 	return false
 }
 
-// IsTestFile reports whether pos lies in a _test.go file. Analyzers whose
-// contract only concerns shipped simulator output (detmap, noalloc,
-// cycleunits) skip test files; secerr and goroutinesafe check them too.
+// IsTestFile reports whether pos lies in a _test.go file. noalloc and
+// cycleunits, whose contracts concern only the shipped timing model, skip
+// test files; detmap, secerr and goroutinesafe check them too.
 func IsTestFile(fset *token.FileSet, pos token.Pos) bool {
 	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }

@@ -180,14 +180,3 @@ func copyTree(dst, src string) error {
 		return os.WriteFile(target, data, 0o666)
 	})
 }
-
-// must is a tiny helper for fixtures that need to ignore unrelated
-// errors without tripping analyzers under test.
-func must(err error) {
-	if err != nil {
-		panic(err)
-	}
-}
-
-var _ = must
-var _ = fmt.Sprintf

@@ -88,10 +88,13 @@ type compileState struct {
 	nextAddr uint64
 	nextID   tensor.ID
 
-	layerOut  []tensor.ID // output tensor per layer
-	layerLast []int32     // final instruction index per layer
-	refs      map[tensor.ID]int
-	rng       uint64
+	layerOut []tensor.ID // output tensor per layer
+	refs     map[tensor.ID]int
+	rng      uint64
+
+	// segs and deps back every instruction's Segments and Deps lists.
+	segs arena[isa.Segment]
+	deps arena[int32]
 }
 
 const pageAlign = 4096
@@ -114,6 +117,26 @@ func Compile(m *model.Model, cfg Config) (*Program, error) {
 	}
 	st.prog.Table = st.table
 
+	// Plan every layer, then allocate the trace and its arenas once.
+	plans := make([]layerPlan, len(m.Layers))
+	var instrs, segs, deps int
+	for li := range m.Layers {
+		p, err := st.plan(&m.Layers[li])
+		if err != nil {
+			return nil, fmt.Errorf("compiler: %s layer %d (%s): %w", m.Short, li, m.Layers[li].Name, err)
+		}
+		plans[li] = p
+		instrs += p.instrs
+		segs += p.segs
+		deps += p.deps
+	}
+	st.prog.Trace.Instrs = make([]isa.Instr, 0, instrs)
+	st.segs.free = make([]isa.Segment, segs)
+	st.deps.free = make([]int32, deps)
+	st.prog.LayerFirst = make([]int32, 0, len(m.Layers))
+	st.prog.LayerLast = make([]int32, 0, len(m.Layers))
+	st.layerOut = make([]tensor.ID, 0, len(m.Layers))
+
 	input := st.alloc("input", m.InputBytes)
 	st.table.Bump(input.ID) // initialization wrote the input once
 
@@ -134,11 +157,10 @@ func Compile(m *model.Model, cfg Config) (*Program, error) {
 
 	for li := range m.Layers {
 		st.prog.LayerFirst = append(st.prog.LayerFirst, int32(len(st.prog.Trace.Instrs)))
-		if err := st.compileLayer(li); err != nil {
+		if err := st.compileLayer(li, &plans[li]); err != nil {
 			return nil, fmt.Errorf("compiler: %s layer %d (%s): %w", m.Short, li, m.Layers[li].Name, err)
 		}
 		st.prog.LayerLast = append(st.prog.LayerLast, int32(len(st.prog.Trace.Instrs)-1))
-		st.layerLast = append(st.layerLast, int32(len(st.prog.Trace.Instrs)-1))
 
 		// Release producers whose last consumer just ran.
 		for _, p := range m.Layers[li].Inputs {
@@ -156,6 +178,9 @@ func Compile(m *model.Model, cfg Config) (*Program, error) {
 				}
 			}
 		}
+	}
+	if len(st.prog.Trace.Instrs) != instrs || !st.segs.exact() || !st.deps.exact() {
+		return nil, fmt.Errorf("compiler: internal error: %s emission does not match its plan", m.Short)
 	}
 	st.prog.MemoryTop = st.nextAddr
 	if err := st.prog.Trace.Validate(); err != nil {
@@ -182,31 +207,23 @@ func (st *compileState) producerTensor(p int) tensor.Tensor {
 	return st.prog.Tensors[st.layerOut[p]]
 }
 
-// producerDep returns the instruction the consuming layer must wait on.
-func (st *compileState) producerDep(p int) []int32 {
-	if p == -1 {
-		return nil // input initialized before the run starts
-	}
-	return []int32{st.layerLast[p]}
-}
-
 // readVersion is the version the software passes for an mvin of a merged
 // tensor.
 func (st *compileState) readVersion(id tensor.ID) uint64 {
 	return st.table.TileVersion(id, 0)
 }
 
-func (st *compileState) compileLayer(li int) error {
+func (st *compileState) compileLayer(li int, p *layerPlan) error {
 	l := &st.m.Layers[li]
 	switch l.Kind {
 	case model.KindGEMM:
-		return st.compileGEMM(li, l)
+		return st.compileGEMM(li, l, p)
 	case model.KindGather:
-		return st.compileGather(li, l)
+		return st.compileGather(li, l, p)
 	case model.KindEltwise:
-		return st.compileEltwise(li, l)
+		return st.compileEltwise(li, l, p)
 	case model.KindPool:
-		return st.compilePool(li, l)
+		return st.compilePool(li, l, p)
 	}
 	return fmt.Errorf("unknown layer kind %v", l.Kind)
 }

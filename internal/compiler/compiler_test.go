@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"fmt"
 	"testing"
 
 	"tnpu/internal/isa"
@@ -68,6 +69,86 @@ func TestCompileAllModelsBothConfigs(t *testing.T) {
 			}
 			if s.BytesIn < gemmWeights {
 				t.Errorf("%s: mvin bytes %d below GEMM weights %d", m.Short, s.BytesIn, gemmWeights)
+			}
+		}
+	}
+}
+
+// namedConfig is a compiler view with a label for failure messages.
+type namedConfig struct {
+	name string
+	cfg  Config
+}
+
+// exactSizeConfigs lists every compiler view the harness compiles for:
+// both classes, each alone and with the weight-layout and versioning
+// ablations, and the scratchpad sweep's capacities.
+func exactSizeConfigs() []namedConfig {
+	var out []namedConfig
+	for _, base := range []namedConfig{{"small", smallCfg()}, {"large", largeCfg()}} {
+		pretiled, perTensor := base.cfg, base.cfg
+		pretiled.PretiledWeights = true
+		perTensor.PerTensorVersions = true
+		out = append(out, base,
+			namedConfig{base.name + "/pretiled", pretiled},
+			namedConfig{base.name + "/per-tensor", perTensor})
+	}
+	for _, kb := range []uint64{128, 256, 480, 1024, 2048} {
+		cfg := smallCfg()
+		cfg.SPM.CapacityBytes = kb << 10
+		out = append(out, namedConfig{fmt.Sprintf("small/spm=%dKB", kb), cfg})
+	}
+	return out
+}
+
+// requireExactSize fails unless the trace and every instruction's
+// Segments and Deps are exactly as long as their capacity. A plan that
+// drifts from emission leaves the trace with slack or regrown, and a list
+// with spare capacity would let a later append write into the next
+// list's arena slots.
+func requireExactSize(t *testing.T, name string, p *Program) {
+	t.Helper()
+	instrs := p.Trace.Instrs
+	if len(instrs) != cap(instrs) {
+		t.Fatalf("%s: trace holds %d instructions in a capacity of %d", name, len(instrs), cap(instrs))
+	}
+	for i := range instrs {
+		in := &instrs[i]
+		if len(in.Segments) != cap(in.Segments) || len(in.Deps) != cap(in.Deps) {
+			t.Fatalf("%s: instr %d has %d/%d segments and %d/%d deps (len/cap)",
+				name, i, len(in.Segments), cap(in.Segments), len(in.Deps), cap(in.Deps))
+		}
+	}
+}
+
+// TestCompileExactSize pins the plan against emission on every zoo model
+// under every compiler view.
+func TestCompileExactSize(t *testing.T) {
+	for _, c := range exactSizeConfigs() {
+		for _, m := range model.All() {
+			p, err := Compile(m, c.cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", m.Short, c.name, err)
+			}
+			requireExactSize(t, m.Short+"/"+c.name, p)
+		}
+	}
+}
+
+// compiled keeps BenchmarkCompile's result live.
+var compiled *Program
+
+// BenchmarkCompile compiles every zoo model for both NPU classes per op.
+func BenchmarkCompile(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, cfg := range []Config{smallCfg(), largeCfg()} {
+			for _, m := range model.All() {
+				p, err := Compile(m, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				compiled = p
 			}
 		}
 	}

@@ -33,6 +33,7 @@ func FuzzCompileRandomGraphs(f *testing.F) {
 		if err := prog.Trace.Validate(); err != nil {
 			t.Fatalf("invalid trace: %v", err)
 		}
+		requireExactSize(t, "fuzz graph", prog)
 		// Version discipline: replay the trace's writes per block; every
 		// mvin of a non-initialization tensor must see its writer's
 		// version on the vast majority of blocks.

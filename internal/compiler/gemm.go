@@ -73,14 +73,14 @@ func (st *compileState) bTileSegments(bTen tensor.Tensor, l *model.Layer, t tili
 			}
 			addr = bTen.End() - bBytes
 		}
-		return []isa.Segment{{Addr: addr, Bytes: bBytes}}
+		return st.seg(isa.Segment{Addr: addr, Bytes: bBytes})
 	}
-	segs := make([]isa.Segment, 0, tk)
+	segs := st.segs.take(tk)
 	rowBytes := uint64(l.N) * model.ElemBytes
 	segBytes := uint64(tn) * model.ElemBytes
-	for r := 0; r < tk; r++ {
+	for r := range segs {
 		off := (uint64(ki*t.Tk)+uint64(r))*rowBytes + uint64(ni*t.Tn)*model.ElemBytes
-		segs = append(segs, clampSeg(bTen, off, segBytes))
+		segs[r] = clampSeg(bTen, off, segBytes)
 	}
 	return segs
 }
@@ -89,15 +89,11 @@ func (st *compileState) bTileSegments(bTen tensor.Tensor, l *model.Layer, t tili
 // tile accumulates in the scratchpad across the k loop and is written out
 // once. B tiles are re-streamed per mi pass unless the whole weight tensor
 // fits on-chip (bResident); the A row strip is re-read per ni pass.
-func (st *compileState) compileGEMM(li int, l *model.Layer) error {
-	t, err := st.chooseTiling(l.M, l.K, l.N)
-	if err != nil {
-		return err
-	}
-	mT, nT, kT := ceilDiv(l.M, t.Tm), ceilDiv(l.N, t.Tn), ceilDiv(l.K, t.Tk)
+func (st *compileState) compileGEMM(li int, l *model.Layer, p *layerPlan) error {
+	t, mT, nT, kT := p.t, p.mT, p.nT, p.kT
 
 	aTen := st.producerTensor(l.Inputs[0])
-	aDep := st.producerDep(l.Inputs[0])
+	pace := st.newPacer(l) // each k step's loads wait on the compute two steps back
 	aVer := st.readVersion(aTen.ID)
 	// aRowBytes is the effective DRAM bytes per output row of the im2col
 	// view: conv layers re-read each input element once per full pass
@@ -115,28 +111,19 @@ func (st *compileState) compileGEMM(li int, l *model.Layer) error {
 
 	var bTen tensor.Tensor
 	var bVer uint64
-	hasB := l.WeightBytes > 0
-	if hasB {
+	if l.WeightBytes > 0 {
 		bTen = st.alloc(l.Name+".w", l.WeightBytes)
 		bVer = st.table.Bump(bTen.ID) // initialization wrote the weights
+	} else if len(l.Inputs) < 2 {
+		// Activation×activation GEMM (attention) over a single producer:
+		// a self-product (scores over one tensor).
+		bTen = aTen
+		bVer = aVer
 	} else {
-		// Activation×activation GEMM (attention): B is the second input.
-		if len(l.Inputs) < 2 {
-			// Self-product of a single producer (scores over one tensor).
-			bTen = aTen
-			bVer = aVer
-		} else {
-			bTen = st.producerTensor(l.Inputs[1])
-			bVer = st.readVersion(bTen.ID)
-			aDep = append(aDep, st.producerDep(l.Inputs[1])...)
-		}
+		// Activation×activation GEMM: B is the second input.
+		bTen = st.producerTensor(l.Inputs[1])
+		bVer = st.readVersion(bTen.ID)
 	}
-	// bResident: the whole weight tensor plus double-buffered A/C tiles
-	// fit on-chip, so B is loaded once instead of once per mi pass.
-	bResident := hasB && st.cfg.SPM.Fits(
-		bTen.Bytes,
-		2*uint64(t.Tm)*uint64(t.Tk)*model.ElemBytes,
-		2*uint64(t.Tm)*uint64(t.Tn)*model.ElemBytes)
 
 	out := st.alloc(l.Name+".out", l.OfmapBytes)
 	bump := st.expandOutput(out, mT*nT)
@@ -147,21 +134,16 @@ func (st *compileState) compileGEMM(li int, l *model.Layer) error {
 
 	tr := &st.prog.Trace
 	var bLoad int32 = -1
-	if bResident {
+	if p.bResident {
 		bLoad = tr.Append(isa.Instr{
 			Op: isa.OpMvIn, Tensor: bTen.ID, Version: bVer, Layer: li,
-			Segments: []isa.Segment{{Addr: bTen.Addr, Bytes: bTen.Bytes}},
-			Deps:     aDep,
+			Segments: st.seg(isa.Segment{Addr: bTen.Addr, Bytes: bTen.Bytes}),
+			Deps:     pace.deps,
 		})
 	}
 	// bTileBytes uses the pre-tiled weight layout: the compiler stores
 	// each (ki,ni) weight tile contiguously in DRAM (standard practice),
 	// so a tile is one segment.
-	//
-	// iterComputes paces the DMA: the mvins of iteration j depend on the
-	// compute of iteration j-2, so the DMA prefetches exactly one tile
-	// ahead — the double-buffering discipline of Sec. II-C.
-	var iterComputes []int32
 	for mi := 0; mi < mT; mi++ {
 		tm := min(t.Tm, l.M-mi*t.Tm)
 		stripBase := aTen.Addr + uint64(mi*t.Tm)*aRowBytes
@@ -171,11 +153,7 @@ func (st *compileState) compileGEMM(li int, l *model.Layer) error {
 			var lastCompute int32 = -1
 			for ki := 0; ki < kT; ki++ {
 				tk := min(t.Tk, l.K-ki*t.Tk)
-				computeDeps := make([]int32, 0, 2)
-				iterDeps := aDep
-				if len(iterComputes) >= 2 {
-					iterDeps = append(append([]int32{}, aDep...), iterComputes[len(iterComputes)-2])
-				}
+				iterDeps := pace.loads()
 
 				// A slice: the k-th horizontal slice of this row strip.
 				aBytes := stripBytes * uint64(tk) / uint64(l.K)
@@ -185,28 +163,25 @@ func (st *compileState) compileGEMM(li int, l *model.Layer) error {
 				aOff := stripBase - aTen.Addr + stripBytes*uint64(ki*t.Tk)/uint64(l.K)
 				aIn := tr.Append(isa.Instr{
 					Op: isa.OpMvIn, Tensor: aTen.ID, Version: aVer, Layer: li,
-					Segments: []isa.Segment{clampSeg(aTen, aOff, aBytes)},
+					Segments: st.seg(clampSeg(aTen, aOff, aBytes)),
 					Deps:     iterDeps,
 				})
-				computeDeps = append(computeDeps, aIn)
 
-				if bResident {
-					computeDeps = append(computeDeps, bLoad)
-				} else {
-					bIn := tr.Append(isa.Instr{
+				bIn := bLoad
+				if !p.bResident {
+					bIn = tr.Append(isa.Instr{
 						Op: isa.OpMvIn, Tensor: bTen.ID, Version: bVer, Layer: li,
 						Segments: st.bTileSegments(bTen, l, t, nT, ki, ni, tk, tn),
 						Deps:     iterDeps,
 					})
-					computeDeps = append(computeDeps, bIn)
 				}
 
 				lastCompute = tr.Append(isa.Instr{
 					Op: isa.OpCompute, Layer: li,
 					Cycles: st.cfg.Array.TileCycles(tm, tk, tn),
-					Deps:   computeDeps,
+					Deps:   st.dep(aIn, bIn),
 				})
-				iterComputes = append(iterComputes, lastCompute)
+				pace.done(lastCompute)
 			}
 
 			// Write the finished C tile: tm rows of tn columns, strided
@@ -227,22 +202,22 @@ func (st *compileState) compileGEMM(li int, l *model.Layer) error {
 				if addr+bytes > out.End() {
 					addr = out.End() - bytes
 				}
-				segs = []isa.Segment{{Addr: addr, Bytes: bytes}}
+				segs = st.seg(isa.Segment{Addr: addr, Bytes: bytes})
 			} else {
-				segs = make([]isa.Segment, 0, tm)
+				segs = st.segs.take(tm)
 				colOff := outRowBytes * uint64(ni*t.Tn) / uint64(l.N)
-				for r := 0; r < tm; r++ {
+				for r := range segs {
 					addr := out.Addr + uint64(mi*t.Tm+r)*outRowBytes + colOff
 					if addr+rowSeg > out.End() {
 						addr = out.End() - rowSeg
 					}
-					segs = append(segs, isa.Segment{Addr: addr, Bytes: rowSeg})
+					segs[r] = isa.Segment{Addr: addr, Bytes: rowSeg}
 				}
 			}
 			tr.Append(isa.Instr{
 				Op: isa.OpMvOut, Tensor: out.ID, Tile: vtile, Version: ver, Layer: li,
 				Segments: segs,
-				Deps:     []int32{lastCompute},
+				Deps:     st.dep(lastCompute),
 			})
 		}
 	}

@@ -19,36 +19,29 @@ func (st *compileState) nextRand() uint64 {
 // with low spatial locality, the access pattern that defeats counter
 // caching in sent/tf (Sec. III-B). Gathered rows are staged in the
 // scratchpad and written out in contiguous chunks.
-func (st *compileState) compileGather(li int, l *model.Layer) error {
+func (st *compileState) compileGather(li int, l *model.Layer, p *layerPlan) error {
 	table := st.alloc(l.Name+".w", l.WeightBytes)
 	tableVer := st.table.Bump(table.ID) // initialization loaded the table
 	out := st.alloc(l.Name+".out", l.OfmapBytes)
 
 	vocab := l.WeightBytes / uint64(l.RowBytes)
-	chunkBytes := st.cfg.SPM.TileBudget(2)
-	rowsPerChunk := int(chunkBytes) / l.RowBytes
-	if rowsPerChunk < 1 {
-		rowsPerChunk = 1
-	}
-	chunks := ceilDiv(l.Rows, rowsPerChunk)
+	chunks := p.chunks
 	bump := st.expandOutput(out, chunks)
 
-	dep := st.producerDep(l.Inputs[0]) // token ids from the producer
+	// Token ids come from the producer; each chunk's row loads are paced
+	// on the chunk store two chunks back.
+	pace := st.newPacer(l)
 	tr := &st.prog.Trace
 	row := 0
-	var chunkOuts []int32
 	for c := 0; c < chunks; c++ {
-		chunkDeps := dep
-		if len(chunkOuts) >= 2 {
-			chunkDeps = append(append([]int32{}, dep...), chunkOuts[len(chunkOuts)-2])
-		}
+		chunkDeps := pace.loads()
 		var lastIn int32 = -1
-		chunkRows := min(rowsPerChunk, l.Rows-row)
+		chunkRows := min(p.rowsPerChunk, l.Rows-row)
 		for r := 0; r < chunkRows; r++ {
 			idx := st.nextRand() % vocab
 			lastIn = tr.Append(isa.Instr{
 				Op: isa.OpMvIn, Tensor: table.ID, Version: tableVer, Layer: li,
-				Segments: []isa.Segment{{Addr: table.Addr + idx*uint64(l.RowBytes), Bytes: uint64(l.RowBytes)}},
+				Segments: st.seg(isa.Segment{Addr: table.Addr + idx*uint64(l.RowBytes), Bytes: uint64(l.RowBytes)}),
 				Deps:     chunkDeps,
 			})
 		}
@@ -60,10 +53,10 @@ func (st *compileState) compileGather(li int, l *model.Layer) error {
 		if outBytes == 0 {
 			outBytes = 1
 		}
-		chunkOuts = append(chunkOuts, tr.Append(isa.Instr{
+		pace.done(tr.Append(isa.Instr{
 			Op: isa.OpMvOut, Tensor: out.ID, Tile: vtile, Version: ver, Layer: li,
-			Segments: []isa.Segment{{Addr: outAddr, Bytes: outBytes}},
-			Deps:     []int32{lastIn},
+			Segments: st.seg(isa.Segment{Addr: outAddr, Bytes: outBytes}),
+			Deps:     st.dep(lastIn),
 		}))
 		row += chunkRows
 	}
@@ -73,54 +66,48 @@ func (st *compileState) compileGather(li int, l *model.Layer) error {
 
 // compileEltwise lowers a residual add: stream matching chunks of both
 // inputs through the scratchpad, one vector op per chunk.
-func (st *compileState) compileEltwise(li int, l *model.Layer) error {
+func (st *compileState) compileEltwise(li int, l *model.Layer, p *layerPlan) error {
 	aTen := st.producerTensor(l.Inputs[0])
 	bTen := aTen
-	deps := st.producerDep(l.Inputs[0])
 	if len(l.Inputs) > 1 {
 		bTen = st.producerTensor(l.Inputs[1])
-		deps = append(deps, st.producerDep(l.Inputs[1])...)
 	}
 	aVer := st.readVersion(aTen.ID)
 	bVer := st.readVersion(bTen.ID)
 	out := st.alloc(l.Name+".out", l.OfmapBytes)
 
-	chunk := st.cfg.SPM.TileBudget(3)
-	chunks := int((l.OfmapBytes + chunk - 1) / chunk)
+	chunk, chunks := p.chunkBytes, p.chunks
 	bump := st.expandOutput(out, chunks)
+	pace := st.newPacer(l)
 	tr := &st.prog.Trace
-	var chunkComputes []int32
 	for c := 0; c < chunks; c++ {
 		off := uint64(c) * chunk
 		bytes := chunk
 		if off+bytes > l.OfmapBytes {
 			bytes = l.OfmapBytes - off
 		}
-		chunkDeps := deps
-		if len(chunkComputes) >= 2 {
-			chunkDeps = append(append([]int32{}, deps...), chunkComputes[len(chunkComputes)-2])
-		}
+		chunkDeps := pace.loads()
 		aIn := tr.Append(isa.Instr{
 			Op: isa.OpMvIn, Tensor: aTen.ID, Version: aVer, Layer: li,
-			Segments: []isa.Segment{clampSeg(aTen, off, bytes)},
+			Segments: st.seg(clampSeg(aTen, off, bytes)),
 			Deps:     chunkDeps,
 		})
 		bIn := tr.Append(isa.Instr{
 			Op: isa.OpMvIn, Tensor: bTen.ID, Version: bVer, Layer: li,
-			Segments: []isa.Segment{clampSeg(bTen, off, bytes)},
+			Segments: st.seg(clampSeg(bTen, off, bytes)),
 			Deps:     chunkDeps,
 		})
 		comp := tr.Append(isa.Instr{
 			Op: isa.OpCompute, Layer: li,
 			Cycles: st.cfg.Array.VectorCycles(int(bytes / model.ElemBytes)),
-			Deps:   []int32{aIn, bIn},
+			Deps:   st.dep(aIn, bIn),
 		})
-		chunkComputes = append(chunkComputes, comp)
+		pace.done(comp)
 		ver, vtile := bump(c)
 		tr.Append(isa.Instr{
 			Op: isa.OpMvOut, Tensor: out.ID, Tile: vtile, Version: ver, Layer: li,
-			Segments: []isa.Segment{{Addr: out.Addr + off, Bytes: bytes}},
-			Deps:     []int32{comp},
+			Segments: st.seg(isa.Segment{Addr: out.Addr + off, Bytes: bytes}),
+			Deps:     st.dep(comp),
 		})
 	}
 	st.layerOut = append(st.layerOut, out.ID)
@@ -142,42 +129,36 @@ func clampSeg(t tensor.Tensor, off, bytes uint64) isa.Segment {
 }
 
 // compilePool lowers pooling: stream the input, write the reduced output.
-func (st *compileState) compilePool(li int, l *model.Layer) error {
+func (st *compileState) compilePool(li int, l *model.Layer, p *layerPlan) error {
 	in := st.producerTensor(l.Inputs[0])
 	inVer := st.readVersion(in.ID)
-	deps := st.producerDep(l.Inputs[0])
 	out := st.alloc(l.Name+".out", l.OfmapBytes)
 
-	chunk := st.cfg.SPM.TileBudget(2)
-	chunks := int((l.IfmapBytes + chunk - 1) / chunk)
+	chunk, chunks := p.chunkBytes, p.chunks
 	bump := st.expandOutput(out, chunks)
 	outChunk := l.OfmapBytes / uint64(chunks)
 	if outChunk == 0 {
 		outChunk = l.OfmapBytes
 	}
+	pace := st.newPacer(l)
 	tr := &st.prog.Trace
-	var poolComputes []int32
 	for c := 0; c < chunks; c++ {
 		off := uint64(c) * chunk
 		bytes := chunk
 		if off+bytes > l.IfmapBytes {
 			bytes = l.IfmapBytes - off
 		}
-		chunkDeps := deps
-		if len(poolComputes) >= 2 {
-			chunkDeps = append(append([]int32{}, deps...), poolComputes[len(poolComputes)-2])
-		}
 		aIn := tr.Append(isa.Instr{
 			Op: isa.OpMvIn, Tensor: in.ID, Version: inVer, Layer: li,
-			Segments: []isa.Segment{clampSeg(in, off, bytes)},
-			Deps:     chunkDeps,
+			Segments: st.seg(clampSeg(in, off, bytes)),
+			Deps:     pace.loads(),
 		})
 		comp := tr.Append(isa.Instr{
 			Op: isa.OpCompute, Layer: li,
 			Cycles: st.cfg.Array.VectorCycles(int(bytes / model.ElemBytes)),
-			Deps:   []int32{aIn},
+			Deps:   st.dep(aIn),
 		})
-		poolComputes = append(poolComputes, comp)
+		pace.done(comp)
 		ver, vtile := bump(c)
 		oOff := uint64(c) * outChunk
 		oBytes := outChunk
@@ -186,8 +167,8 @@ func (st *compileState) compilePool(li int, l *model.Layer) error {
 		}
 		tr.Append(isa.Instr{
 			Op: isa.OpMvOut, Tensor: out.ID, Tile: vtile, Version: ver, Layer: li,
-			Segments: []isa.Segment{{Addr: out.Addr + oOff, Bytes: oBytes}},
-			Deps:     []int32{comp},
+			Segments: st.seg(isa.Segment{Addr: out.Addr + oOff, Bytes: oBytes}),
+			Deps:     st.dep(comp),
 		})
 	}
 	st.layerOut = append(st.layerOut, out.ID)

@@ -239,15 +239,25 @@ func (r *Runner) Table3() string {
 }
 
 // VersionStorage reproduces the Sec. IV-D storage analysis: peak
-// version-table bytes per workload, with average and maximum.
+// version-table bytes per workload, with average and maximum. Each peak
+// is a persisted cell, so a runner over a recorded memo store compiles
+// nothing here.
 func (r *Runner) VersionStorage(class Class) (perModel map[string]int, avg float64, max int, err error) {
 	peaks := make([]int, len(r.Models))
+	cfg := class.Config()
 	err = r.forEach(len(r.Models), func(i int) error {
-		p, err := r.Program(r.Models[i], class)
+		short := r.Models[i]
+		peak, err := persisted(r, storageCellKey(short, cfg), appendCycles, decodeCycles, func() (uint64, error) {
+			p, err := r.Program(short, class)
+			if err != nil {
+				return 0, err
+			}
+			return uint64(p.Table.PeakStorageBytes()), nil
+		})
 		if err != nil {
 			return err
 		}
-		peaks[i] = p.Table.PeakStorageBytes()
+		peaks[i] = int(peak)
 		return nil
 	})
 	if err != nil {

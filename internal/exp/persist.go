@@ -1,12 +1,13 @@
 // Whole-run memos (DESIGN.md §6g): with a persistent memo store attached,
 // the runner serializes finished cell results — single/multi-NPU runs,
-// mixed-tenancy tuples, end-to-end flows, sweep points — through
-// memostore, so a later process reloads each cell whole instead of
-// simulating it. Keys run through exp.Digest under CodeVersion plus a
-// body-format tag, so both a simulator change and a framing change strand
-// old entries. Bodies are canon-encoded (fixed-width little-endian u64),
-// restored by accumulating into zero values; a body that fails structural
-// validation is deleted and recomputed.
+// mixed-tenancy tuples, end-to-end flows, sweep points, version-table
+// storage peaks — through memostore, so a later process reloads each cell
+// whole instead of simulating it. Keys run through exp.Digest under
+// CodeVersion plus a body-format tag, so both a simulator change and a
+// framing change strand old entries. Bodies are canon-encoded
+// (fixed-width little-endian u64), restored by accumulating into zero
+// values; a body that fails structural validation is deleted and
+// recomputed.
 package exp
 
 import (
@@ -229,4 +230,10 @@ func e2eCellKey(short string, cfg npu.Config, scheme memprot.Scheme) string {
 
 func sweepCellKey(short string, cfg npu.Config, scheme memprot.Scheme) string {
 	return Digest(CodeVersion, cellMemoTag, "sweeprun", short, ConfigDigest(cfg), scheme.String())
+}
+
+// storageCellKey keys a model's peak version-table bytes: a property of
+// the compiled program, recorded so that a warm runner need not compile.
+func storageCellKey(short string, cfg npu.Config) string {
+	return Digest(CodeVersion, cellMemoTag, "storage", short, ConfigDigest(cfg))
 }

@@ -65,6 +65,47 @@ func TestMemoDirRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWarmRunnerCompilesNothing pins the warm path: a fresh runner over a
+// store that an earlier runner recorded the version-storage table and
+// Figure 14 into rebuilds both identically without compiling a program
+// or saving a cell.
+func TestWarmRunnerCompilesNothing(t *testing.T) {
+	dir := t.TempDir()
+	build := func(r *Runner) (map[string]int, string) {
+		t.Helper()
+		if err := r.SetMemoDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		per, _, _, err := r.VersionStorage(Small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f14, err := r.Figure14()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return per, f14.String()
+	}
+	wantPer, wantFig := build(NewRunner("df", "agz"))
+
+	warm := NewRunner("df", "agz")
+	gotPer, gotFig := build(warm)
+	if !reflect.DeepEqual(gotPer, wantPer) {
+		t.Errorf("warm version storage %v, recorded run %v", gotPer, wantPer)
+	}
+	if gotFig != wantFig {
+		t.Errorf("warm Figure 14 diverges from the recorded run:\n want %s\n got  %s", wantFig, gotFig)
+	}
+	for _, c := range warm.Log().Cells() {
+		if c.Kind == "compile" {
+			t.Errorf("warm runner compiled %s", c.Label)
+		}
+	}
+	if s := warm.CellStoreStats(); s.Saves != 0 {
+		t.Errorf("warm runner saved %d cells", s.Saves)
+	}
+}
+
 // TestMemoDirStaleBodyRecomputed pins the stale-shape path: a
 // checksum-valid entry whose body no longer decodes (an old framing) is
 // deleted and recomputed, never served.
@@ -133,11 +174,12 @@ func TestCellKeysDistinct(t *testing.T) {
 		t.Fatalf("runCellKey %q is not store-valid", base)
 	}
 	distinct := map[string]string{
-		"model":  runCellKey("res", cfg, memprot.TreeLess, 1),
-		"config": runCellKey("df", large, memprot.TreeLess, 1),
-		"scheme": runCellKey("df", cfg, memprot.Baseline, 1),
-		"count":  runCellKey("df", cfg, memprot.TreeLess, 2),
-		"kind":   sweepCellKey("df", cfg, memprot.TreeLess),
+		"model":   runCellKey("res", cfg, memprot.TreeLess, 1),
+		"config":  runCellKey("df", large, memprot.TreeLess, 1),
+		"scheme":  runCellKey("df", cfg, memprot.Baseline, 1),
+		"count":   runCellKey("df", cfg, memprot.TreeLess, 2),
+		"kind":    sweepCellKey("df", cfg, memprot.TreeLess),
+		"storage": storageCellKey("df", cfg),
 	}
 	for what, k := range distinct { //tnpu:orderfree — each variant checked independently
 		if k == base {
