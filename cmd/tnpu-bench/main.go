@@ -315,9 +315,37 @@ func run(r *exp.Runner, only string, asJSON bool, mdPath string, verbose bool) i
 
 // printAttribution dumps each fig16 cell's per-NPU served-work split —
 // the per-tenant QoS view of the 3-NPU co-tenant runs (cells the figure
-// already computed, so this reads the cache). Only measured schemes the
-// -schemes filter admits are shown.
+// already computed, so this reads the cache) — and, per scheme, the share
+// of the x2/x3 blocks that contended rounds served. Only measured schemes
+// the -schemes filter admits are shown; unsecure, every figure's
+// normalizer, always is in the share.
 func printAttribution(r *exp.Runner) error {
+	fmt.Println("Contended rounds (share of x2/x3 blocks served by rounds):")
+	for _, scheme := range memprot.Schemes() {
+		if scheme != memprot.Unsecure && !r.SchemeEnabled(scheme) {
+			continue
+		}
+		var blocks, rounds uint64
+		for _, class := range exp.Classes() {
+			for count := 2; count <= 3; count++ {
+				for _, short := range r.Models {
+					res, err := r.Run(short, class, scheme, count)
+					if err != nil {
+						return err
+					}
+					for _, n := range res.NPUs {
+						blocks += n.Blocks
+						rounds += n.RoundBlocks
+					}
+				}
+			}
+		}
+		share := 0.0
+		if blocks > 0 {
+			share = 100 * float64(rounds) / float64(blocks)
+		}
+		fmt.Printf("  %-12s %5.1f%% (%d of %d blocks)\n", scheme, share, rounds, blocks)
+	}
 	fmt.Println("Per-NPU attribution (3-NPU co-tenant runs):")
 	for _, class := range exp.Classes() {
 		for _, scheme := range []memprot.Scheme{memprot.Baseline, memprot.TreeLess} {
@@ -330,9 +358,9 @@ func printAttribution(r *exp.Runner) error {
 					return err
 				}
 				for i, n := range res.NPUs {
-					fmt.Printf("  %-5s %-5s %-12s npu%d: cycles=%d blocks=%d rd=%.1fMB wr=%.1fMB runs=%d\n",
+					fmt.Printf("  %-5s %-5s %-12s npu%d: cycles=%d blocks=%d rd=%.1fMB wr=%.1fMB runs=%d rounds=%d\n",
 						class, short, scheme, i, n.Cycles, n.Blocks,
-						float64(n.ReadBytes)/(1<<20), float64(n.WriteBytes)/(1<<20), n.Runs)
+						float64(n.ReadBytes)/(1<<20), float64(n.WriteBytes)/(1<<20), n.Runs, n.RoundBlocks)
 				}
 			}
 		}

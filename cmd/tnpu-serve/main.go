@@ -51,9 +51,15 @@ func main() {
 // the benchmark drives.
 const readHeaderTimeout = 10 * time.Second
 
+// readTimeout bounds the whole request read, headers and body, so a
+// client that sends its headers in time cannot then trickle a body to hold
+// the connection. The API reads no request bodies, so it is generous; it
+// is never shorter than readHeaderTimeout.
+const readTimeout = 30 * time.Second
+
 // newHTTPServer returns the HTTP server tnpu-serve listens with.
 func newHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
 }
 
 func run() int {

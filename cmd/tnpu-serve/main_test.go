@@ -7,10 +7,12 @@ import (
 	"time"
 )
 
-// TestHTTPServerBoundsHeaderReads pins the slowloris guard: the server
+// TestHTTPServerBoundsHeaderReads pins the slowloris guards: the server
 // tnpu-serve listens with must bound header reads (an unset
-// ReadHeaderTimeout lets a client trickle headers forever) and must serve
-// the handler it was given.
+// ReadHeaderTimeout lets a client trickle headers forever) and the whole
+// request read, at least as long as the header bound (a ReadTimeout below
+// it would cut header reads short), and must serve the handler it was
+// given.
 func TestHTTPServerBoundsHeaderReads(t *testing.T) {
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusTeapot)
@@ -18,6 +20,9 @@ func TestHTTPServerBoundsHeaderReads(t *testing.T) {
 	hs := newHTTPServer(h)
 	if hs.ReadHeaderTimeout != 10*time.Second {
 		t.Errorf("ReadHeaderTimeout = %v, want 10s", hs.ReadHeaderTimeout)
+	}
+	if hs.ReadTimeout != 30*time.Second || hs.ReadTimeout < hs.ReadHeaderTimeout {
+		t.Errorf("ReadTimeout = %v, want 30s (and at least ReadHeaderTimeout %v)", hs.ReadTimeout, hs.ReadHeaderTimeout)
 	}
 	rec := httptest.NewRecorder()
 	hs.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))

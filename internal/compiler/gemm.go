@@ -141,9 +141,9 @@ func (st *compileState) compileGEMM(li int, l *model.Layer, p *layerPlan) error 
 			Deps:     pace.deps,
 		})
 	}
-	// bTileBytes uses the pre-tiled weight layout: the compiler stores
-	// each (ki,ni) weight tile contiguously in DRAM (standard practice),
-	// so a tile is one segment.
+	// bTileSegments places each (ki,ni) weight tile: one segment per tile
+	// row in the default row-major layout, or a single segment when the
+	// tile is contiguous (PretiledWeights, or full-width rows).
 	for mi := 0; mi < mT; mi++ {
 		tm := min(t.Tm, l.M-mi*t.Tm)
 		stripBase := aTen.Addr + uint64(mi*t.Tm)*aRowBytes

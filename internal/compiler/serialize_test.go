@@ -3,8 +3,6 @@ package compiler
 import (
 	"bytes"
 	"testing"
-
-	"tnpu/internal/model"
 )
 
 func TestProgramSerializationRoundTrip(t *testing.T) {
@@ -84,5 +82,4 @@ func TestReadProgramTruncation(t *testing.T) {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
-	_ = model.ShortNames // keep model import meaningful if helpers change
 }

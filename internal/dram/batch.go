@@ -60,6 +60,20 @@ func (w *IssueWindow) Issue(r, busFree uint64) (next uint64) {
 	return next
 }
 
+// Oldest returns the gate of the next issue: the clear time of the
+// request issued depth ago.
+func (w *IssueWindow) Oldest() uint64 { return w.slots[w.idx] }
+
+// Push notes a request's clear time in the window without computing the
+// next issue time: Issue's ring write, for a contended round that derives
+// issue times itself and writes each window's final clears back in order.
+func (w *IssueWindow) Push(busFree uint64) {
+	w.slots[w.idx] = busFree
+	if w.idx++; w.idx == len(w.slots) {
+		w.idx = 0
+	}
+}
+
 // Depth returns the window's outstanding-request bound.
 func (w *IssueWindow) Depth() int { return len(w.slots) }
 

@@ -69,6 +69,8 @@ type Bus struct {
 	// rational, before the bandwidth is split across channels.
 	aggNum, aggDen uint64
 	chans          []channel
+	// round is the channel half a contended round holds (BeginRound).
+	round ChannelRun
 }
 
 // channel is one independently scheduled slice of the bandwidth.

@@ -1,5 +1,7 @@
 package dram
 
+import "math/bits"
+
 // This file is the bus model's one closed form: the run cursor. It lets a
 // caller charge an arbitrary interleaving of data blocks (issue-window
 // gated) and metadata blocks (writebacks, line fetches, tree-walk reads)
@@ -43,30 +45,63 @@ package dram
 //     Commit, with the clears of the final depth data blocks: the only
 //     entries the reference loop would leave behind.
 
+// ChannelRun is the channel half of a closed-form run: it appends charges
+// at one channel's horizon, answers C(j) for any charge index, and writes
+// the telescoped aggregate back to the channel once. A streak holds one
+// inside its window's RunCursor; a contended round (Bus.BeginRound) holds
+// the bus's own and keeps the n windows' halves itself.
+type ChannelRun struct {
+	ch     *channel
+	ready0 uint64 // presented ready time of the first charge
+	b0     uint64 // channel horizon at admission
+	q      uint64 // whole cycles per block: BlockBytes*num/den (>= 1)
+	rr     uint64 // per-block remainder numerator: BlockBytes*num%den
+	den    uint64
+	rem0   uint64 // carried remainder at admission
+	shift  int    // log2(den) when den is a power of two, else -1
+	clear0 uint64 // start horizon max(ready0, b0): C(0)
+	remAcc uint64 // carried remainder after the charges so far, < den
+	clear  uint64 // horizon after the charges so far: C(j)
+	j      uint64 // total charges (blocks) so far
+}
+
+// begin primes the channel half for a run whose first charge is
+// presented at ready.
+func (cr *ChannelRun) begin(c *channel, ready uint64) {
+	start0 := c.busyUntil
+	if ready > start0 {
+		start0 = ready
+	}
+	// Field stores rather than a composite literal: this runs once per
+	// streamed run, and a whole-struct copy costs more than the run.
+	cr.ch = c
+	cr.ready0, cr.b0 = ready, c.busyUntil
+	cr.q, cr.rr, cr.den = c.bq, c.br, c.den
+	cr.shift = -1
+	if c.den&(c.den-1) == 0 {
+		cr.shift = bits.TrailingZeros64(c.den)
+	}
+	cr.rem0, cr.remAcc = c.rem, c.rem
+	cr.clear0, cr.clear = start0, start0
+	cr.j = 0
+}
+
 // RunCursor accumulates one run's charges against a single channel. Each
 // IssueWindow owns one, and only BeginRun hands it out, primed. Between
 // BeginRun and Commit the caller must route every bus charge through the
 // cursor; Commit then writes the telescoped aggregate back as if each
-// charge had gone through channel.transfer individually.
+// charge had gone through channel.transfer individually. The channel half
+// is a ChannelRun; the rest is the window half: the span-record FIFO
+// that answers D(g) and the ring write at Commit.
 type RunCursor struct {
-	ch     *channel
-	w      *IssueWindow
-	ready0 uint64 // presented ready time of the first charge
-	b0     uint64 // channel horizon at BeginRun
-	q      uint64 // whole cycles per block: BlockBytes*num/den (>= 1)
-	rr     uint64 // per-block remainder numerator: BlockBytes*num%den
-	den    uint64
-	rem0   uint64 // carried remainder at BeginRun
-	clear0 uint64 // start horizon max(ready0, b0): C(0)
-	idx0   int    // w.idx at BeginRun
-	remAcc uint64 // carried remainder after the charges so far, < den
-	clear  uint64 // horizon after the charges so far: C(j)
-	g      uint64 // data blocks charged so far
-	j      uint64 // total charges (blocks) so far
-	fifo   []spanRec
-	head   int // ring index of the oldest record
-	cnt    int // live records
-	look   int // monotone query cursor, offset from head
+	ChannelRun
+	w    *IssueWindow
+	idx0 int    // w.idx at BeginRun
+	g    uint64 // data blocks charged so far
+	fifo []spanRec
+	head int // ring index of the oldest record
+	cnt  int // live records
+	look int // monotone query cursor, offset from head
 }
 
 // spanRec maps a contiguous range of data-block indices to charge indices.
@@ -109,22 +144,38 @@ func (b *Bus) BeginRun(w *IssueWindow, ready uint64, maxBlocks int) *RunCursor {
 			return nil
 		}
 	}
-	// Field stores rather than a composite literal: this runs once per
-	// streamed run, and a whole-struct copy costs more than the run.
 	cur := &w.run
-	cur.ch, cur.w = c, w
-	cur.ready0, cur.b0 = ready, c.busyUntil
-	cur.q, cur.rr, cur.den = c.bq, c.br, c.den
-	cur.rem0, cur.remAcc = c.rem, c.rem
-	cur.clear0, cur.clear = start0, start0
+	cur.begin(c, ready)
+	cur.w = w
 	cur.idx0 = w.idx
-	cur.g, cur.j = 0, 0
+	cur.g = 0
 	cur.head, cur.cnt, cur.look = 0, 0, 0
 	return cur
 }
 
-// advance appends k charges at the horizon; k == 1 is division-free.
-func (cur *RunCursor) advance(k int) {
+// BeginRound admits a contended round on a single-channel bus: at most
+// maxCharges block charges, the first presented at ready (the earliest
+// issue time of the round), every later one presented later but at or
+// below the horizon. It checks what BeginRun checks of the channel (one
+// channel, a rate with a cost floor of at least one cycle, no overflow,
+// and no remembered gap that can hold a block at ready) and returns the
+// bus's own channel half, primed; the caller keeps the windows. On nil
+// nothing was touched.
+func (b *Bus) BeginRound(ready uint64, maxCharges int) *ChannelRun {
+	if len(b.chans) != 1 || maxCharges <= 0 {
+		return nil
+	}
+	c := &b.chans[0]
+	if !c.batchable(ready, uint64(maxCharges)) {
+		return nil
+	}
+	b.round.begin(c, ready)
+	return &b.round
+}
+
+// Charge appends k charges, each presented at or below the horizon, at the
+// horizon; k == 1 is division-free.
+func (cur *ChannelRun) Charge(k int) {
 	cur.j += uint64(k)
 	if k == 1 {
 		cur.remAcc += cur.rr
@@ -140,10 +191,13 @@ func (cur *RunCursor) advance(k int) {
 	cur.remAcc = t % cur.den
 }
 
-// clearAt is C(j): the channel horizon after the run's first j charges.
+// ClearAt is C(j): the channel horizon after the run's first j charges.
 // Exact by remainder telescoping; overflow is excluded by the batchable
-// check at BeginRun (j never exceeds maxBlocks).
-func (cur *RunCursor) clearAt(j uint64) uint64 {
+// check at admission (j never exceeds the admitted charge bound).
+func (cur *ChannelRun) ClearAt(j uint64) uint64 {
+	if cur.shift >= 0 {
+		return cur.clear0 + j*cur.q + (j*cur.rr+cur.rem0)>>cur.shift
+	}
 	return cur.clear0 + j*cur.q + (j*cur.rr+cur.rem0)/cur.den
 }
 
@@ -197,7 +251,7 @@ func (cur *RunCursor) dataClear(g uint64) uint64 {
 			continue
 		}
 		if off := g - rec.g; off < rec.n {
-			return cur.clearAt(rec.charge(off))
+			return cur.ClearAt(rec.charge(off))
 		}
 		cur.look++
 		if cur.look >= cur.cnt {
@@ -240,7 +294,7 @@ func (cur *RunCursor) collapse(r, k uint64) (lastIssue, nextR uint64) {
 // horizon by the append invariant and therefore never affects channel
 // state.
 func (cur *RunCursor) Meta(k int) uint64 {
-	cur.advance(k)
+	cur.Charge(k)
 	return cur.clear
 }
 
@@ -268,7 +322,7 @@ func (cur *RunCursor) Data(r uint64, k int) (lastFree, lastIssue, nextR uint64) 
 				r = cur.w.slots[pos]
 			}
 		}
-		cur.advance(pre)
+		cur.Charge(pre)
 		cur.g += uint64(pre)
 		if cur.g == uint64(depth) {
 			// The block after the prologue is gated by block 0's clear,
@@ -284,7 +338,7 @@ func (cur *RunCursor) Data(r uint64, k int) (lastFree, lastIssue, nextR uint64) 
 		}
 	}
 	cur.push(spanRec{g: cur.g, j: cur.j, n: uint64(k), m: uint32(k)})
-	cur.advance(k)
+	cur.Charge(k)
 	cur.g += uint64(k)
 	lastIssue, nextR = cur.collapse(r, uint64(k))
 	return cur.clear, lastIssue, nextR
@@ -306,7 +360,7 @@ func (cur *RunCursor) DataPeriodic(r uint64, periods, m, lead, trail int) (lastF
 	}
 	totalData := uint64(periods) * uint64(m)
 	cur.push(spanRec{g: cur.g, j: cur.j, n: totalData, m: uint32(m), lead: uint32(lead), trail: uint32(trail)})
-	cur.advance(periods * (m + lead + trail))
+	cur.Charge(periods * (m + lead + trail))
 	cur.g += totalData
 	lastIssue, nextR = cur.collapse(r, totalData)
 	return cur.dataClear(cur.g - 1), lastIssue, nextR, true
@@ -314,7 +368,7 @@ func (cur *RunCursor) DataPeriodic(r uint64, periods, m, lead, trail int) (lastF
 
 // Horizon returns the clear time of the cursor's last charge (the start
 // horizon before any charge).
-func (cur *RunCursor) Horizon() uint64 { return cur.clear }
+func (cur *ChannelRun) Horizon() uint64 { return cur.clear }
 
 // Commit materializes the deferred window state — the ring holds the
 // clears of the final min(g, depth) data blocks at the positions the
@@ -346,13 +400,23 @@ func (cur *RunCursor) Commit() {
 				off = start - rec.g
 			}
 			for ; off < rec.n; off++ {
-				w.slots[pos] = cur.clearAt(rec.charge(off))
+				w.slots[pos] = cur.ClearAt(rec.charge(off))
 				if pos++; pos == len(w.slots) {
 					pos = 0
 				}
 			}
 		}
 		w.idx = pos
+	}
+	cur.ChannelRun.Commit()
+}
+
+// Commit writes the run's charges back to the channel as one telescoped
+// aggregate: byte, busy-cycle, remainder, gap, and horizon state identical
+// to per-block service. A run with no charges commits as a no-op.
+func (cur *ChannelRun) Commit() {
+	if cur.j == 0 {
+		return
 	}
 	c := cur.ch
 	c.rem = cur.remAcc

@@ -25,7 +25,9 @@ import (
 
 // cellMemoTag versions the persisted cell-result body format,
 // independently of CodeVersion (which tracks simulation semantics).
-const cellMemoTag = "cellmemo1"
+// cellmemo2 added NPUStats.RoundBlocks to multi-NPU bodies; bumping the
+// tag strands every older body instead of misdecoding it.
+const cellMemoTag = "cellmemo2"
 
 // SetMemoDir attaches a persistent memo store under dir: whole-run cell
 // results recorded by this runner are written there and reloaded by
@@ -127,6 +129,7 @@ func appendRunResult(dst []byte, res *multinpu.Result) []byte {
 		dst = canon.AppendU64(dst, n.ReadBytes)
 		dst = canon.AppendU64(dst, n.WriteBytes)
 		dst = canon.AppendU64(dst, n.Runs)
+		dst = canon.AppendU64(dst, n.RoundBlocks)
 	}
 	dst = res.Traffic.AppendAccum(dst)
 	dst = res.Counter.AppendAccum(dst)
@@ -148,7 +151,7 @@ func decodeRunResult(body []byte) (multinpu.Result, bool) {
 		res.PerNPU[i] = c.u64()
 	}
 	n = c.u64()
-	if c.bad || n > uint64(len(c.src))/(8*5) {
+	if c.bad || n > uint64(len(c.src))/(8*6) {
 		return multinpu.Result{}, false
 	}
 	res.NPUs = make([]multinpu.NPUStats, n)
@@ -159,6 +162,7 @@ func decodeRunResult(body []byte) (multinpu.Result, bool) {
 		s.ReadBytes = c.u64()
 		s.WriteBytes = c.u64()
 		s.Runs = c.u64()
+		s.RoundBlocks = c.u64()
 	}
 	if !c.remaining(trafficAccumLen + 3*cacheAccumLen) {
 		return multinpu.Result{}, false

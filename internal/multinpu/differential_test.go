@@ -2,7 +2,11 @@ package multinpu
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"tnpu/internal/compiler"
@@ -14,21 +18,33 @@ import (
 	"tnpu/internal/tensor"
 )
 
-// stripRuns zeroes the execution-path-dependent observability counter:
-// the block-granular reference serves no engine-level run bursts, so Runs
-// is the one Result field allowed to differ between the paths.
+// stripRuns zeroes the execution-path-dependent observability counters:
+// the block-granular reference serves no engine-level run bursts and no
+// contended rounds, so Runs and RoundBlocks are the Result fields allowed
+// to differ between the paths.
 func stripRuns(r Result) Result {
 	r.NPUs = append([]NPUStats(nil), r.NPUs...)
 	for i := range r.NPUs {
 		r.NPUs[i].Runs = 0
+		r.NPUs[i].RoundBlocks = 0
 	}
 	return r
 }
 
+// roundBlocks sums the blocks contended rounds served in a result.
+func roundBlocks(r Result) uint64 {
+	var n uint64
+	for _, s := range r.NPUs {
+		n += s.RoundBlocks
+	}
+	return n
+}
+
 // diffMulti runs the same multi-NPU workload through the block-granular
-// reference and the horizon arbitration loop and requires both to succeed
-// and to agree exactly on every observable except NPUStats.Runs.
-func diffMulti(t *testing.T, progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config) {
+// reference and the horizon arbitration loop, requires both to succeed and
+// to agree exactly on every observable except the path counters, and
+// returns the arbitrated result.
+func diffMulti(t *testing.T, progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config) Result {
 	t.Helper()
 	ForceBlockInterleave(true)
 	ref, errRef := RunMixed(progs, scheme, cfg)
@@ -43,11 +59,14 @@ func diffMulti(t *testing.T, progs []*compiler.Program, scheme memprot.Scheme, c
 		t.Fatalf("horizon arbitration diverges from block interleave (scheme %v, cfg %s):\n  block:      %+v\n  arbitrated: %+v",
 			scheme, cfg.Name, want, got)
 	}
+	return arb
 }
 
 // TestMultiNPUDifferential is the multi-NPU leg of the differential
 // harness: all schemes x count 2-3 x df/res x Small/Large NPUs. -short
-// keeps the df/Small column only.
+// keeps the df/Small column only. res's long saturated stretches must be
+// served partly by contended rounds under every scheme, so the comparison
+// cannot pass without exercising them.
 func TestMultiNPUDifferential(t *testing.T) {
 	for _, cfg := range []npu.Config{npu.SmallNPU(), npu.LargeNPU()} {
 		for _, short := range []string{"df", "res"} {
@@ -62,7 +81,10 @@ func TestMultiNPUDifferential(t *testing.T) {
 						for i := range progs {
 							progs[i] = prog
 						}
-						diffMulti(t, progs, scheme, cfg)
+						arb := diffMulti(t, progs, scheme, cfg)
+						if short == "res" && roundBlocks(arb) == 0 {
+							t.Fatalf("no block of %s x%d was served by a contended round", short, count)
+						}
 					})
 				}
 			}
@@ -230,29 +252,7 @@ func FuzzMultiVsBlock(f *testing.F) {
 	f.Add([]byte{0xff, 0x80, 0x41, 0x00, 0x13, 0x37, 0xca, 0xfe, 0x00, 0x01, 0x02, 0x03})
 	f.Add([]byte{3, 3, 3, 3, 200, 200, 200, 200, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr := &fuzzReader{data: data}
-		mem := dram.Config{
-			FreqHz:               []uint64{1_000_000_000, 2_750_000_000, 3_000_000_000}[fr.byte()%3],
-			BandwidthBytesPerSec: []uint64{7_000_000_000, 11_000_000_000, 22_000_000_000}[fr.byte()%3],
-			LatencyCycles:        []uint64{0, 10, 100}[fr.byte()%3],
-			Channels:             int(fr.byte()%4) + 1,
-		}
-		schemes := memprot.AllSchemes()
-		scheme := schemes[int(fr.byte())%len(schemes)]
-		count := 2 + int(fr.byte()%2)
-		identical := fr.byte()%2 == 0
-		progs := make([]*compiler.Program, count)
-		progs[0] = buildMultiFuzzProgram(fr)
-		for i := 1; i < count; i++ {
-			if identical {
-				progs[i] = progs[0]
-			} else {
-				progs[i] = buildMultiFuzzProgram(fr)
-			}
-		}
-		cfg := npu.SmallNPU()
-		cfg.Mem = mem
-
+		progs, scheme, cfg := decodeMultiFuzz(data)
 		ForceBlockInterleave(true)
 		ref, errRef := RunMixed(progs, scheme, cfg)
 		ForceBlockInterleave(false)
@@ -264,19 +264,92 @@ func FuzzMultiVsBlock(f *testing.F) {
 			return
 		}
 		if got, want := stripRuns(arb), stripRuns(ref); !reflect.DeepEqual(got, want) {
-			t.Fatalf("divergence (scheme %v, count %d, identical %v, mem %+v):\n  block:      %+v\n  arbitrated: %+v",
-				scheme, count, identical, mem, want, got)
+			t.Fatalf("divergence (scheme %v, count %d, mem %+v):\n  block:      %+v\n  arbitrated: %+v",
+				scheme, len(progs), cfg.Mem, want, got)
 		}
 	})
+}
+
+// decodeMultiFuzz maps a fuzz input to a co-tenant set: memory geometry,
+// scheme, NPU count, and identical or distinct programs.
+func decodeMultiFuzz(data []byte) ([]*compiler.Program, memprot.Scheme, npu.Config) {
+	fr := &fuzzReader{data: data}
+	mem := dram.Config{
+		FreqHz:               []uint64{1_000_000_000, 2_750_000_000, 3_000_000_000}[fr.byte()%3],
+		BandwidthBytesPerSec: []uint64{7_000_000_000, 11_000_000_000, 22_000_000_000}[fr.byte()%3],
+		LatencyCycles:        []uint64{0, 10, 100}[fr.byte()%3],
+		Channels:             int(fr.byte()%4) + 1,
+	}
+	schemes := memprot.AllSchemes()
+	scheme := schemes[int(fr.byte())%len(schemes)]
+	count := 2 + int(fr.byte()%2)
+	identical := fr.byte()%2 == 0
+	progs := make([]*compiler.Program, count)
+	progs[0] = buildMultiFuzzProgram(fr)
+	for i := 1; i < count; i++ {
+		if identical {
+			progs[i] = progs[0]
+		} else {
+			progs[i] = buildMultiFuzzProgram(fr)
+		}
+	}
+	cfg := npu.SmallNPU()
+	cfg.Mem = mem
+	return progs, scheme, cfg
+}
+
+// TestFuzzSeedsEnterRounds checks that every checked-in FuzzMultiVsBlock
+// seed named round-* is served partly by a contended round, so each pins
+// the round path it was chosen for (the fuzz target compares it with the
+// block reference): a tenant out of work mid-round, a segment end inside
+// a period, a tenant that is not gate-bound (a horizon), a round entered
+// after a refused entry on a backfillable gap, an irregular x3 Large
+// pattern, open lines sharing a set, a baseline counter miss inside a
+// round, and a baseline write round.
+func TestFuzzSeedsEnterRounds(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzMultiVsBlock", "round-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) < 8 {
+		t.Fatalf("found %d round-* seeds, want at least 8", len(paths))
+	}
+	for _, path := range paths {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+			if len(lines) != 2 || lines[0] != "go test fuzz v1" ||
+				!strings.HasPrefix(lines[1], "[]byte(") || !strings.HasSuffix(lines[1], ")") {
+				t.Fatalf("not a one-value []byte corpus file: %q", raw)
+			}
+			data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			progs, scheme, cfg := decodeMultiFuzz([]byte(data))
+			res, err := RunMixed(progs, scheme, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if roundBlocks(res) == 0 {
+				t.Errorf("seed serves no block by a contended round (scheme %v, x%d)", scheme, len(progs))
+			}
+		})
+	}
 }
 
 // --- allocation pin --------------------------------------------------------
 
 // TestMultiNPUNoAllocs pins the steady-state arbitration turn at zero
-// allocations: it drives arbitrate's own per-turn function (the cached
-// ready scan, the horizon-stopped serve and the winner's refresh). The
-// baseline scheme is excluded because minorLineOf allocates a counter
-// line's minor counters on the line's first touch.
+// allocations: it drives arbitrate's own per-turn function (a contended
+// round's entry, walk and write-back, or else the cached ready scan, the
+// horizon-stopped serve and the winner's refresh), and requires contended
+// rounds inside the measured turns. The baseline scheme is excluded
+// because minorLineOf allocates a counter line's minor counters on the
+// line's first touch.
 func TestMultiNPUNoAllocs(t *testing.T) {
 	cfg := npu.SmallNPU()
 	prog := compileFor(t, "df", cfg)
@@ -292,15 +365,25 @@ func TestMultiNPUNoAllocs(t *testing.T) {
 				machines[i] = npu.NewMachineAt(prog, eng, uint64(i)*contextStride, uint64(i)*slotStride)
 			}
 			a := newArbiter(machines)
-			for i := 0; i < 50; i++ { // warm caches and the issue windows
+			a.rs = newRounds(machines, eng, bus)
+			if a.rs == nil {
+				t.Fatal("no round path for a single-channel bus")
+			}
+			rounds := func() uint64 { return machines[0].RoundBlocks() + machines[1].RoundBlocks() }
+			// Warm caches, the issue windows and the round scratch state.
+			for i := 0; i < 50 || rounds() == 0; i++ {
 				if !a.turn() {
 					t.Fatal("run exhausted during warm-up")
 				}
 			}
+			before := rounds()
 			exhausted := false
-			avg := testing.AllocsPerRun(100, func() { exhausted = !a.turn() })
+			avg := testing.AllocsPerRun(200, func() { exhausted = !a.turn() })
 			if exhausted {
 				t.Fatal("run exhausted while measuring; the pin measured idle turns")
+			}
+			if rounds() == before {
+				t.Fatal("no contended round in the measured turns")
 			}
 			if avg != 0 {
 				t.Errorf("arbitration turn allocates %.1f times per turn", avg)

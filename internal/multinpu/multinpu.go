@@ -36,6 +36,9 @@ type NPUStats struct {
 	ReadBytes  uint64
 	WriteBytes uint64
 	Runs       uint64
+	// RoundBlocks counts the blocks contended rounds served (round.go).
+	// Like Runs it depends on the execution path.
+	RoundBlocks uint64
 }
 
 // Result summarizes a multi-NPU run.
@@ -123,7 +126,7 @@ func RunMixed(progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config) 
 	if forceBlockInterleave.Load() || !machines[0].Batched() {
 		arbitrateBlocks(machines)
 	} else {
-		arbitrate(machines)
+		arbitrate(machines, eng, bus)
 	}
 	return assemble(scheme, eng, machines), nil
 }
@@ -139,8 +142,9 @@ func RunMixed(progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config) 
 // after a scan), so the horizon is frozen for the whole turn and the serve
 // order is exactly the reference's. Ties rotate as in the reference: the
 // winner keeps serving only while strictly below every other ready time.
-func arbitrate(machines []*npu.Machine) {
+func arbitrate(machines []*npu.Machine, eng memprot.Engine, bus *dram.Bus) {
 	a := newArbiter(machines)
+	a.rs = newRounds(machines, eng, bus)
 	for a.turn() {
 	}
 }
@@ -156,6 +160,9 @@ type arbiter struct {
 	machines []*npu.Machine
 	ready    []uint64
 	last     int
+	// rs serves contended rounds (round.go); nil when the engine or the
+	// bus has no round path.
+	rs *rounds
 }
 
 // noReady marks a machine with no work left. The turn scan can never pick
@@ -192,6 +199,9 @@ func (a *arbiter) refresh(i int) {
 //
 //tnpu:noalloc
 func (a *arbiter) turn() bool {
+	if a.rs != nil && a.round() {
+		return true
+	}
 	count := len(a.ready)
 	best, bestReady := -1, noReady
 	horizon := noReady
@@ -256,11 +266,12 @@ func assemble(scheme memprot.Scheme, eng memprot.Engine, machines []*npu.Machine
 	for i, m := range machines {
 		res.PerNPU[i] = m.Cycles()
 		res.NPUs[i] = NPUStats{
-			Cycles:     m.Cycles(),
-			Blocks:     m.BlocksMoved(),
-			ReadBytes:  m.BlocksRead() * dram.BlockBytes,
-			WriteBytes: m.BlocksWritten() * dram.BlockBytes,
-			Runs:       m.RunsServed(),
+			Cycles:      m.Cycles(),
+			Blocks:      m.BlocksMoved(),
+			ReadBytes:   m.BlocksRead() * dram.BlockBytes,
+			WriteBytes:  m.BlocksWritten() * dram.BlockBytes,
+			Runs:        m.RunsServed(),
+			RoundBlocks: m.RoundBlocks(),
 		}
 		if m.Cycles() > res.Cycles {
 			res.Cycles = m.Cycles()

@@ -122,12 +122,20 @@ type Machine struct {
 	blocksMoved uint64
 
 	// Per-NPU attribution counters (multi-NPU QoS stats): blocks served by
-	// direction, and how many engine run calls served them. Blocks counts
-	// are execution-path invariant; runsServed is observability only (it
-	// differs between the per-block reference and the batched path).
+	// direction, how many engine run calls served them, and how many of
+	// them contended rounds served. Blocks counts are execution-path
+	// invariant; runsServed and roundBlocks are observability only (they
+	// differ between the per-block reference and the batched path).
 	blocksRead    uint64
 	blocksWritten uint64
 	runsServed    uint64
+	roundBlocks   uint64
+
+	// Stream's count of the active instruction's blocks: leftBase blocks
+	// remained when blocksMoved was leftMoved, for instruction leftInstr.
+	leftInstr int
+	leftBase  int
+	leftMoved uint64
 
 	dataOffset uint64
 	slotOffset uint64
@@ -152,6 +160,7 @@ func NewMachineAt(prog *compiler.Program, eng memprot.Engine, dataOffset, slotOf
 		eng:        eng,
 		done:       make([]uint64, len(prog.Trace.Instrs)),
 		active:     -1,
+		leftInstr:  -1,
 		dataOffset: dataOffset,
 		slotOffset: slotOffset,
 		window:     dram.NewIssueWindow(dmaOutstanding),
@@ -366,6 +375,69 @@ func (m *Machine) ServeRunUntil(horizon uint64) {
 	m.active = -1
 }
 
+// Gated reports whether the machine can join a contended round: it is
+// mid-instruction on the batched path and its next block issues at its
+// window's oldest slot, so its issue times stay the clears of its own
+// blocks depth back while the round lasts.
+func (m *Machine) Gated() bool {
+	return m.active >= 0 && m.batched && m.issueAt == m.window.Oldest()
+}
+
+// Window returns the DMA issue window, which a contended round reads and
+// writes back in place of the machine.
+func (m *Machine) Window() *dram.IssueWindow { return m.window }
+
+// Stream describes the active instruction's remaining blocks to a
+// contended round: segments, the next block, and how many blocks precede
+// the instruction's last one (the round stops before it, so the machine
+// retires the instruction itself).
+func (m *Machine) Stream() memprot.Stream {
+	in := &m.prog.Trace.Instrs[m.active]
+	if m.leftInstr != m.active {
+		// Count the instruction's remaining blocks once; later rounds in
+		// the same instruction subtract what has been served since.
+		left := int((m.segEnd - m.blockAddr + dram.BlockBytes - 1) / dram.BlockBytes)
+		for _, s := range in.Segments[m.segIdx+1:] {
+			a := s.Addr &^ (dram.BlockBytes - 1)
+			left += int((s.Addr + s.Bytes - a + dram.BlockBytes - 1) / dram.BlockBytes)
+		}
+		m.leftInstr, m.leftBase, m.leftMoved = m.active, left, m.blocksMoved
+	}
+	left := m.leftBase - int(m.blocksMoved-m.leftMoved)
+	return memprot.Stream{
+		Segs: in.Segments, Seg: m.segIdx, Addr: m.blockAddr, End: m.segEnd,
+		Off: m.dataOffset, Left: left - 1, Write: in.Op == isa.OpMvOut,
+	}
+}
+
+// AdvanceRound moves the machine past k blocks a contended round served,
+// across segment ends but never past the instruction's last block: the
+// round left issueAt as the next issue time and dataAt as the served
+// blocks' latest data time.
+func (m *Machine) AdvanceRound(k int, issueAt, dataAt uint64) {
+	if m.prog.Trace.Instrs[m.active].Op == isa.OpMvIn {
+		m.blocksRead += uint64(k)
+	} else {
+		m.blocksWritten += uint64(k)
+	}
+	m.blocksMoved += uint64(k)
+	m.roundBlocks += uint64(k)
+	m.issueAt = issueAt
+	if dataAt > m.maxDataAt {
+		m.maxDataAt = dataAt
+	}
+	for {
+		n := int((m.segEnd - m.blockAddr + dram.BlockBytes - 1) / dram.BlockBytes)
+		if k < n {
+			m.blockAddr += uint64(k) * dram.BlockBytes
+			return
+		}
+		k -= n
+		m.segIdx++
+		m.loadSegment()
+	}
+}
+
 // Run drives the machine to completion (single-NPU operation).
 func (m *Machine) Run() {
 	for {
@@ -394,6 +466,10 @@ func (m *Machine) BlocksWritten() uint64 { return m.blocksWritten }
 // RunsServed returns how many engine run calls served this machine's
 // blocks — zero on the per-block reference path.
 func (m *Machine) RunsServed() uint64 { return m.runsServed }
+
+// RoundBlocks returns how many of this machine's blocks contended rounds
+// served — zero on the per-block reference path and for a lone NPU.
+func (m *Machine) RoundBlocks() uint64 { return m.roundBlocks }
 
 // Utilization returns the PE array's busy fraction over the whole run —
 // the number protection overhead eats into (an unsecure-equal compute
