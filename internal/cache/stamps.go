@@ -6,14 +6,16 @@ import "math"
 // round. A round serves several tenants' interleaved block streams at
 // once; every block accesses its tenant's current metadata line, but only
 // the accesses that open a line (the tenant's first block of the round, a
-// segment start, a line boundary, or a reaccess after a co-tenant evicted
-// the line) can change anything but recency. True LRU orders a set by
-// last access, so it is enough to remember each line's last access
-// position in the round's merged block stream: the victim is the line
-// with the oldest one. A line a tenant holds open is accessed at every
-// block of that tenant, so its last access is the tenant's last block
-// before the current position, which the caller supplies per tenant
-// on demand (Begin's last) instead of a store per block. Lines resident before the round
+// segment start, or a line boundary) can change anything but recency.
+// True LRU orders a set by last access, so it is enough to remember each
+// line's last access position in the round's merged block stream: the
+// victim is the line with the oldest one. A line a tenant holds open is
+// accessed at every block of that tenant, so its last access is the
+// tenant's last block before the current position, which the caller
+// supplies per tenant on demand (Begin's last) instead of a store per
+// block. A miss whose victim is a line another tenant holds open is not
+// served: that tenant's next block would miss where the round assumes a
+// hit, so the round ends before the miss. Lines resident before the round
 // carry negative stamps in their LRU order, so every in-round access is
 // more recent. Sets are loaded on their first access in the round and
 // written back once, in stamp order, at End.
@@ -37,11 +39,8 @@ type Stamps struct {
 	// loaded lists the sets loaded this round.
 	loaded []int32
 	// last returns a tenant's last block position before the current
-	// access; lastAt caches it per tick.
+	// access.
 	last    func(owner int) int64
-	lastAt  []int64
-	lastGen []uint32
-	tick    uint32
 	open    []int32 // per owner: entry index of its open line, or -1
 	misses  uint64
 	evicted uint64
@@ -49,8 +48,7 @@ type Stamps struct {
 }
 
 // Begin starts a round over c with owners tenants. last(u) must return
-// tenant u's last block position before the access being made; Tick
-// marks each new access position.
+// tenant u's last block position before the access being made.
 func (s *Stamps) Begin(c *Cache, owners int, last func(owner int) int64) {
 	if s.c != c || len(s.gen) != c.sets {
 		s.c, s.ways = c, c.ways
@@ -65,11 +63,9 @@ func (s *Stamps) Begin(c *Cache, owners int, last func(owner int) int64) {
 		s.cur = 0
 	}
 	if cap(s.open) < owners {
-		s.open = make([]int32, owners)     //tnpu:allocok
-		s.lastAt = make([]int64, owners)   //tnpu:allocok
-		s.lastGen = make([]uint32, owners) //tnpu:allocok
+		s.open = make([]int32, owners) //tnpu:allocok
 	}
-	s.open, s.lastAt, s.lastGen = s.open[:owners], s.lastAt[:owners], s.lastGen[:owners]
+	s.open = s.open[:owners]
 	for i := range s.open {
 		s.open[i] = -1
 	}
@@ -81,27 +77,8 @@ func (s *Stamps) Begin(c *Cache, owners int, last func(owner int) int64) {
 		s.cur = 1
 	}
 	s.last = last
-	s.Tick()
 	s.loaded = s.loaded[:0]
 	s.misses, s.evicted, s.wbacks = 0, 0, 0
-}
-
-// Tick marks a new access position: tenants' last blocks are asked anew.
-func (s *Stamps) Tick() {
-	if s.tick++; s.tick == 0 {
-		for i := range s.lastGen {
-			s.lastGen[i] = 0
-		}
-		s.tick = 1
-	}
-}
-
-// lastOf is tenant u's last block position before the current access.
-func (s *Stamps) lastOf(u int32) int64 {
-	if s.lastGen[u] != s.tick {
-		s.lastAt[u], s.lastGen[u] = s.last(int(u)), s.tick
-	}
-	return s.lastAt[u]
 }
 
 // load brings set into stamp form on its first access this round.
@@ -138,8 +115,9 @@ const (
 // Hit reports the line resident.
 func (w Way) Hit() bool { return w.flags&wayHit != 0 }
 
-// Conflict reports the line resident and held open by another tenant,
-// which a round does not serve.
+// Conflict reports an access a round does not serve: the line is
+// resident and held open by another tenant, or a miss would evict a line
+// another tenant holds open.
 func (w Way) Conflict() bool { return w.flags&wayConflict != 0 }
 
 // Find locates addr's line for owner without changing anything the round
@@ -176,14 +154,20 @@ func (s *Stamps) Find(addr uint64, owner int) Way {
 		}
 	}
 	victim += base
+	w := Way{flags: wayFull}
 	for u, idx := range s.open {
 		if int(idx) >= base && int(idx) < base+n {
-			if t := s.lastOf(int32(u)); t < oldest {
+			if t := s.last(u); t < oldest {
 				victim, oldest = int(idx), t
+				w.flags = wayFull
+				if u != owner {
+					w.flags |= wayConflict
+				}
 			}
 		}
 	}
-	return Way{idx: int32(victim), flags: wayFull}
+	w.idx = int32(victim)
+	return w
 }
 
 // DirtyVictim reports the dirty line a miss at w would evict.
@@ -195,15 +179,12 @@ func (s *Stamps) DirtyVictim(w Way) (addr uint64, dirty bool) {
 }
 
 // Take performs owner's access to addr found at w (which must not
-// conflict): the
-// line becomes owner's open line and owner's previous open line closes at
-// its last access, ownerLast, the owner's last block position. It returns Access's Result and the tenant whose open
-// line a miss evicted (-1 if none), whose next block on that line must
-// access it again. A hit counts nothing here: End charges every lookup in
-// bulk.
-func (s *Stamps) Take(w Way, addr uint64, write bool, owner int, ownerLast int64) (res Result, evictedOwner int) {
+// conflict): the line becomes owner's open line, and owner's previous
+// open line closes at its last access, ownerLast, the owner's last block
+// position. It returns Access's Result. A hit counts nothing here: End
+// charges every lookup in bulk.
+func (s *Stamps) Take(w Way, addr uint64, write bool, owner int, ownerLast int64) (res Result) {
 	idx := w.idx
-	evictedOwner = -1
 	if prev := s.open[owner]; prev >= 0 && prev != idx {
 		s.ts[prev] = ownerLast
 		s.owner[prev] = -1
@@ -213,7 +194,7 @@ func (s *Stamps) Take(w Way, addr uint64, write bool, owner int, ownerLast int64
 		s.owner[idx] = int32(owner)
 		s.ts[idx] = math.MaxInt64
 		s.dirty[idx] = s.dirty[idx] || write
-		return Result{Hit: true}, -1
+		return Result{Hit: true}
 	}
 	s.misses++
 	if w.flags&wayFull == 0 {
@@ -224,13 +205,9 @@ func (s *Stamps) Take(w Way, addr uint64, write bool, owner int, ownerLast int64
 			s.wbacks++
 			res = Result{Writeback: true, WritebackAddr: s.tags[idx] << s.c.lineShift}
 		}
-		if o := s.owner[idx]; o >= 0 && int(o) != owner {
-			evictedOwner = int(o)
-			s.open[o] = -1
-		}
 	}
 	s.tags[idx], s.ts[idx], s.owner[idx], s.dirty[idx] = addr>>s.shift, math.MaxInt64, int32(owner), write
-	return res, evictedOwner
+	return res
 }
 
 // End writes the round back to the cache: each loaded set in stamp order,
@@ -238,14 +215,13 @@ func (s *Stamps) Take(w Way, addr uint64, write bool, owner int, ownerLast int64
 // the round's end, and lookups accesses counted in total.
 func (s *Stamps) End(lookups uint64) {
 	c := s.c
-	s.Tick()
 	for _, set := range s.loaded {
 		base := int(set) * s.ways
 		n := int(s.n[set])
 		ts := s.ts[base : base+n]
 		for k := range ts {
 			if o := s.owner[base+k]; o >= 0 {
-				ts[k] = s.lastOf(o)
+				ts[k] = s.last(int(o))
 			}
 		}
 		// Insertion sort into the line slice, most recent first: a set

@@ -1,7 +1,5 @@
 package dram
 
-import "math/bits"
-
 // This file is the bus model's one closed form: the run cursor. It lets a
 // caller charge an arbitrary interleaving of data blocks (issue-window
 // gated) and metadata blocks (writebacks, line fetches, tree-walk reads)
@@ -58,7 +56,6 @@ type ChannelRun struct {
 	rr     uint64 // per-block remainder numerator: BlockBytes*num%den
 	den    uint64
 	rem0   uint64 // carried remainder at admission
-	shift  int    // log2(den) when den is a power of two, else -1
 	clear0 uint64 // start horizon max(ready0, b0): C(0)
 	remAcc uint64 // carried remainder after the charges so far, < den
 	clear  uint64 // horizon after the charges so far: C(j)
@@ -77,10 +74,6 @@ func (cr *ChannelRun) begin(c *channel, ready uint64) {
 	cr.ch = c
 	cr.ready0, cr.b0 = ready, c.busyUntil
 	cr.q, cr.rr, cr.den = c.bq, c.br, c.den
-	cr.shift = -1
-	if c.den&(c.den-1) == 0 {
-		cr.shift = bits.TrailingZeros64(c.den)
-	}
 	cr.rem0, cr.remAcc = c.rem, c.rem
 	cr.clear0, cr.clear = start0, start0
 	cr.j = 0
@@ -195,9 +188,6 @@ func (cur *ChannelRun) Charge(k int) {
 // Exact by remainder telescoping; overflow is excluded by the batchable
 // check at admission (j never exceeds the admitted charge bound).
 func (cur *ChannelRun) ClearAt(j uint64) uint64 {
-	if cur.shift >= 0 {
-		return cur.clear0 + j*cur.q + (j*cur.rr+cur.rem0)>>cur.shift
-	}
 	return cur.clear0 + j*cur.q + (j*cur.rr+cur.rem0)/cur.den
 }
 

@@ -28,8 +28,9 @@ import (
 //   - unsecure and encrypt-only: none.
 //
 // An event the round cannot serve (a charge that would land above the
-// horizon, or a line another tenant holds open) ends the round before it,
-// with nothing touched.
+// horizon, a line another tenant holds open, or a miss whose victim is a
+// line another tenant holds open) ends the round before it, with nothing
+// touched.
 
 // Pattern is a round's ownership pattern: which tenant owns each of the P
 // data positions of a period, and every tenant's depth positions in it.
@@ -124,9 +125,6 @@ type Rounder struct {
 	period int64
 	off    int
 	last   func(owner int) int64
-	// macRun is the blocks per MAC line when the slot size tiles a line
-	// (a power of two), else 0 and macRunLen decides.
-	macRun uint64
 }
 
 // rtenant is one tenant's walk state.
@@ -223,12 +221,6 @@ func (rd *Rounder) Begin(pat *Pattern, streams []Stream, cr *dram.ChannelRun) {
 		rd.last = rd.lastPos //tnpu:allocok (once per Rounder)
 	}
 	rd.wrapAt = -1
-	rd.macRun = 0
-	if slot := rd.cfg.MACSlotBytes; dram.BlockBytes%slot == 0 {
-		if m := dram.BlockBytes / slot; m&(m-1) == 0 {
-			rd.macRun = m
-		}
-	}
 	for t := range streams {
 		s := &streams[t]
 		a := s.Addr
@@ -288,18 +280,6 @@ func (rd *Rounder) schedule(t int) {
 func (rd *Rounder) at(q int64) {
 	rd.period = q / rd.pat.P
 	rd.off = int(q - rd.period*rd.pat.P)
-	rd.macS.Tick()
-	if rd.bl != nil {
-		rd.ctrS.Tick()
-	}
-}
-
-// macLineRest is macRunLen: the blocks from addr to its MAC line's end.
-func (rd *Rounder) macLineRest(addr uint64) int {
-	if m := rd.macRun; m != 0 {
-		return int(m - addr/dram.BlockBytes&(m-1))
-	}
-	return macRunLen(addr, rd.cfg.MACSlotBytes)
 }
 
 // prevPos is the position of tenant t's block before block i, or -1 for
@@ -342,7 +322,7 @@ func (rd *Rounder) Serve(t, i int, q int64, r, j uint64) (before, after int, ok 
 		}
 	}
 	if rd.bl != nil {
-		before, after, ok = rd.serveBaseline(t, tn, i, q, r, j, addr, rest, isMac, isCtr, mac, macLine)
+		before, after, ok = rd.serveBaseline(t, tn, i, r, j, addr, rest, isMac, isCtr, mac, macLine)
 		if ok {
 			rd.schedule(t)
 		}
@@ -350,9 +330,8 @@ func (rd *Rounder) Serve(t, i int, q int64, r, j uint64) (before, after int, ok 
 	}
 	// tnpu: data then MAC writeback and fetch on reads; writeback then
 	// data on writes (the write path allocates without fetching).
-	res, ev := rd.macS.Take(mac, macLine, tn.write, t, rd.prevPos(t, i))
-	rd.reopenMAC(ev, q)
-	tn.macNext = i + minInt(rd.macLineRest(addr), rest)
+	res := rd.macS.Take(mac, macLine, tn.write, t, rd.prevPos(t, i))
+	tn.macNext = i + minInt(macRunLen(addr, cfg.MACSlotBytes), rest)
 	rd.schedule(t)
 	wb := 0
 	if res.Writeback {
@@ -379,31 +358,11 @@ func (rd *Rounder) Serve(t, i int, q int64, r, j uint64) (before, after int, ok 
 	return 0, after, true
 }
 
-// reopenMAC and reopenCtr note that a miss evicted tenant u's open line
-// at position q: u's next block on it accesses it again.
-func (rd *Rounder) reopenMAC(u int, q int64) {
-	if u >= 0 {
-		if k := rd.pat.Before(u, q); k < rd.ten[u].macNext {
-			rd.ten[u].macNext = k
-			rd.schedule(u)
-		}
-	}
-}
-
-func (rd *Rounder) reopenCtr(u int, q int64) {
-	if u >= 0 {
-		if k := rd.pat.Before(u, q); k < rd.ten[u].ctrNext {
-			rd.ten[u].ctrNext = k
-			rd.schedule(u)
-		}
-	}
-}
-
 // serveBaseline is Serve for the baseline engine: ReadBlock's charge
 // order (data, counter writeback and fetch, MAC writeback and fetch) or
 // WriteBlock's (counter writeback and fetch, MAC writeback and RMW fetch,
 // data).
-func (rd *Rounder) serveBaseline(t int, tn *rtenant, i int, q int64, r, j, addr uint64, rest int, isMac, isCtr bool, mac cache.Way, macLine uint64) (before, after int, ok bool) {
+func (rd *Rounder) serveBaseline(t int, tn *rtenant, i int, r, j, addr uint64, rest int, isMac, isCtr bool, mac cache.Way, macLine uint64) (before, after int, ok bool) {
 	b := rd.bl
 	cfg := rd.cfg
 	var lineIdx, ctrLine uint64
@@ -476,8 +435,7 @@ func (rd *Rounder) serveBaseline(t int, tn *rtenant, i int, q int64, r, j, addr 
 	}
 	counterAt := r
 	if isCtr {
-		res, ev := rd.ctrS.Take(ctr, ctrLine, tn.write, t, rd.prevPos(t, i))
-		rd.reopenCtr(ev, q)
+		res := rd.ctrS.Take(ctr, ctrLine, tn.write, t, rd.prevPos(t, i))
 		tn.ctrNext = i + ctrRun
 		if res.Writeback {
 			b.traffic.AddWrite(stats.Counter, dram.BlockBytes)
@@ -503,9 +461,8 @@ func (rd *Rounder) serveBaseline(t int, tn *rtenant, i int, q int64, r, j, addr 
 	}
 	macAt := r
 	if isMac {
-		res, ev := rd.macS.Take(mac, macLine, tn.write, t, rd.prevPos(t, i))
-		rd.reopenMAC(ev, q)
-		tn.macNext = i + minInt(rd.macLineRest(addr), rest)
+		res := rd.macS.Take(mac, macLine, tn.write, t, rd.prevPos(t, i))
+		tn.macNext = i + minInt(macRunLen(addr, cfg.MACSlotBytes), rest)
 		if res.Writeback {
 			b.traffic.AddWrite(stats.MAC, dram.BlockBytes)
 			k++

@@ -341,6 +341,66 @@ func TestFuzzSeedsEnterRounds(t *testing.T) {
 	}
 }
 
+// TestRoundOpenLineEviction pins rounds in which a co-tenant's miss would
+// evict a line another tenant holds open. Tenant A computes, then streams
+// one dense transfer that starts one block into a MAC line; by the time it
+// joins, tenant B has been streaming alone, so A's first window of blocks
+// issues back to back and the rounds alternate whole windows of A and of
+// B, with A's windows ending inside a line it accesses again. B (and C at
+// x3) moves short segments 8KB apart, so each of its segments opens a new
+// MAC line, all in one set, and a new counter line in one of four sets.
+// Whenever A's open line sits in such a set, B's window of openings makes
+// it the least recently used line there. A round must end before that
+// miss (cache.Stamps reports it as a conflict), or A's next block would
+// hit a line the cache no longer holds: the MAC cases for tnpu and
+// baseline, and the counter case for baseline, each diverge from the block
+// reference when the refusal is dropped. The fuzz target cannot build
+// these streams: its instructions carry at most three distinct segments.
+func TestRoundOpenLineEviction(t *testing.T) {
+	dense := func(op isa.Op, cycles uint64) *compiler.Program {
+		var tr isa.Trace
+		c := tr.Append(isa.Instr{Op: isa.OpCompute, Cycles: cycles})
+		tr.Append(isa.Instr{Op: op, Tensor: 1, Version: 1, Deps: []int32{c},
+			Segments: []isa.Segment{{Addr: dram.BlockBytes, Bytes: 2048 * dram.BlockBytes}}})
+		return &compiler.Program{Trace: tr}
+	}
+	strided := func(op isa.Op, blocks uint64) *compiler.Program {
+		in := isa.Instr{Op: op, Tensor: 2, Version: 1}
+		for k := uint64(0); k < 512; k++ {
+			in.Segments = append(in.Segments, isa.Segment{Addr: 1<<20 + 1024 + k*8<<10, Bytes: blocks * dram.BlockBytes})
+		}
+		var tr isa.Trace
+		tr.Append(in)
+		return &compiler.Program{Trace: tr}
+	}
+	for _, tc := range []struct {
+		name   string
+		scheme memprot.Scheme
+		op     isa.Op
+		count  int
+		blocks uint64 // per segment of B and C
+		cycles uint64 // A's compute before its transfer
+	}{
+		{"mac", memprot.TreeLess, isa.OpMvIn, 2, 2, 3000},
+		{"mac", memprot.TreeLess, isa.OpMvOut, 3, 2, 3000},
+		{"mac", memprot.Baseline, isa.OpMvOut, 3, 2, 1000},
+		{"counter", memprot.Baseline, isa.OpMvOut, 3, 1, 1000},
+	} {
+		t.Run(fmt.Sprintf("%s/%v/%v/x%d", tc.name, tc.scheme, tc.op, tc.count), func(t *testing.T) {
+			b := strided(tc.op, tc.blocks)
+			progs := []*compiler.Program{dense(tc.op, tc.cycles), b, b}[:tc.count]
+			for _, p := range progs[:2] {
+				if err := p.Trace.Validate(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if arb := diffMulti(t, progs, tc.scheme, npu.SmallNPU()); roundBlocks(arb) == 0 {
+				t.Fatal("no block was served by a contended round")
+			}
+		})
+	}
+}
+
 // --- allocation pin --------------------------------------------------------
 
 // TestMultiNPUNoAllocs pins the steady-state arbitration turn at zero
