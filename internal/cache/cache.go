@@ -159,42 +159,6 @@ func (c *Cache) AccessRun(addr, count uint64, write bool) Result {
 	return res
 }
 
-// AccessStreak resolves n consecutive line accesses in one walk: the
-// outcome of Access(addr + i*LineBytes, write) for i in [0, n) is appended
-// to out, in order, with exactly the state transitions and statistics the
-// n individual calls would produce (demand counters are applied in bulk).
-// The batched protection engines use it to classify a whole metadata-line
-// streak up front and then replay the charges in closed form. out is
-// returned to allow an allocation-free caller-owned buffer.
-func (c *Cache) AccessStreak(addr uint64, n int, write bool, out []Result) []Result {
-	var misses uint64
-	for i := 0; i < n; i++ {
-		tag := (addr + uint64(i)*c.lineBytes) >> c.lineShift
-		set := c.lines[c.setIndex(tag)]
-		hit := false
-		for j := range set {
-			if set[j].valid && set[j].tag == tag {
-				h := set[j]
-				if write {
-					h.dirty = true
-				}
-				copy(set[1:j+1], set[:j])
-				set[0] = h
-				out = append(out, Result{Hit: true})
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			misses++
-			out = append(out, c.allocate(tag, write))
-		}
-	}
-	c.stats.Lookups += uint64(n)
-	c.stats.Misses += misses
-	return out
-}
-
 // AddRunHits records count guaranteed-hit lookups on a just-accessed MRU
 // line in closed form: such hits change no LRU or dirty state, so only the
 // Lookups counter moves. This is the streak-wide bulk equivalent of the

@@ -1,59 +1,40 @@
 package cache
 
-// This file resolves a whole consecutive-line sweep against the cache in
+// This file resolves a cold consecutive-line sweep against the cache in
 // closed form. The batched protection engines touch metadata lines in
-// strictly ascending address order — one access per line — which makes the
-// per-line outcome of the sequential walk a pure function of the pre-sweep
-// set states: consecutive tags stripe round-robin across sets, so the j-th
-// in-range line landing in a set meets exactly j earlier in-range lines
-// there, and true-LRU eviction order within the set is the old lines from
-// LRU position upward followed by the in-range lines in insertion order.
+// strictly ascending address order, one access per line. When no line of
+// the range is resident, every access misses, and the per-line outcome of
+// the sequential walk is a pure function of the pre-sweep set states:
+// consecutive tags stripe round-robin across sets, so the j-th in-range
+// line landing in a set meets exactly j earlier in-range lines there, and
+// true-LRU eviction order within the set is the old lines from the LRU
+// position upward, followed by the in-range lines in insertion order.
 //
-// BeginSweep prescans the touched sets once and classifies the sweep:
-//
-//	SweepHot   — every line resident: each access is a hit, no state
-//	             change beyond LRU promotion and write-dirtying.
-//	SweepCold  — no line resident: each access misses; the victim (if
-//	             any) is computable per line in O(1).
-//	SweepMixed — anything else: the caller must fall back to the exact
-//	             sequential walk (AccessStreak).
+// BeginSweep prescans the touched sets once and reports whether the range
+// is cold. A range with any resident line has no closed form here: the
+// caller serves it line by line through Access.
 //
 // Outcome(i) answers the i-th access in O(1) without touching state;
 // CommitPrefix(k) applies the final state and statistics of the first k
-// accesses in O(sets×ways) — prefix commit because the baseline engine can
-// abandon a streak mid-run and hand the remaining lines to the reference
-// path, which must then see exactly the state the first k accesses left.
+// accesses in O(sets×ways). The commit takes a prefix because the baseline
+// engine can abandon a streak mid-run and hand the remaining lines to the
+// reference path, which must then see exactly the state the first k
+// accesses left.
 
-// SweepKind classifies a sweep; see the file comment.
-type SweepKind int
-
-const (
-	// SweepMixed: some lines resident, some not — no closed form.
-	SweepMixed SweepKind = iota
-	// SweepCold: no line of the range is resident.
-	SweepCold
-	// SweepHot: every line of the range is resident.
-	SweepHot
-)
-
-// Sweep holds the prescanned per-set state of one consecutive-line range.
-// A Sweep is owned (and reused) by its caller; all storage is retained
-// across BeginSweep calls.
+// Sweep holds the prescanned per-set state of one cold consecutive-line
+// range. A Sweep is owned (and reused) by its caller; all storage is
+// retained across BeginSweep calls.
 type Sweep struct {
 	c        *Cache
 	firstTag uint64
 	n        int
 	write    bool
-	kind     SweepKind
 	// Per touched set offset o (the set of line o, i.e. set
 	// (setIndex(firstTag)+o) mod sets), recorded at BeginSweep:
 	oldLen   []int32  // valid lines before the sweep
 	oldDirty []uint64 // dirty bitmask by LRU position (bit p = position p)
 	oldTags  []uint64 // old tags row-major [o*ways+pos], MRU first
 }
-
-// Kind returns the sweep's classification.
-func (s *Sweep) Kind() SweepKind { return s.kind }
 
 // UniformFrom returns the line index from which every outcome of a cold
 // sweep is identical — miss, eviction, and a self-eviction victim (an
@@ -64,14 +45,13 @@ func (s *Sweep) Kind() SweepKind { return s.kind }
 func (s *Sweep) UniformFrom() int { return s.c.sets * s.c.ways }
 
 // BeginSweep prescans the n consecutive lines starting at the line holding
-// addr and classifies the sweep. write marks the would-be accesses as
-// writes (dirtying on hit, dirty allocation on miss). No cache state or
-// statistics are touched; a SweepMixed result means the caller must serve
-// the range through AccessStreak instead.
-func (c *Cache) BeginSweep(s *Sweep, addr uint64, n int, write bool) SweepKind {
+// addr and reports whether none of them is resident. write marks the
+// would-be accesses as writes (dirty allocation). No cache state or
+// statistics are touched; on false the sweep holds nothing usable and the
+// caller serves the range through Access.
+func (c *Cache) BeginSweep(s *Sweep, addr uint64, n int, write bool) (cold bool) {
 	if n <= 0 || c.ways > 64 {
-		s.kind = SweepMixed
-		return SweepMixed
+		return false
 	}
 	firstTag := addr >> c.lineShift
 	touched := n
@@ -91,18 +71,17 @@ func (c *Cache) BeginSweep(s *Sweep, addr uint64, n int, write bool) SweepKind {
 	s.oldTags = s.oldTags[:touched*c.ways]
 
 	firstSet := c.setIndex(firstTag)
-	resident := 0
 	for o := 0; o < touched; o++ {
 		set := c.lines[(firstSet+uint64(o))%uint64(c.sets)]
 		s.oldLen[o] = int32(len(set))
 		var dirtyMask uint64
 		for p := range set {
+			if set[p].valid && set[p].tag-firstTag < uint64(n) {
+				return false
+			}
 			s.oldTags[o*c.ways+p] = set[p].tag
 			if set[p].dirty {
 				dirtyMask |= 1 << uint(p)
-			}
-			if set[p].valid && set[p].tag-firstTag < uint64(n) {
-				resident++
 			}
 		}
 		s.oldDirty[o] = dirtyMask
@@ -111,25 +90,14 @@ func (c *Cache) BeginSweep(s *Sweep, addr uint64, n int, write bool) SweepKind {
 	s.firstTag = firstTag
 	s.n = n
 	s.write = write
-	switch resident {
-	case 0:
-		s.kind = SweepCold
-	case n:
-		s.kind = SweepHot
-	default:
-		s.kind = SweepMixed
-	}
-	return s.kind
+	return true
 }
 
 // Outcome returns what the i-th access of the sweep (0-indexed) observes —
 // exactly the Result Access would return at that point of the sequential
-// walk. Pure: no state or statistics move. Valid for SweepHot and
-// SweepCold only.
+// walk: always a miss, with the victim's writeback if it is dirty. Pure: no
+// state or statistics move.
 func (s *Sweep) Outcome(i int) Result {
-	if s.kind == SweepHot {
-		return Result{Hit: true}
-	}
 	c := s.c
 	o := i % c.sets
 	j := int32(i / c.sets) // earlier in-range lines in this set
@@ -167,38 +135,9 @@ func (s *Sweep) CommitPrefix(k int) {
 	}
 	c := s.c
 	firstSet := c.setIndex(s.firstTag)
-	c.stats.Lookups += uint64(k)
-	if s.kind == SweepHot {
-		// Promote the touched in-range lines to MRU (last touched first),
-		// dirtying on write; untouched lines keep their relative order.
-		for o := 0; o < s.touchedFor(k); o++ {
-			set := c.lines[(firstSet+uint64(o))%uint64(c.sets)]
-			ks := countIncoming(o, k, c.sets)
-			// In-range lines with index < k, descending index (last touched is
-			// MRU), then the rest of the old order with those removed. Rebuild
-			// via a fixed-size local buffer (ways <= 64 checked at BeginSweep).
-			var buf [64]line
-			bn := 0
-			for j := ks - 1; j >= 0; j-- {
-				tag := s.firstTag + uint64(o) + uint64(j)*uint64(c.sets)
-				buf[bn] = line{valid: true, dirty: s.write || s.oldDirtyOf(o, tag), tag: tag}
-				bn++
-			}
-			for p := 0; p < len(set); p++ {
-				if set[p].valid && set[p].tag-s.firstTag < uint64(k) {
-					continue // promoted above
-				}
-				buf[bn] = set[p]
-				bn++
-			}
-			set = set[:bn]
-			copy(set, buf[:bn])
-			c.lines[(firstSet+uint64(o))%uint64(c.sets)] = set
-		}
-		return
-	}
-	// Cold: every access misses; per set the survivors are the last
+	// Every access misses; per set the survivors are the last
 	// min(ways, oldLen+ks) lines by recency.
+	c.stats.Lookups += uint64(k)
 	c.stats.Misses += uint64(k)
 	var evictions, writebacks uint64
 	for o := 0; o < s.touchedFor(k); o++ {
@@ -261,17 +200,6 @@ func countIncoming(o, k, sets int) int {
 		return 0
 	}
 	return (k-o-1)/sets + 1
-}
-
-// oldDirtyOf reports whether tag was dirty in set offset o before the sweep.
-func (s *Sweep) oldDirtyOf(o int, tag uint64) bool {
-	base := o * s.c.ways
-	for p := int32(0); p < s.oldLen[o]; p++ {
-		if s.oldTags[base+int(p)] == tag {
-			return s.oldDirty[o]&(1<<uint(p)) != 0
-		}
-	}
-	return false
 }
 
 func maxI32(a, b int32) int32 {

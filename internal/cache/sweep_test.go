@@ -5,14 +5,14 @@ import (
 	"testing"
 )
 
-// TestSweepMatchesAccessStreak drives random consecutive-line sweeps
-// against the sequential AccessStreak reference on a twin cache: the
-// classification must be truthful (hot = all resident, cold = none), every
-// Outcome must equal the reference's per-line result, and CommitPrefix
-// must leave tag state, LRU order, dirty bits, and statistics identical to
-// the reference serving the same prefix. Small geometries force aliasing,
-// self-eviction, and dirty-victim cases.
-func TestSweepMatchesAccessStreak(t *testing.T) {
+// TestSweepMatchesAccess drives random consecutive-line sweeps against
+// per-line Access on a twin cache: BeginSweep must report cold exactly when
+// no line of the range is resident, every Outcome of a cold sweep must equal
+// the reference's per-line result, and CommitPrefix must leave tag state,
+// LRU order, dirty bits, and statistics identical to the reference serving
+// the same prefix. Small geometries force aliasing, self-eviction, and
+// dirty-victim cases.
+func TestSweepMatchesAccess(t *testing.T) {
 	for _, geom := range []struct {
 		name  string
 		size  int
@@ -29,42 +29,35 @@ func TestSweepMatchesAccessStreak(t *testing.T) {
 			c := New("sweep", geom.size, 64, geom.ways)
 			ref := cloneCache(c)
 			var s Sweep
-			var out []Result
-			hot, cold := 0, 0
+			warm, cold := 0, 0
 			for step := 0; step < 600; step++ {
 				base := uint64(rng.Intn(geom.lines)) * 64
 				n := 1 + rng.Intn(geom.lines)
 				write := rng.Intn(2) == 0
 
-				// Reference classification: count resident in-range lines.
 				resident := 0
 				for i := 0; i < n; i++ {
 					if ref.Probe(base + uint64(i)*64) {
 						resident++
 					}
 				}
-				kind := c.BeginSweep(&s, base, n, write)
-				switch {
-				case resident == n && kind != SweepHot:
-					t.Fatalf("step %d: all %d lines resident but kind=%v", step, n, kind)
-				case resident == 0 && kind != SweepCold:
-					t.Fatalf("step %d: no lines resident but kind=%v", step, n)
-				case resident > 0 && resident < n && kind != SweepMixed:
-					t.Fatalf("step %d: %d/%d resident but kind=%v", step, resident, n, kind)
+				if got := c.BeginSweep(&s, base, n, write); got != (resident == 0) {
+					t.Fatalf("step %d: %d/%d lines resident but cold=%v", step, resident, n, got)
 				}
 
-				if kind == SweepMixed {
-					// Caller contract: serve through AccessStreak on both.
-					out = c.AccessStreak(base, n, write, out[:0])
-					ref.AccessStreak(base, n, write, out[len(out):])
-					sameState(t, "after mixed fallback", c, ref)
+				if resident > 0 {
+					// Caller contract: serve the range line by line on both.
+					warm++
+					for i := 0; i < n; i++ {
+						a := base + uint64(i)*64
+						if r1, r2 := c.Access(a, write), ref.Access(a, write); r1 != r2 {
+							t.Fatalf("step %d line %d: access diverged", step, i)
+						}
+					}
+					sameState(t, "after per-line fallback", c, ref)
 					continue
 				}
-				if kind == SweepHot {
-					hot++
-				} else {
-					cold++
-				}
+				cold++
 
 				// Commit a random prefix (full commit most of the time) and
 				// serve the same prefix on the reference.
@@ -76,8 +69,8 @@ func TestSweepMatchesAccessStreak(t *testing.T) {
 					got := s.Outcome(i)
 					want := ref.Access(base+uint64(i)*64, write)
 					if got != want {
-						t.Fatalf("step %d line %d/%d (%v, write=%v): outcome %+v, reference %+v",
-							step, i, n, kind, write, got, want)
+						t.Fatalf("step %d line %d/%d (write=%v): outcome %+v, reference %+v",
+							step, i, n, write, got, want)
 					}
 				}
 				s.CommitPrefix(k)
@@ -93,8 +86,8 @@ func TestSweepMatchesAccessStreak(t *testing.T) {
 					}
 				}
 			}
-			if hot == 0 || cold == 0 {
-				t.Fatalf("sweep kinds not exercised: hot=%d cold=%d", hot, cold)
+			if warm == 0 || cold == 0 {
+				t.Fatalf("sweep classes not exercised: warm=%d cold=%d", warm, cold)
 			}
 		})
 	}
@@ -111,8 +104,8 @@ func TestSweepUniformFrom(t *testing.T) {
 	}
 	var s Sweep
 	n := 40
-	if kind := c.BeginSweep(&s, 0, n, true); kind != SweepCold {
-		t.Fatalf("expected cold sweep, got %v", kind)
+	if !c.BeginSweep(&s, 0, n, true) {
+		t.Fatal("expected cold sweep")
 	}
 	uf := s.UniformFrom()
 	if uf != 16 {
@@ -126,7 +119,7 @@ func TestSweepUniformFrom(t *testing.T) {
 	}
 	s.CommitPrefix(n)
 	// Read sweep over fresh range: self-evictions clean.
-	if kind := c.BeginSweep(&s, 1<<20, n, false); kind != SweepCold {
+	if !c.BeginSweep(&s, 1<<20, n, false) {
 		t.Fatal("expected cold sweep")
 	}
 	for i := s.UniformFrom(); i < n; i++ {

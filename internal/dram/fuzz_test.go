@@ -100,24 +100,21 @@ func FuzzRunCursorVsPerBlock(f *testing.F) {
 							t.Fatalf("op %d: Meta(%d) = %d, ref %d", op, k, fAt, rAt)
 						}
 						left -= k
-					case 1: // periodic stretch [lead meta, m data, trail meta]
+					case 1: // periodic stretch [m data, trail meta]
 						m := 1 + int(sel/3)%4
-						lead, trail := int(sel/12)%2, int(sel/24)%3
-						maxP := left / (m + lead + trail)
+						trail := int(sel/12) % 3
+						maxP := left / (m + trail)
 						if maxP < 1 {
 							left = 0
 							continue
 						}
 						periods := 1 + int(fb.byte())%minTest(8, maxP)
-						fFree, fIssue, fNext, ok := cur.DataPeriodic(rF, periods, m, lead, trail)
+						fFree, fIssue, fNext, ok := cur.DataPeriodic(rF, periods, m, trail)
 						if !ok {
 							continue // still in the window prologue
 						}
 						var rFree, rIssue uint64
 						for p := 0; p < periods; p++ {
-							for j := 0; j < lead; j++ {
-								ref.TransferAt(rR, addr, BlockBytes)
-							}
 							for j := 0; j < m; j++ {
 								rIssue = rR
 								rFree, rR = refChargeData(ref, wRef, rR, addr)
@@ -127,11 +124,11 @@ func FuzzRunCursorVsPerBlock(f *testing.F) {
 							}
 						}
 						if fFree != rFree || fIssue != rIssue || fNext != rR {
-							t.Fatalf("op %d: DataPeriodic(%d,%d,%d,%d) = (%d,%d,%d), ref (%d,%d,%d)",
-								op, periods, m, lead, trail, fFree, fIssue, fNext, rFree, rIssue, rR)
+							t.Fatalf("op %d: DataPeriodic(%d,%d,%d) = (%d,%d,%d), ref (%d,%d,%d)",
+								op, periods, m, trail, fFree, fIssue, fNext, rFree, rIssue, rR)
 						}
 						rF = fNext
-						left -= periods * (m + lead + trail)
+						left -= periods * (m + trail)
 					default: // data span across the prologue and past it
 						k := 1 + int(sel/3)%minTest(3*depth+4, left)
 						fFree, fIssue, fNext := cur.Data(rF, k)

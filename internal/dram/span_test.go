@@ -55,16 +55,15 @@ func TestSpanCursorMatchesReference(t *testing.T) {
 							t.Fatalf("cfg %d depth %d step %d: Meta(%d) = %d, ref %d", ci, depth, step, k, fAt, rAt)
 						}
 						left -= k
-					case 1: // periodic uniform stretch [lead meta, m data, trail meta]
+					case 1: // periodic uniform stretch [m data, trail meta]
 						m := 1 + rng.Intn(4)
-						lead := rng.Intn(2)
 						trail := rng.Intn(3)
-						maxP := left / (m + lead + trail + 1)
+						maxP := left / (m + trail + 1)
 						if maxP < 1 {
 							continue
 						}
 						periods := 1 + rng.Intn(minTest(8, maxP))
-						fFree, fIssue, fNext, ok := sc.DataPeriodic(rF, periods, m, lead, trail)
+						fFree, fIssue, fNext, ok := sc.DataPeriodic(rF, periods, m, trail)
 						if !ok {
 							// Still in the window prologue; the fallback (plain
 							// Data/Meta) is exercised by the other cases.
@@ -73,9 +72,6 @@ func TestSpanCursorMatchesReference(t *testing.T) {
 						periodics++
 						var rFree, rIssue uint64
 						for p := 0; p < periods; p++ {
-							for j := 0; j < lead; j++ {
-								ref.TransferAt(rR, addr, BlockBytes)
-							}
 							for j := 0; j < m; j++ {
 								rIssue = rR
 								rFree, rR = refChargeData(ref, wRef, rR, addr)
@@ -85,11 +81,11 @@ func TestSpanCursorMatchesReference(t *testing.T) {
 							}
 						}
 						if fFree != rFree || fIssue != rIssue || fNext != rR {
-							t.Fatalf("cfg %d depth %d step %d: DataPeriodic(%d,%d,%d,%d) = (%d,%d,%d), ref (%d,%d,%d)",
-								ci, depth, step, periods, m, lead, trail, fFree, fIssue, fNext, rFree, rIssue, rR)
+							t.Fatalf("cfg %d depth %d step %d: DataPeriodic(%d,%d,%d) = (%d,%d,%d), ref (%d,%d,%d)",
+								ci, depth, step, periods, m, trail, fFree, fIssue, fNext, rFree, rIssue, rR)
 						}
 						rF = fNext
-						left -= periods * (m + lead + trail)
+						left -= periods * (m + trail)
 					default: // data span crossing prologue/short/long regimes
 						k := 1 + rng.Intn(minTest(3*depth+4, left))
 						fFree, fIssue, fNext := sc.Data(rF, k)

@@ -99,14 +99,13 @@ type RunCursor struct {
 
 // spanRec maps a contiguous range of data-block indices to charge indices.
 // The range holds n data blocks grouped in periods of m, each period
-// preceded by lead and followed by trail metadata charges; a plain span is
-// the single-period case (m == n, lead == trail == 0).
+// followed by trail metadata charges; a plain span is the single-period
+// case (m == n, trail == 0).
 type spanRec struct {
 	g     uint64 // first data block index covered
 	j     uint64 // charges before the record's first period
 	n     uint64 // total data blocks covered
 	m     uint32 // data blocks per period
-	lead  uint32 // metadata charges before each period's data
 	trail uint32 // metadata charges after each period's data
 }
 
@@ -253,13 +252,13 @@ func (cur *RunCursor) dataClear(g uint64) uint64 {
 // charge is the run charge count through the record's data block at
 // offset off, so that the block's clear time is C(charge).
 func (rec *spanRec) charge(off uint64) uint64 {
-	if rec.lead == 0 && rec.trail == 0 {
+	if rec.trail == 0 {
 		// No metadata between the record's data blocks: their charges are
 		// consecutive whatever the period.
 		return rec.j + off + 1
 	}
 	period, o := off/uint64(rec.m), off%uint64(rec.m)
-	return rec.j + period*uint64(rec.m+rec.lead+rec.trail) + uint64(rec.lead) + o + 1
+	return rec.j + period*uint64(rec.m+rec.trail) + o + 1
 }
 
 // collapse is the two-term collapse for a span of k data blocks entered at
@@ -334,23 +333,23 @@ func (cur *RunCursor) Data(r uint64, k int) (lastFree, lastIssue, nextR uint64) 
 	return cur.clear, lastIssue, nextR
 }
 
-// DataPeriodic appends `periods` repetitions of [lead metadata charges,
-// m data blocks, trail metadata charges] in O(1) — the uniform-stretch
-// collapse the protection engines use once a cold cache sweep has entered
-// steady-state turnover (every line misses with the same writeback
-// pattern). r is the issue time entering the first period's data span.
+// DataPeriodic appends `periods` repetitions of [m data blocks, trail
+// metadata charges] in O(1) — the uniform-stretch collapse the protection
+// engines use once a cold cache sweep has entered steady-state turnover
+// (every line misses with the same writeback pattern). r is the issue time
+// entering the first period's data span.
 // Returns the FINAL period's last data-block clear, its issue time, and
 // the next issue time; the horizon after the final trailing metadata is
 // Horizon(). ok is false — with no state touched — when the cursor is
 // still in its window prologue, where per-block gates are not yet
 // arithmetic.
-func (cur *RunCursor) DataPeriodic(r uint64, periods, m, lead, trail int) (lastFree, lastIssue, nextR uint64, ok bool) {
+func (cur *RunCursor) DataPeriodic(r uint64, periods, m, trail int) (lastFree, lastIssue, nextR uint64, ok bool) {
 	if cur.g < uint64(len(cur.w.slots)) || periods <= 0 || m <= 0 {
 		return 0, 0, 0, false
 	}
 	totalData := uint64(periods) * uint64(m)
-	cur.push(spanRec{g: cur.g, j: cur.j, n: totalData, m: uint32(m), lead: uint32(lead), trail: uint32(trail)})
-	cur.Charge(periods * (m + lead + trail))
+	cur.push(spanRec{g: cur.g, j: cur.j, n: totalData, m: uint32(m), trail: uint32(trail)})
+	cur.Charge(periods * (m + trail))
 	cur.g += totalData
 	lastIssue, nextR = cur.collapse(r, totalData)
 	return cur.dataClear(cur.g - 1), lastIssue, nextR, true

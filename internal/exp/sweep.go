@@ -61,14 +61,8 @@ func (r *Runner) runPoint(short string, cfg npu.Config, scheme memprot.Scheme) (
 			if err != nil {
 				return 0, err
 			}
-			bus := dram.NewBus(cfg.Mem)
-			eng, err := memprot.New(scheme, memprot.DefaultConfig(bus))
-			if err != nil {
-				return 0, err
-			}
-			mach := npu.NewMachine(prog, eng)
-			mach.Run()
-			return mach.Cycles(), nil
+			res, err := npu.Run(prog, scheme, cfg)
+			return res.Cycles, err
 		})
 	})
 }

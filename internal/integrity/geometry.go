@@ -79,15 +79,6 @@ func (g Geometry) NodesAt(level int) uint64 {
 	return g.counts[level]
 }
 
-// TotalNodes returns the total DRAM-resident metadata nodes.
-func (g Geometry) TotalNodes() uint64 {
-	var sum uint64
-	for _, c := range g.counts {
-		sum += c
-	}
-	return sum
-}
-
 // CounterIndex maps a data block index to its covering counter line (level
 // 0 node index) and the slot within the line.
 func (g Geometry) CounterIndex(blockIdx uint64) (lineIdx uint64, slot int) {

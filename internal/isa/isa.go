@@ -132,8 +132,13 @@ func (t *Trace) Validate() error {
 		}
 		switch in.Op {
 		case OpMvIn, OpMvOut:
-			if len(in.Segments) == 0 || in.TotalBytes() == 0 {
+			if len(in.Segments) == 0 {
 				return fmt.Errorf("isa: instr %d (%s) has no data", i, in.Op)
+			}
+			for k, seg := range in.Segments {
+				if seg.Bytes == 0 {
+					return fmt.Errorf("isa: instr %d (%s) segment %d has zero bytes", i, in.Op, k)
+				}
 			}
 		case OpCompute:
 			if in.Cycles == 0 {

@@ -60,6 +60,9 @@ func TestValidateRejects(t *testing.T) {
 		{"future dep", Trace{Instrs: []Instr{{Op: OpCompute, Cycles: 1, Deps: []int32{5}}}}},
 		{"empty mvin", Trace{Instrs: []Instr{{Op: OpMvIn}}}},
 		{"zero-byte mvout", Trace{Instrs: []Instr{{Op: OpMvOut, Segments: []Segment{{0, 0}}}}}},
+		// An empty segment inside a transfer would be one block on the
+		// per-block path and none on the batched one.
+		{"zero-byte segment", Trace{Instrs: []Instr{{Op: OpMvIn, Segments: []Segment{{0, 640}, {640, 0}, {1280, 640}}}}}},
 		{"zero-cycle compute", Trace{Instrs: []Instr{{Op: OpCompute}}}},
 		{"unknown op", Trace{Instrs: []Instr{{Op: Op(99)}}}},
 	}

@@ -327,45 +327,28 @@ func (b *baseline) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWind
 			ctrHits.pre, macHits.pre = true, true
 		}
 		if cur != nil && macSwept && mFull > 0 && isMac && pending == mFull-1 && chunkEnd == i+mFull &&
-			b.ctrStretchEntryOK(blockIdx, isCtr) {
-			// Stretch of full chunks in one MAC outcome class with resident
-			// counters: every chunk charges [span(mFull), MAC metadata] with
-			// the counter access free, so the whole stretch is one periodic
-			// span (or one plain span when the class is hit). Arrival, issue,
-			// and MAC-fetch terms all grow per chunk, so the final chunk
-			// dominates the stretch's dataAt.
+			(!isCtr || blockIdx%arity == 0) {
+			// Stretch of full chunks in one MAC writeback class with resident
+			// counters: every chunk charges [span(mFull), MAC writeback?, MAC
+			// fetch] with the counter access free, so the whole stretch is
+			// one periodic span. Arrival, issue, and MAC-fetch terms all grow
+			// per chunk, so the final chunk dominates the stretch's dataAt.
 			out0 := b.sweep.Outcome(sweepLi)
 			if p := b.chunkStretch(addr, i, n, sweepLi, mFull, out0, false); p >= 2 {
-				trail := 0
+				trail := 1
 				if out0.Writeback {
-					trail++
+					trail = 2 // victim writeback precedes the fetch
 				}
-				if !out0.Hit {
-					trail++
-				}
-				var lastFree, lastIssue, nr uint64
-				ok := true
-				if trail == 0 {
-					lastFree, lastIssue, nr = cur.Data(r, p*mFull)
-				} else {
-					lastFree, lastIssue, nr, ok = cur.DataPeriodic(r, p, mFull, 0, trail)
-				}
-				if ok {
+				if lastFree, lastIssue, nr, ok := cur.DataPeriodic(r, p, mFull, trail); ok {
 					b.traffic.AddRead(stats.Data, uint64(p*mFull)*dram.BlockBytes)
 					if out0.Writeback {
 						b.traffic.AddWrite(stats.MAC, uint64(p)*dram.BlockBytes)
 					}
-					macAt := lastIssue
-					if !out0.Hit {
-						b.traffic.AddRead(stats.MAC, uint64(p)*dram.BlockBytes)
-						// The fetch is each period's last charge, so the final
-						// macAt is the horizon plus the bus latency.
-						macAt = cur.Horizon() + lat
-					}
+					b.traffic.AddRead(stats.MAC, uint64(p)*dram.BlockBytes)
+					// The fetch is each period's last charge, so the final
+					// macAt is the horizon plus the bus latency.
+					macAt := cur.Horizon() + lat
 					b.mac.AddRunHits(uint64(p) * uint64(mFull-1))
-					if isCtr && blockIdx%arity != 0 {
-						b.ctrPartialHit(blockIdx, ctrCount, false)
-					}
 					b.ctrStretchHits(addr, i, p, mFull, n, false)
 					dataAt := max64(lastFree+lat, lastIssue+b.cfg.OTPCycles)
 					dataAt = max64(dataAt+b.cfg.XORCycles, macAt) + b.cfg.MACCycles
@@ -544,69 +527,43 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 			cur = nil
 			ctrHits.pre, macHits.pre = true, true
 		}
-		if cur != nil && macSwept && mFull > 0 && isMac && chunkEnd == i+mFull &&
-			b.ctrStretchEntryOK(blockIdx, isCtr) {
-			// Stretch of full chunks in one MAC outcome class with resident
-			// counters (see ReadRun): hit chunks charge nothing on the
-			// write-validated path and fold into the pending span; miss
-			// chunks each flush the deferred previous chunk and append the
-			// victim writeback and RMW fetch — one period DataPeriodic
-			// repeats when pending is exactly mFull.
+		if cur != nil && macSwept && mFull > 0 && isMac && chunkEnd == i+mFull && pending == mFull &&
+			(!isCtr || blockIdx%arity == 0) {
+			// Stretch of full chunks in one MAC writeback class with resident
+			// counters (see ReadRun): each chunk flushes the deferred previous
+			// chunk and appends the victim writeback and RMW fetch — one
+			// period DataPeriodic repeats, since pending is exactly mFull.
 			out0 := b.sweep.Outcome(sweepLi)
 			if p := b.chunkStretch(addr, i, n, sweepLi, mFull, out0, true); p >= 2 {
-				if out0.Hit {
+				trail := 1
+				if out0.Writeback {
+					trail = 2 // victim writeback precedes the RMW fetch
+				}
+				if lastFree, _, nr, ok := cur.DataPeriodic(r, p, mFull, trail); ok {
 					b.traffic.AddWrite(stats.Data, uint64(p*mFull)*dram.BlockBytes)
-					b.mac.AddRunHits(uint64(p) * uint64(mFull-1))
-					if isCtr && blockIdx%arity != 0 {
-						b.ctrPartialHit(blockIdx, ctrCount, true)
+					b.traffic.AddRead(stats.MAC, uint64(p)*dram.BlockBytes)
+					if out0.Writeback {
+						b.traffic.AddWrite(stats.MAC, uint64(p)*dram.BlockBytes)
 					}
+					b.mac.AddRunHits(uint64(p) * uint64(mFull-1))
 					b.ctrStretchHits(addr, i, p, mFull, n, true)
 					b.minorStretchBump(addr, i, p*mFull)
-					pending += p * mFull
+					if lastFree > maxDataAt {
+						maxDataAt = lastFree
+					}
+					r = nr
 					sweepLi += p
 					i += p * mFull
 					nextMac = i
 					for nextCtr < i {
 						nextCtr += int(arity)
 					}
-					// Keep minorLine current for a mid-line successor chunk.
+					// pending stays mFull: the final chunk's data is the
+					// deferred span the next flush charges. Keep minorLine
+					// current for a mid-line successor chunk.
 					li2, _ := b.geo.CounterIndex(addr/dram.BlockBytes + uint64(i))
 					minorLine = b.minors[li2]
 					continue
-				}
-				if pending == mFull {
-					trail := 1
-					if out0.Writeback {
-						trail = 2 // victim writeback precedes the RMW fetch
-					}
-					if lastFree, _, nr, ok := cur.DataPeriodic(r, p, mFull, 0, trail); ok {
-						b.traffic.AddWrite(stats.Data, uint64(p*mFull)*dram.BlockBytes)
-						b.traffic.AddRead(stats.MAC, uint64(p)*dram.BlockBytes)
-						if out0.Writeback {
-							b.traffic.AddWrite(stats.MAC, uint64(p)*dram.BlockBytes)
-						}
-						b.mac.AddRunHits(uint64(p) * uint64(mFull-1))
-						if isCtr && blockIdx%arity != 0 {
-							b.ctrPartialHit(blockIdx, ctrCount, true)
-						}
-						b.ctrStretchHits(addr, i, p, mFull, n, true)
-						b.minorStretchBump(addr, i, p*mFull)
-						if lastFree > maxDataAt {
-							maxDataAt = lastFree
-						}
-						r = nr
-						sweepLi += p
-						i += p * mFull
-						nextMac = i
-						for nextCtr < i {
-							nextCtr += int(arity)
-						}
-						// pending stays mFull: the final chunk's data is the
-						// deferred span the next flush charges.
-						li2, _ := b.geo.CounterIndex(addr/dram.BlockBytes + uint64(i))
-						minorLine = b.minors[li2]
-						continue
-					}
 				}
 			}
 		}
@@ -615,19 +572,9 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 			// lines are both resident (hence chargeless) folds straight into
 			// the pending span; otherwise the deferred data of earlier
 			// chunks lands first, then the metadata charges, then this
-			// chunk's data joins a fresh span. With an active sweep the MAC
-			// residency question is answered by the outcome (the cache
-			// itself is stale until CommitPrefix).
-			var macRes cache.Result
-			macHit := true
-			if isMac {
-				if macSwept {
-					macRes = b.sweep.Outcome(sweepLi)
-					macHit = macRes.Hit
-				} else {
-					macHit = b.mac.Probe(macLineAddr(a, b.cfg.MACSlotBytes))
-				}
-			}
+			// chunk's data joins a fresh span. A MAC line of an active cold
+			// sweep is never resident.
+			macHit := !isMac || (!macSwept && b.mac.Probe(macLineAddr(a, b.cfg.MACSlotBytes)))
 			clean := (!isCtr || b.counter.Probe(b.geo.NodeAddr(0, lineIdx))) && macHit
 			if !clean && pending > 0 {
 				lastFree, _, nr := cur.Data(r, pending)
@@ -655,13 +602,7 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 			}
 			if isMac {
 				if macSwept {
-					if clean {
-						// Hit: CommitPrefix applies the lookup, promotion,
-						// and dirtying of the sweep's write access.
-						b.mac.AddRunHits(macCount - 1)
-					} else {
-						b.macSweepAccess(cur, r, macCount, macRes, true)
-					}
+					b.macSweepAccess(cur, r, macCount, b.sweep.Outcome(sweepLi), true)
 					sweepLi++
 				} else if clean {
 					b.mac.Access(macLineAddr(a, b.cfg.MACSlotBytes), true)

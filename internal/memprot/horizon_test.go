@@ -26,8 +26,8 @@ type engineState struct {
 // struct, whose caches (tags, dirty bits, LRU order, statistics), walk
 // MSHRs, minors map, traffic and bus channels reflect.DeepEqual reaches
 // through their pointers, and the issue window's outstanding clear times.
-// The per-call scratch fields (the MAC-line sweep resolvers and the
-// tree-less outcome buffer) hold nothing between calls and are cleared.
+// The per-call scratch fields (the MAC-line sweep resolvers) hold nothing
+// between calls and are cleared.
 func horizonState(e Engine, w *dram.IssueWindow) engineState {
 	var v any
 	switch e := e.(type) {
@@ -37,7 +37,7 @@ func horizonState(e Engine, w *dram.IssueWindow) engineState {
 		v = c
 	case *treeless:
 		c := *e
-		c.sweep, c.macOut = cache.Sweep{}, nil
+		c.sweep = cache.Sweep{}
 		v = c
 	case *unsecure:
 		v = *e

@@ -10,8 +10,8 @@ import (
 // This file serves whole metadata-line streaks through the issue window's
 // dram.RunCursor, admitted by dram.Bus.BeginRun: instead of splitting a run
 // at every counter/MAC-line boundary and paying a full bus transfer plus a
-// StreamRun per line, the secure schemes classify each line (or chunk) up
-// front and replay the reference path's exact charge sequence in closed
+// StreamRun per line, the secure schemes resolve each line (or chunk) in
+// order and replay the reference path's exact charge sequence in closed
 // form — data spans collapse to one aggregate charge, metadata charges
 // append at the horizon, and the window ring is written once, at Commit.
 // Every value the per-block model returns
@@ -53,35 +53,20 @@ func macLineCount(addr, slotBytes uint64, n int) int {
 }
 
 // readStreak is the treeless ReadRun fast path, serving a run BeginRun
-// admitted on cur; every charge of a treeless read appends (data at
-// issue times, MAC writebacks and fetches at the current boundary's issue
-// time), so no mid-streak exit can occur. MAC-line outcomes come from a
-// cache sweep when the range is uniformly resident or absent — a hot sweep
-// collapses the whole run to one span charge, a cold sweep walks the
-// capacity prefix per line and collapses the steady-state tail to one
-// periodic charge — with the exact sequential walk as the mixed fallback.
+// admitted on cur; every charge of a treeless read appends (data at issue
+// times, MAC writebacks and fetches at the current boundary's issue time),
+// so no mid-streak exit can occur. A MAC-line range with no resident line
+// takes its outcomes from a cold cache sweep: the capacity prefix walks per
+// line and the steady-state tail collapses to one periodic charge. Any
+// other range opens each line through a live Access in line order.
 // //tnpu:noalloc
 func (t *treeless) readStreak(ready, addr uint64, n int, cur *dram.RunCursor) (nextReady, maxDataAt uint64) {
 	lat := t.cfg.Bus.Latency()
 	slot := t.cfg.MACSlotBytes
 	nLines := macLineCount(addr, slot, n)
-	lineAddr := macLineAddr(addr, slot)
-	kind := t.mac.BeginSweep(&t.sweep, lineAddr, nLines, false)
-	mixed := kind == cache.SweepMixed
-	if mixed {
-		t.macOut = t.mac.AccessStreak(lineAddr, nLines, false, t.macOut[:0])
-	}
+	cold := t.mac.BeginSweep(&t.sweep, macLineAddr(addr, slot), nLines, false)
 	t.mac.AddRunHits(uint64(n - nLines))
 	t.traffic.AddRead(stats.Data, uint64(n)*dram.BlockBytes)
-
-	if kind == cache.SweepHot {
-		// Every line hits clean: the entire run is one deferred data span,
-		// and the final block's arrival dominates every per-line term.
-		lastFree, _, nr := cur.Data(ready, n)
-		t.sweep.CommitPrefix(nLines)
-		cur.Commit()
-		return nr, lastFree + lat + t.cfg.XTSCycles + t.cfg.MACCycles
-	}
 
 	// Cold runs: every line misses, so a line's whole charge pattern is
 	// [span(mFull), writeback?, fetch] — determined by its victim's dirty
@@ -91,7 +76,7 @@ func (t *treeless) readStreak(ready, addr uint64, n int, cur *dram.RunCursor) (n
 	// all cover mFull blocks and start block-aligned); past the sweep's
 	// uniform boundary the class is known to be clean without scanning.
 	mFull, uniform := 0, nLines
-	if kind == cache.SweepCold && dram.BlockBytes%slot == 0 {
+	if cold && dram.BlockBytes%slot == 0 {
 		mFull = int(dram.BlockBytes / slot)
 		uniform = t.sweep.UniformFrom()
 	}
@@ -101,8 +86,8 @@ func (t *treeless) readStreak(ready, addr uint64, n int, cur *dram.RunCursor) (n
 	li := 0
 	for i := 0; i < n; li++ {
 		// pending == mFull-1 certifies the previous line was a full miss
-		// (cold runs have no pure lines), so this line starts aligned and
-		// each period's span is exactly mFull blocks.
+		// (cold runs have no hits), so this line starts aligned and each
+		// period's span is exactly mFull blocks.
 		if mFull > 0 && pending == mFull-1 {
 			if P := (n - i) / mFull; P >= 2 {
 				wb := t.sweep.Outcome(li).Writeback
@@ -122,7 +107,7 @@ func (t *treeless) readStreak(ready, addr uint64, n int, cur *dram.RunCursor) (n
 					trail = 2 // victim writeback precedes the fetch
 				}
 				if p >= 2 {
-					if lastFree, _, nr, ok := cur.DataPeriodic(r, p, mFull, 0, trail); ok {
+					if lastFree, _, nr, ok := cur.DataPeriodic(r, p, mFull, trail); ok {
 						t.traffic.AddRead(stats.MAC, uint64(p)*dram.BlockBytes)
 						if wb {
 							t.traffic.AddWrite(stats.MAC, uint64(p)*dram.BlockBytes)
@@ -149,13 +134,13 @@ func (t *treeless) readStreak(ready, addr uint64, n int, cur *dram.RunCursor) (n
 			m = n - i
 		}
 		var res cache.Result
-		if mixed {
-			res = t.macOut[li]
-		} else {
+		if cold {
 			res = t.sweep.Outcome(li)
+		} else {
+			res = t.mac.Access(macLineAddr(a, slot), false)
 		}
-		if res.Hit && !res.Writeback {
-			// Pure line: its MAC resolves at the issue time, dominated by the
+		if res.Hit {
+			// Its MAC resolves at the issue time, dominated by the
 			// data-arrival term, so the whole line is deferred data.
 			pending += m
 			i += m
@@ -164,17 +149,14 @@ func (t *treeless) readStreak(ready, addr uint64, n int, cur *dram.RunCursor) (n
 		// Charge order matches ReadBlock: boundary data, MAC writeback, MAC
 		// fetch, covered data — so the pending span plus this boundary flush
 		// first.
-		lastFree, lastIssue, nr := cur.Data(r, pending+1)
+		lastFree, _, nr := cur.Data(r, pending+1)
 		r = nr
-		macAt := lastIssue // hit-with-writeback: MAC available at issue time
 		if res.Writeback {
 			t.traffic.AddWrite(stats.MAC, dram.BlockBytes)
 			cur.Meta(1)
 		}
-		if !res.Hit {
-			t.traffic.AddRead(stats.MAC, dram.BlockBytes)
-			macAt = cur.Meta(1) + lat
-		}
+		t.traffic.AddRead(stats.MAC, dram.BlockBytes)
+		macAt := cur.Meta(1) + lat
 		if d := max64(lastFree+lat+t.cfg.XTSCycles, macAt) + t.cfg.MACCycles; d > maxDataAt {
 			maxDataAt = d
 		}
@@ -188,7 +170,7 @@ func (t *treeless) readStreak(ready, addr uint64, n int, cur *dram.RunCursor) (n
 			maxDataAt = d
 		}
 	}
-	if !mixed {
+	if cold {
 		t.sweep.CommitPrefix(nLines)
 	}
 	cur.Commit()
@@ -197,27 +179,15 @@ func (t *treeless) readStreak(ready, addr uint64, n int, cur *dram.RunCursor) (n
 
 // writeStreak is the treeless WriteRun fast path: MAC updates are
 // write-validated (no fetch), so the only metadata charges are dirty MAC
-// writebacks, each preceding its line's boundary data block.
+// writebacks, each preceding its line's boundary data block. Lines resolve
+// as in readStreak: a cold sweep, or a live Access per line.
 // //tnpu:noalloc
 func (t *treeless) writeStreak(ready, addr uint64, n int, cur *dram.RunCursor) (nextReady, maxDataAt uint64) {
 	slot := t.cfg.MACSlotBytes
 	nLines := macLineCount(addr, slot, n)
-	lineAddr := macLineAddr(addr, slot)
-	kind := t.mac.BeginSweep(&t.sweep, lineAddr, nLines, true)
-	mixed := kind == cache.SweepMixed
-	if mixed {
-		t.macOut = t.mac.AccessStreak(lineAddr, nLines, true, t.macOut[:0])
-	}
+	cold := t.mac.BeginSweep(&t.sweep, macLineAddr(addr, slot), nLines, true)
 	t.mac.AddRunHits(uint64(n - nLines))
 	t.traffic.AddWrite(stats.Data, uint64(n)*dram.BlockBytes)
-
-	if kind == cache.SweepHot {
-		// Every line hits (MAC updated in place): one deferred data span.
-		lastFree, _, nr := cur.Data(ready, n)
-		t.sweep.CommitPrefix(nLines)
-		cur.Commit()
-		return nr, lastFree
-	}
 
 	// Cold runs (see readStreak): every line misses, and on the write path
 	// a miss charges only its victim's writeback — so a stretch of clean
@@ -226,7 +196,7 @@ func (t *treeless) writeStreak(ready, addr uint64, n int, cur *dram.RunCursor) (
 	// DataPeriodic. Lines after the first are always block-aligned when
 	// the slot size tiles the line.
 	mFull, uniform := 0, nLines
-	if kind == cache.SweepCold && dram.BlockBytes%slot == 0 {
+	if cold && dram.BlockBytes%slot == 0 {
 		mFull = int(dram.BlockBytes / slot)
 		uniform = t.sweep.UniformFrom()
 	}
@@ -260,7 +230,7 @@ func (t *treeless) writeStreak(ready, addr uint64, n int, cur *dram.RunCursor) (
 				// pending == mFull makes each period's span exactly mFull
 				// blocks, the shape DataPeriodic repeats.
 				if p >= 2 && pending == mFull {
-					if _, _, nr, ok := cur.DataPeriodic(r, p, mFull, 0, 1); ok {
+					if _, _, nr, ok := cur.DataPeriodic(r, p, mFull, 1); ok {
 						t.traffic.AddWrite(stats.MAC, uint64(p)*dram.BlockBytes)
 						r = nr
 						i += p * mFull
@@ -276,10 +246,10 @@ func (t *treeless) writeStreak(ready, addr uint64, n int, cur *dram.RunCursor) (
 			m = n - i
 		}
 		var res cache.Result
-		if mixed {
-			res = t.macOut[li]
-		} else {
+		if cold {
 			res = t.sweep.Outcome(li)
+		} else {
+			res = t.mac.Access(macLineAddr(a, slot), true)
 		}
 		if res.Writeback {
 			if pending > 0 {
@@ -296,7 +266,7 @@ func (t *treeless) writeStreak(ready, addr uint64, n int, cur *dram.RunCursor) (
 	// Writes complete at their bus-clear time; the run's last charge is
 	// always a data block, so its clear dominates every earlier one.
 	lastFree, _, nr := cur.Data(r, pending)
-	if !mixed {
+	if cold {
 		t.sweep.CommitPrefix(nLines)
 	}
 	cur.Commit()
@@ -396,26 +366,26 @@ func (b *baseline) macStreakAccess(cur *dram.RunCursor, rB, addr, count uint64, 
 	return b.macStreakCharge(cur, rB, count, res, write)
 }
 
-// beginMacSweep classifies the MAC lines a baseline streak will touch from
-// block `from` (a MAC-line boundary) to the end of the run. When the range
-// is uniformly resident or absent, every remaining boundary's outcome is
-// served from the sweep in consumption order (macSweepAccess) and applied
-// in bulk when the streak commits or exits; a mixed range reports false
-// and the streak keeps the live macStreakAccess path. Nothing else touches
-// the MAC cache while a baseline streak is active, so the sweep's
-// untouched-between invariant holds. //tnpu:noalloc
+// beginMacSweep prescans the MAC lines a baseline streak will touch from
+// block `from` (a MAC-line boundary) to the end of the run. When none is
+// resident, every remaining boundary's outcome is served from the cold
+// sweep in consumption order (macSweepAccess) and applied in bulk when the
+// streak commits or exits; otherwise it reports false and the streak opens
+// each line through the live macStreakAccess. Nothing else touches the MAC
+// cache while a baseline streak is active, so the sweep's untouched-between
+// invariant holds. //tnpu:noalloc
 func (b *baseline) beginMacSweep(addr uint64, from, n int, write bool) bool {
 	if from >= n {
 		return false
 	}
 	a := addr + uint64(from)*dram.BlockBytes
 	lines := macLineCount(a, b.cfg.MACSlotBytes, n-from)
-	return b.mac.BeginSweep(&b.sweep, macLineAddr(a, b.cfg.MACSlotBytes), lines, write) != cache.SweepMixed
+	return b.mac.BeginSweep(&b.sweep, macLineAddr(a, b.cfg.MACSlotBytes), lines, write)
 }
 
 // macSweepAccess is macStreakAccess with the line's outcome supplied by an
-// active cache.Sweep instead of a live access: the sweep's CommitPrefix
-// applies the lookup, allocation, promotion, and dirtying in bulk later,
+// active cold cache.Sweep instead of a live access: the sweep's
+// CommitPrefix applies the lookup, allocation, and eviction in bulk later,
 // so only the charges and traffic happen here. //tnpu:noalloc
 func (b *baseline) macSweepAccess(cur *dram.RunCursor, rB, count uint64, res cache.Result, write bool) uint64 {
 	b.mac.AddRunHits(count - 1)
@@ -440,8 +410,8 @@ func (b *baseline) macStreakCharge(cur *dram.RunCursor, rB, count uint64, res ca
 }
 
 // chunkStretch scans forward from chunk start i (a MAC-aligned, fully
-// covered chunk) for consecutive full chunks whose MAC sweep outcomes all
-// share out0's (hit, writeback) class and whose counter-line boundaries are
+// covered chunk) for consecutive full chunks whose cold-sweep MAC outcomes
+// all share out0's writeback class and whose counter-line boundaries are
 // all resident — a stretch whose charge sequence repeats one period and
 // collapses through DataPeriodic. Probes only: a result below 2 leaves all
 // state untouched and the caller proceeds chunk-by-chunk. Requires the
@@ -454,13 +424,8 @@ func (b *baseline) chunkStretch(addr uint64, i, n, sweepLi, mFull int, out0 cach
 	// Chunk index (relative to the stretch) where the cold sweep turns into
 	// pure self-evicting turnover; beyond it outcomes need no scanning.
 	uniform := limit
-	if b.sweep.Kind() == cache.SweepCold {
-		if u := b.sweep.UniformFrom() - sweepLi; u < limit {
-			if u < 0 {
-				u = 0
-			}
-			uniform = u
-		}
+	if u := b.sweep.UniformFrom() - sweepLi; u < limit {
+		uniform = max(u, 0)
 	}
 	p := 0
 	for p < uniform { // varied prefix: check every chunk's outcome
@@ -468,12 +433,12 @@ func (b *baseline) chunkStretch(addr uint64, i, n, sweepLi, mFull int, out0 cach
 		if bi%arity == 0 && !b.ctrResident(bi) {
 			return p
 		}
-		if o := b.sweep.Outcome(sweepLi + p); o.Hit != out0.Hit || o.Writeback != out0.Writeback {
+		if b.sweep.Outcome(sweepLi+p).Writeback != out0.Writeback {
 			return p
 		}
 		p++
 	}
-	if out0.Hit || out0.Writeback != write {
+	if out0.Writeback != write {
 		// The steady-state class is a self-evicting miss, dirty exactly when
 		// the sweep writes; a different class ends at the boundary.
 		return p
@@ -497,29 +462,6 @@ func (b *baseline) chunkStretch(addr uint64, i, n, sweepLi, mFull int, out0 cach
 func (b *baseline) ctrResident(bi uint64) bool {
 	lineIdx, _ := b.geo.CounterIndex(bi)
 	return b.counter.Probe(b.geo.NodeAddr(0, lineIdx))
-}
-
-// ctrStretchEntryOK reports whether a chunk-stretch may begin at this
-// chunk. A run that starts mid-counter-line (misaligned addr, so only the
-// run's first chunk can be both isCtr and unaligned) has a partial first
-// line that chunkStretch's aligned-boundary probes never see: it must be
-// resident for the stretch's charge-free counter model to hold — a miss
-// keeps the chunk on the live path, which prices the walk. //tnpu:noalloc
-func (b *baseline) ctrStretchEntryOK(blockIdx uint64, isCtr bool) bool {
-	if !isCtr || blockIdx%b.cfg.TreeArity == 0 {
-		return true
-	}
-	return b.ctrResident(blockIdx)
-}
-
-// ctrPartialHit charges the run-initial partial counter line a committed
-// stretch covers (ctrStretchEntryOK proved it resident): the same lookup
-// accounting the plain streak-hit chunk applies — one access serving
-// ctrCount blocks. //tnpu:noalloc
-func (b *baseline) ctrPartialHit(blockIdx, ctrCount uint64, write bool) {
-	lineIdx, _ := b.geo.CounterIndex(blockIdx)
-	b.counter.Access(b.geo.NodeAddr(0, lineIdx), write)
-	b.counter.AddRunHits(ctrCount - 1)
 }
 
 // ctrStretchHits replays the counter accesses a collapsed stretch covers:

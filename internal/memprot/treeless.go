@@ -37,12 +37,10 @@ type treeless struct {
 	mac     *cache.Cache
 	traffic stats.Traffic
 
-	// Streak scratch state (see streak.go): sweep resolves whole MAC-line
-	// ranges in closed form, and macOut is the reused per-line outcome
-	// buffer for the mixed fallback. Engine-owned so the batched hot path
-	// allocates nothing; the bus run cursor belongs to the issue window.
-	sweep  cache.Sweep
-	macOut []cache.Result
+	// Streak scratch state (see streak.go): sweep resolves a cold MAC-line
+	// range in closed form. Engine-owned so the batched hot path allocates
+	// nothing; the bus run cursor belongs to the issue window.
+	sweep cache.Sweep
 
 	// Version-table path: the table is CPU-enclave data, so accesses hit
 	// the CPU cache hierarchy; vcache models that residency (the tables
@@ -179,6 +177,3 @@ func (t *treeless) Traffic() *stats.Traffic         { return &t.traffic }
 func (t *treeless) CounterStats() *stats.CacheStats { return &zeroCacheStats }
 func (t *treeless) HashStats() *stats.CacheStats    { return &zeroCacheStats }
 func (t *treeless) MACStats() *stats.CacheStats     { return t.mac.Stats() }
-
-// VersionStats exposes the version-table cache statistics.
-func (t *treeless) VersionStats() *stats.CacheStats { return t.vcache.Stats() }

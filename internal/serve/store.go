@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"tnpu/internal/exp"
 	"tnpu/internal/npu/memostore"
 )
 
@@ -146,9 +145,3 @@ func (s *Store) Stats() StoreStats {
 
 // Hits is disk + flight hits: lookups that did not recompute.
 func (st StoreStats) Hits() uint64 { return st.DiskHits + st.FlightHits }
-
-// CellDigest addresses one simulation cell under the store's code-version
-// scheme; kept here so handlers and tests share one spelling.
-func CellDigest(codeVersion string, k exp.CellKey) string {
-	return k.Digest(codeVersion)
-}

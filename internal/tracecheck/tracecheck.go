@@ -55,21 +55,16 @@ func (r *Report) errf(format string, args ...interface{}) {
 	}
 }
 
-// isInitTensor reports whether a tensor is initialization-written (input
-// or parameters, at version 1) before the trace starts.
-func isInitTensor(name string) bool {
-	return name == "input" || (len(name) > 2 && name[len(name)-2:] == ".w")
-}
-
 // Check runs all static validations over the program.
 func Check(prog *compiler.Program) Report {
 	var r Report
 	r.Instrs = len(prog.Trace.Instrs)
 
-	// Per-block last-written version, seeded by initialization.
+	// Per-block last-written version, seeded by initialization: the input
+	// and parameters are written at version 1 before the trace starts.
 	written := make(map[uint64]uint64)
 	for _, ten := range prog.Tensors {
-		if !isInitTensor(ten.Name) {
+		if !compiler.IsParameter(ten.Name) {
 			continue
 		}
 		for blk := uint64(0); blk < ten.Blocks(); blk++ {
