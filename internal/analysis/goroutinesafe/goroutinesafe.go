@@ -44,7 +44,6 @@ var Registry = map[string]bool{
 	"integrity.CounterTree": true,
 	"integrity.TreeMemory":  true,
 	"core.Context":          true,
-	"core.TraceExecutor":    true,
 }
 
 // Analyzer is the goroutinesafe pass.

@@ -4,7 +4,7 @@
 // moves the first line of defense to compile time:
 //
 //   - Every ReadRun/WriteRun method in the memprot package (the
-//     RunEngine fast-path entry points the test pins) must carry the
+//     Engine fast-path entry points the test pins) must carry the
 //     //tnpu:noalloc annotation in its doc comment.
 //   - Inside any function annotated //tnpu:noalloc, the obvious
 //     allocation constructs are flagged: append, make, new, taking the
@@ -32,7 +32,7 @@ import (
 const Marker = "noalloc"
 
 // RequiredMethods maps package base name to method names that MUST carry
-// the annotation: the batched RunEngine entry points whose allocation
+// the annotation: the batched Engine entry points whose allocation
 // behavior TestBatchedRunNoAllocs pins.
 var RequiredMethods = map[string]map[string]bool{
 	"memprot": {"ReadRun": true, "WriteRun": true},

@@ -21,6 +21,8 @@
 //   - Executor drives a compiled e2e workload (init, NPU trace, output
 //     readback — the Sec. V-D flow) through a Memory, request by request,
 //     with deterministic content tags so silent corruption is observable.
+//     It is the repository's one functional trace executor: a clean run
+//     verifies every mvin block under every scheme.
 //
 //   - Campaign sweeps attack kind x victim traffic class x scheme over a
 //     program and checks every outcome against the paper's detection

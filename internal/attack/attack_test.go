@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tnpu/internal/compiler"
+	"tnpu/internal/isa"
 	"tnpu/internal/memprot"
 	"tnpu/internal/model"
 	"tnpu/internal/secmem"
@@ -149,6 +150,88 @@ func TestRealWorkloadsDetectionMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkReport(t, rep, 3*3*6)
+}
+
+// readLog is a Memory that records the address of every verified read.
+type readLog struct {
+	Memory
+	reads []uint64
+}
+
+func (l *readLog) ReadBlock(addr, version uint64) ([]byte, error) {
+	l.reads = append(l.reads, addr)
+	return l.Memory.ReadBlock(addr, version)
+}
+
+// traceReads lists, in order, the blocks a verifying request must read:
+// every 64B block each mvin segment covers, then the output tensor. It
+// walks the trace itself rather than through the executor's blocksOf, so
+// a fault there cannot hide.
+func traceReads(prog *compiler.Program) []uint64 {
+	var want []uint64
+	for i := range prog.Trace.Instrs {
+		in := &prog.Trace.Instrs[i]
+		if in.Op != isa.OpMvIn {
+			continue
+		}
+		for _, seg := range in.Segments {
+			for a := seg.Addr &^ 63; a < seg.Addr+seg.Bytes; a += 64 {
+				want = append(want, a)
+			}
+		}
+	}
+	out := prog.Tensors[len(prog.Tensors)-1]
+	for a := out.Addr; a < out.End(); a += 64 {
+		want = append(want, a)
+	}
+	return want
+}
+
+// TestCleanRunVerifiesEveryBlock runs whole compiled models, unattacked,
+// through every protection scheme's functional memory with the software's
+// version bookkeeping: the request must complete, and it must have read
+// and verified every mvin block of the trace exactly once, in trace order,
+// followed by the output readback.
+func TestCleanRunVerifiesEveryBlock(t *testing.T) {
+	tnpu := []memprot.Scheme{memprot.TreeLess}
+	runs := []struct {
+		model   string
+		schemes []memprot.Scheme
+	}{
+		{"df", memprot.AllSchemes()},
+		{"agz", memprot.AllSchemes()},
+		{"ncf", tnpu},
+		{"alex", tnpu},
+		{"res", tnpu},
+	}
+	for _, r := range runs {
+		for _, scheme := range r.schemes {
+			t.Run(r.model+"/"+scheme.String(), func(t *testing.T) {
+				if r.model == "res" && testing.Short() {
+					t.Skip("multi-second full-model run")
+				}
+				prog := compileShort(t, r.model)
+				encKey, macKey := TestKeys()
+				mem, err := NewMemory(scheme, prog.MemoryTop, encKey, macKey)
+				if err != nil {
+					t.Fatal(err)
+				}
+				log := &readLog{Memory: mem}
+				if err := NewExecutor(prog, log).RunRequest(0, true); err != nil {
+					t.Fatal(err)
+				}
+				want := traceReads(prog)
+				if len(log.reads) != len(want) {
+					t.Fatalf("verified %d block reads, trace demands %d", len(log.reads), len(want))
+				}
+				for i := range want {
+					if log.reads[i] != want[i] {
+						t.Fatalf("read %d is block %#x, trace demands %#x", i, log.reads[i], want[i])
+					}
+				}
+			})
+		}
+	}
 }
 
 // TestCoordinatedRollbackOutsideThreatModel documents the boundary of the

@@ -91,9 +91,7 @@ func blocksOf(seg isa.Segment, fn func(addr uint64) error) error {
 	return nil
 }
 
-// blockPayload is the deterministic plaintext for (block, writer): a tag
-// domain distinct from the core executors' so cross-harness aliasing is
-// impossible.
+// blockPayload is the deterministic plaintext for (block, writer).
 func blockPayload(addr, writer uint64) []byte {
 	var b [dram.BlockBytes]byte
 	binary.LittleEndian.PutUint64(b[0:8], addr^0xD1E5)

@@ -42,10 +42,6 @@ type Result struct {
 // resident (init paid once across many requests).
 func (r Result) Amortized() uint64 { return r.RunCycles + r.OutputCycles }
 
-// isParameter aliases the compiler's naming convention for the data the
-// CPU initializes (shared with internal/core and internal/attack).
-func isParameter(name string) bool { return compiler.IsParameter(name) }
-
 // Run executes the full end-to-end flow for one request on one NPU.
 func Run(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
@@ -68,7 +64,7 @@ func run(prog *compiler.Program, eng memprot.Engine, s stream) Result {
 	// version-table update per tensor, then block-granular writes.
 	var t uint64
 	for _, ten := range prog.Tensors {
-		if !isParameter(ten.Name) {
+		if !compiler.IsParameter(ten.Name) {
 			continue
 		}
 		t = eng.VersionFetch(t, memprot.VTableSlot(uint32(ten.ID), 0), true)
@@ -101,19 +97,17 @@ func run(prog *compiler.Program, eng memprot.Engine, s stream) Result {
 // ts_read_block): each block issues once the previous one has cleared the
 // bus. That is a DMA issue window of depth 1, whose step max(r+1, busFree)
 // equals busFree whenever one block costs at least one bus cycle, so on
-// such buses the stream goes through the engine's run path. Otherwise, or
-// when the engine has no run path (fault-injecting wrappers), it is the
-// literal block loop.
+// such buses the stream goes through the engine's run path. Otherwise it
+// is the literal block loop.
 type stream struct {
 	eng memprot.Engine
-	run memprot.RunEngine // nil: the literal block loop
-	w   *dram.IssueWindow
+	w   *dram.IssueWindow // nil: the literal block loop
 }
 
 func newStream(eng memprot.Engine, bus *dram.Bus) stream {
 	s := stream{eng: eng}
-	if re, ok := eng.(memprot.RunEngine); ok && bus.BlockCycles() >= 1 {
-		s.run, s.w = re, dram.NewIssueWindow(1)
+	if bus.BlockCycles() >= 1 {
+		s.w = dram.NewIssueWindow(1)
 	}
 	return s
 }
@@ -121,8 +115,8 @@ func newStream(eng memprot.Engine, bus *dram.Bus) stream {
 // write streams n blocks from addr under version 1, the first issued at t,
 // and returns the last block's bus-clear time (t when n is zero).
 func (s stream) write(t, addr, n uint64) uint64 {
-	if s.run != nil && n > 0 {
-		t, _, _ = s.run.WriteRun(t, addr, 1, int(n), s.w, dram.NoHorizon)
+	if s.w != nil && n > 0 {
+		t, _, _ = s.eng.WriteRun(t, addr, 1, int(n), s.w, dram.NoHorizon)
 		return t
 	}
 	for blk := uint64(0); blk < n; blk++ {
@@ -135,8 +129,8 @@ func (s stream) write(t, addr, n uint64) uint64 {
 // the latest block's data was ready (t when n is zero).
 func (s stream) read(t, addr, n uint64) uint64 {
 	done := t
-	if s.run != nil && n > 0 {
-		_, d, _ := s.run.ReadRun(t, addr, 1, int(n), s.w, dram.NoHorizon)
+	if s.w != nil && n > 0 {
+		_, d, _ := s.eng.ReadRun(t, addr, 1, int(n), s.w, dram.NoHorizon)
 		if d > done {
 			done = d
 		}

@@ -7,32 +7,6 @@ import (
 	"tnpu/internal/stats"
 )
 
-// RunEngine is the optional batched fast path of a protection engine:
-// serve up to nBlocks consecutive data blocks in one call, gated by the
-// caller's DMA issue window and stopped by the arbitration horizon, with
-// bus state, cache state, statistics, and returned times identical to
-// pushing the same blocks through ReadBlock/WriteBlock one at a time:
-//
-//	for i := 0; i < nBlocks; i++ {
-//	    busFree, dataAt := e.ReadBlock(ready, addr+uint64(i)*dram.BlockBytes, version)
-//	    maxDataAt = max(maxDataAt, dataAt)
-//	    ready = w.Issue(ready, busFree)
-//	    if ready >= horizon { break } // served = i+1
-//	}
-//
-// The stop is exact: the call serves blocks until one's next issue time
-// reaches horizon (the earliest cycle a co-tenant can be ready) and reports
-// how many it served. An uncontended run passes dram.NoHorizon and always
-// serves nBlocks. The batching exploits the same regularity TNPU's
-// hardware does: a streaming DMA touches each metadata line once and then
-// hits it for every remaining covered block, so only line-boundary blocks
-// need the full model. It is an optional interface so engine wrappers
-// (e.g. the attack harness) transparently keep the per-block path.
-type RunEngine interface {
-	ReadRun(ready, addr, version uint64, nBlocks int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int)
-	WriteRun(ready, addr, version uint64, nBlocks int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int)
-}
-
 // runPerBlock is the reference fallback: the per-block engine path under
 // the caller's issue window, used whenever a scheme cannot batch safely.
 func runPerBlock(e Engine, read bool, ready, addr, version uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {

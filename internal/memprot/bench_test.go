@@ -42,12 +42,7 @@ func BenchmarkReadRun(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				re, ok := e.(RunEngine)
-				if !ok {
-					b.Fatalf("%v engine does not implement RunEngine", scheme)
-				}
-				w := dram.NewIssueWindow(16)
-				re.ReadRun(0, 0, 1, blocks, w, dram.NoHorizon)
+				e.ReadRun(0, 0, 1, blocks, dram.NewIssueWindow(16), dram.NoHorizon)
 			}
 			b.SetBytes(blocks * dram.BlockBytes)
 		})
@@ -66,13 +61,12 @@ func BenchmarkReadRunHot(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			re := e.(RunEngine)
 			w := dram.NewIssueWindow(16)
-			r, _, _ := re.ReadRun(0, 0, 1, blocks, w, dram.NoHorizon) // warm caches and buffers
+			r, _, _ := e.ReadRun(0, 0, 1, blocks, w, dram.NoHorizon) // warm caches and buffers
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, _, _ = re.ReadRun(r, 0, 1, blocks, w, dram.NoHorizon)
+				r, _, _ = e.ReadRun(r, 0, 1, blocks, w, dram.NoHorizon)
 			}
 			b.SetBytes(blocks * dram.BlockBytes)
 		})
@@ -88,13 +82,12 @@ func BenchmarkWriteRunHot(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			re := e.(RunEngine)
 			w := dram.NewIssueWindow(16)
-			r, _, _ := re.WriteRun(0, 0, 1, blocks, w, dram.NoHorizon)
+			r, _, _ := e.WriteRun(0, 0, 1, blocks, w, dram.NoHorizon)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, _, _ = re.WriteRun(r, 0, 1, blocks, w, dram.NoHorizon)
+				r, _, _ = e.WriteRun(r, 0, 1, blocks, w, dram.NoHorizon)
 			}
 			b.SetBytes(blocks * dram.BlockBytes)
 		})
@@ -112,12 +105,11 @@ func TestBatchedRunNoAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		re := e.(RunEngine)
 		w := dram.NewIssueWindow(16)
 		var r uint64
 		step := func() {
-			r, _, _ = re.ReadRun(r, 0, 1, blocks, w, dram.NoHorizon)
-			r, _, _ = re.WriteRun(r, 0, 1, blocks, w, dram.NoHorizon)
+			r, _, _ = e.ReadRun(r, 0, 1, blocks, w, dram.NoHorizon)
+			r, _, _ = e.WriteRun(r, 0, 1, blocks, w, dram.NoHorizon)
 		}
 		step() // warmup
 		if avg := testing.AllocsPerRun(20, step); avg != 0 {
@@ -144,7 +136,7 @@ func BenchmarkWriteRun(b *testing.B) {
 					}
 					w := dram.NewIssueWindow(16)
 					if batched {
-						e.(RunEngine).WriteRun(0, 0, 1, blocks, w, dram.NoHorizon)
+						e.WriteRun(0, 0, 1, blocks, w, dram.NoHorizon)
 					} else {
 						runPerBlock(e, false, 0, 0, 1, blocks, w, dram.NoHorizon)
 					}

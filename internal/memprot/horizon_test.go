@@ -9,9 +9,9 @@ import (
 	"tnpu/internal/dram"
 )
 
-// refRun is the per-block loop RunEngine documents: blocks through
-// ReadBlock/WriteBlock under the issue window, stopped after the first
-// block whose next issue time reaches horizon.
+// refRun is the per-block loop the Engine run methods document: blocks
+// through ReadBlock/WriteBlock under the issue window, stopped after the
+// first block whose next issue time reaches horizon.
 func refRun(e Engine, write bool, ready, addr uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
 	return runPerBlock(e, !write, ready, addr, 1, n, w, horizon)
 }
@@ -131,10 +131,9 @@ func TestRunHorizonStop(t *testing.T) {
 							}
 							fast, fw, _ := horizonRig(t, scheme, mc.mem, mc.odd, runAddr, wrap)
 							ref, rw, _ := horizonRig(t, scheme, mc.mem, mc.odd, runAddr, wrap)
-							re := fast.(RunEngine)
-							run := re.ReadRun
+							run := fast.ReadRun
 							if write {
-								run = re.WriteRun
+								run = fast.WriteRun
 							}
 							fn, fd, fs := run(ready, runAddr, 1, n, fw, horizon)
 							rn, rd, rs := refRun(ref, write, ready, runAddr, n, rw, horizon)

@@ -63,6 +63,28 @@ type Engine interface {
 	Scheme() Scheme
 	ReadBlock(ready, addr, version uint64) (busFree, dataAt uint64)
 	WriteBlock(ready, addr, version uint64) (busFree, dataAt uint64)
+	// ReadRun and WriteRun are the batched fast path: serve up to nBlocks
+	// consecutive data blocks in one call, gated by the caller's DMA
+	// issue window and stopped by the arbitration horizon, with bus
+	// state, cache state, statistics, and returned times identical to
+	// pushing the same blocks through ReadBlock/WriteBlock one at a time:
+	//
+	//	for i := 0; i < nBlocks; i++ {
+	//	    busFree, dataAt := e.ReadBlock(ready, addr+uint64(i)*dram.BlockBytes, version)
+	//	    maxDataAt = max(maxDataAt, dataAt)
+	//	    ready = w.Issue(ready, busFree)
+	//	    if ready >= horizon { break } // served = i+1
+	//	}
+	//
+	// The stop is exact: the call serves blocks until one's next issue
+	// time reaches horizon (the earliest cycle a co-tenant can be ready)
+	// and reports how many it served. An uncontended run passes
+	// dram.NoHorizon and always serves nBlocks. The batching exploits the
+	// same regularity TNPU's hardware does: a streaming DMA touches each
+	// metadata line once and then hits it for every remaining covered
+	// block, so only line-boundary blocks need the full model.
+	ReadRun(ready, addr, version uint64, nBlocks int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int)
+	WriteRun(ready, addr, version uint64, nBlocks int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int)
 	// VersionFetch models the software's version-table access in the
 	// fully protected region before an mvin/mvout (one per instruction,
 	// not per block): the 8-byte slot at slotAddr is read (mvin) or

@@ -170,11 +170,9 @@ func (c *streamCur) at(i int) (addr uint64, rest int) {
 	return c.a0 + uint64(i-c.i0)*dram.BlockBytes, c.i0 + c.n - i
 }
 
-// NewRounder returns a round walk over one of this package's engines, or
-// nil for any other Engine (the attack harness's wrappers keep the turn
-// loop) and for a baseline whose streaks' guaranteed-hit reasoning does
-// not hold (batchSafe). A multi-NPU run takes one and reuses it for every
-// round.
+// NewRounder returns a round walk over e, or nil for a baseline whose
+// streaks' guaranteed-hit reasoning does not hold (batchSafe). A
+// multi-NPU run takes one and reuses it for every round.
 func NewRounder(e Engine) *Rounder {
 	switch e := e.(type) {
 	case *unsecure:

@@ -27,7 +27,7 @@ type pathState struct {
 	TLBMisses                 uint64
 }
 
-func runPath(t testing.TB, prog *compiler.Program, scheme memprot.Scheme, cfg Config, mutate func(*memprot.Config), batched bool) pathState {
+func runPath(t testing.TB, prog *compiler.Program, scheme memprot.Scheme, cfg Config, mutate func(*memprot.Config), setup func(*Machine), batched bool) pathState {
 	t.Helper()
 	bus := dram.NewBus(cfg.Mem)
 	mpCfg := memprot.DefaultConfig(bus)
@@ -39,8 +39,8 @@ func runPath(t testing.TB, prog *compiler.Program, scheme memprot.Scheme, cfg Co
 		t.Fatal(err)
 	}
 	m := NewMachine(prog, eng)
-	if cfg.TLBEntries > 0 {
-		m.EnableTranslation(cfg.TLBEntries, cfg.TLBWalkCycles)
+	if setup != nil {
+		setup(m)
 	}
 	m.SetBatched(batched)
 	if m.Batched() != batched {
@@ -65,11 +65,12 @@ func runPath(t testing.TB, prog *compiler.Program, scheme memprot.Scheme, cfg Co
 }
 
 // diffPaths fails the test when the two execution paths disagree on any
-// observable.
-func diffPaths(t *testing.T, prog *compiler.Program, scheme memprot.Scheme, cfg Config, mutate func(*memprot.Config)) {
+// observable. mutate adjusts the engine configuration and setup the machine
+// (either may be nil).
+func diffPaths(t *testing.T, prog *compiler.Program, scheme memprot.Scheme, cfg Config, mutate func(*memprot.Config), setup func(*Machine)) {
 	t.Helper()
-	per := runPath(t, prog, scheme, cfg, mutate, false)
-	bat := runPath(t, prog, scheme, cfg, mutate, true)
+	per := runPath(t, prog, scheme, cfg, mutate, setup, false)
+	bat := runPath(t, prog, scheme, cfg, mutate, setup, true)
 	if !reflect.DeepEqual(per, bat) {
 		t.Errorf("batched path diverges from per-block reference:\n  per-block: %+v\n  batched:   %+v", per, bat)
 	}
@@ -108,7 +109,7 @@ func TestBatchedEquivalence(t *testing.T) {
 				cfg, short, scheme := cfg, short, scheme
 				t.Run(fmt.Sprintf("%s/%s/%s", cfg.Name, short, scheme), func(t *testing.T) {
 					t.Parallel()
-					diffPaths(t, compile(t, short, cfg), scheme, cfg, nil)
+					diffPaths(t, compile(t, short, cfg), scheme, cfg, nil, nil)
 				})
 			}
 		}
@@ -127,33 +128,30 @@ func TestBatchedEquivalenceAblations(t *testing.T) {
 		name   string
 		cfg    func() Config
 		mutate func(*memprot.Config)
+		setup  func(*Machine)
 	}{
-		{"channels4", func() Config { c := base; c.Mem.Channels = 4; return c }, nil},
-		{"channels3", func() Config { c := base; c.Mem.Channels = 3; return c }, nil},
-		{"macslot4", func() Config { return base }, func(c *memprot.Config) { c.MACSlotBytes = 4 }},
-		{"macslot16", func() Config { return base }, func(c *memprot.Config) { c.MACSlotBytes = 16 }},
-		{"macslot24-nondividing", func() Config { return base }, func(c *memprot.Config) { c.MACSlotBytes = 24 }},
-		{"arity8", func() Config { return base }, func(c *memprot.Config) { c.TreeArity = 8 }},
-		{"prefetch", func() Config { return base }, func(c *memprot.Config) { c.CounterPrefetch = true }},
+		{"channels4", func() Config { c := base; c.Mem.Channels = 4; return c }, nil, nil},
+		{"channels3", func() Config { c := base; c.Mem.Channels = 3; return c }, nil, nil},
+		{"macslot4", func() Config { return base }, func(c *memprot.Config) { c.MACSlotBytes = 4 }, nil},
+		{"macslot16", func() Config { return base }, func(c *memprot.Config) { c.MACSlotBytes = 16 }, nil},
+		{"macslot24-nondividing", func() Config { return base }, func(c *memprot.Config) { c.MACSlotBytes = 24 }, nil},
+		{"arity8", func() Config { return base }, func(c *memprot.Config) { c.TreeArity = 8 }, nil},
+		{"prefetch", func() Config { return base }, func(c *memprot.Config) { c.CounterPrefetch = true }, nil},
 		{"prefetch-1line-counter", func() Config { return base }, func(c *memprot.Config) {
 			c.CounterPrefetch = true
 			c.CounterCacheBytes = 64
-		}},
-		{"mshr1", func() Config { return base }, func(c *memprot.Config) { c.WalkMSHRs = 1 }},
-		{"iommu", func() Config { c := base; c.TLBEntries = 16; c.TLBWalkCycles = 200; return c }, nil},
-		{"zero-latency", func() Config { c := base; c.Mem.LatencyCycles = 0; return c }, nil},
+		}, nil},
+		{"mshr1", func() Config { return base }, func(c *memprot.Config) { c.WalkMSHRs = 1 }, nil},
+		{"iommu", func() Config { return base }, nil, func(m *Machine) { m.EnableTranslation(16, 200) }},
+		{"zero-latency", func() Config { c := base; c.Mem.LatencyCycles = 0; return c }, nil, nil},
 	}
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()
 			cfg := v.cfg()
-			p := prog
-			if cfg.Mem.Channels != base.Mem.Channels { // program is config-independent for Mem changes
-				p = prog
-			}
 			for _, scheme := range memprot.AllSchemes() {
-				diffPaths(t, p, scheme, cfg, v.mutate)
+				diffPaths(t, prog, scheme, cfg, v.mutate, v.setup)
 			}
 		})
 	}
@@ -269,7 +267,7 @@ func TestClosedFormBoundary(t *testing.T) {
 			t.Parallel()
 			prog := boundaryProgram(t, tc.warm, tc.probe)
 			for _, scheme := range memprot.AllSchemes() {
-				diffPaths(t, prog, scheme, cfg, nil)
+				diffPaths(t, prog, scheme, cfg, nil, nil)
 			}
 		})
 	}
@@ -442,8 +440,8 @@ func FuzzBatchedVsPerBlock(f *testing.F) {
 		prog := buildFuzzProgram(fr)
 		cfg := SmallNPU()
 		cfg.Mem = mem
-		per := runPath(t, prog, scheme, cfg, mutate, false)
-		bat := runPath(t, prog, scheme, cfg, mutate, true)
+		per := runPath(t, prog, scheme, cfg, mutate, nil, false)
+		bat := runPath(t, prog, scheme, cfg, mutate, nil, true)
 		if !reflect.DeepEqual(per, bat) {
 			t.Fatalf("divergence (scheme %v, mem %+v):\n  per-block: %+v\n  batched:   %+v", scheme, mem, per, bat)
 		}

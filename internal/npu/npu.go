@@ -26,14 +26,6 @@ type Config struct {
 	Array systolic.Array
 	SPM   spm.SPM
 	Mem   dram.Config
-
-	// TLBEntries enables the IOMMU model (Fig. 11): each mvin/mvout
-	// translates the 4KB pages its segments touch through a TLB of this
-	// many entries; misses pay TLBWalkCycles for the page walk plus the
-	// EEPCM validation. Zero disables translation modelling (the paper
-	// folds it into the 100-cycle DRAM figure, after NeuMMU).
-	TLBEntries    int
-	TLBWalkCycles uint64
 }
 
 // SmallNPU returns the Samsung Exynos 990-class configuration.
@@ -107,9 +99,8 @@ type Machine struct {
 	// so both see identical issue gating.
 	window *dram.IssueWindow
 
-	// runEng is non-nil when the engine supports the batched fast path;
-	// batched selects it (the default when available).
-	runEng  memprot.RunEngine
+	// batched selects the engine's run path (the default) over the
+	// per-block reference.
 	batched bool
 
 	// iotlb, when non-nil, models the per-instruction IOMMU translation.
@@ -165,8 +156,7 @@ func NewMachineAt(prog *compiler.Program, eng memprot.Engine, dataOffset, slotOf
 		slotOffset: slotOffset,
 		window:     dram.NewIssueWindow(dmaOutstanding),
 	}
-	m.runEng, _ = eng.(memprot.RunEngine)
-	m.batched = m.runEng != nil && !forcePerBlock.Load()
+	m.batched = !forcePerBlock.Load()
 	return m
 }
 
@@ -178,11 +168,10 @@ var forcePerBlock atomic.Bool
 // constructed after the call.
 func ForcePerBlock(on bool) { forcePerBlock.Store(on) }
 
-// SetBatched selects this machine's execution path (no-op force-off when
-// the engine lacks the batched interface). Both paths are cycle- and
-// stats-identical; per-block exists as the differential reference and for
-// block-granular multi-NPU interleave.
-func (m *Machine) SetBatched(on bool) { m.batched = on && m.runEng != nil }
+// SetBatched selects this machine's execution path. Both paths are cycle-
+// and stats-identical; per-block exists as the differential reference and
+// for block-granular multi-NPU interleave.
+func (m *Machine) SetBatched(on bool) { m.batched = on }
 
 // Batched reports whether the machine will serve runs via the fast path.
 func (m *Machine) Batched() bool { return m.batched }
@@ -232,7 +221,12 @@ func (m *Machine) NextReady() (ready uint64, ok bool) {
 	return m.issueAt, true
 }
 
-// EnableTranslation attaches an IOMMU model to the machine.
+// EnableTranslation attaches an IOMMU model to the machine (Fig. 11):
+// each mvin/mvout translates the 4KB pages its segments touch through an
+// IOTLB with the given number of entries, and each miss pays walkCycles
+// for the page walk plus the EEPCM validation. Machines run without it by
+// default, as the paper folds translation into the 100-cycle DRAM figure
+// (after NeuMMU).
 func (m *Machine) EnableTranslation(entries int, walkCycles uint64) {
 	m.iotlb = cache.New("iotlb", entries*4096, 4096, 4)
 	m.walkCycles = walkCycles
@@ -345,10 +339,10 @@ func (m *Machine) ServeRunUntil(horizon uint64) {
 		var next, dataAt uint64
 		var k int
 		if in.Op == isa.OpMvIn {
-			next, dataAt, k = m.runEng.ReadRun(m.issueAt, m.blockAddr+m.dataOffset, in.Version, n, m.window, horizon)
+			next, dataAt, k = m.eng.ReadRun(m.issueAt, m.blockAddr+m.dataOffset, in.Version, n, m.window, horizon)
 			m.blocksRead += uint64(k)
 		} else {
-			next, dataAt, k = m.runEng.WriteRun(m.issueAt, m.blockAddr+m.dataOffset, in.Version, n, m.window, horizon)
+			next, dataAt, k = m.eng.WriteRun(m.issueAt, m.blockAddr+m.dataOffset, in.Version, n, m.window, horizon)
 			m.blocksWritten += uint64(k)
 		}
 		m.runsServed++
@@ -525,9 +519,6 @@ func Run(prog *compiler.Program, scheme memprot.Scheme, cfg Config) (Result, err
 		return Result{}, err
 	}
 	m := NewMachine(prog, eng)
-	if cfg.TLBEntries > 0 {
-		m.EnableTranslation(cfg.TLBEntries, cfg.TLBWalkCycles)
-	}
 	m.Run()
 	eng.Flush(m.Cycles())
 	return Result{

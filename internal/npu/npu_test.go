@@ -318,38 +318,31 @@ func TestLoadedProgramRunsIdentically(t *testing.T) {
 func TestIOMMUTranslation(t *testing.T) {
 	cfg := SmallNPU()
 	prog := compileFor(t, "df", cfg)
-	plain, err := Run(prog, memprot.Unsecure, cfg)
-	if err != nil {
-		t.Fatal(err)
+	// run simulates df under unsecure with a TLB of the given size (0: no
+	// translation) and 300-cycle walks.
+	run := func(entries int) (cycles, misses uint64) {
+		eng, err := memprot.New(memprot.Unsecure, memprot.DefaultConfig(newBus(cfg)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewMachine(prog, eng)
+		if entries > 0 {
+			m.EnableTranslation(entries, 300)
+		}
+		m.Run()
+		return m.Cycles(), m.TLBMisses
 	}
-	cfg.TLBEntries = 32
-	cfg.TLBWalkCycles = 300
-	walked, err := Run(prog, memprot.Unsecure, cfg)
-	if err != nil {
-		t.Fatal(err)
+	plain, _ := run(0)
+	walked, misses := run(32)
+	if walked <= plain {
+		t.Errorf("translation added no cost: %d vs %d", walked, plain)
 	}
-	if walked.Cycles <= plain.Cycles {
-		t.Errorf("translation added no cost: %d vs %d", walked.Cycles, plain.Cycles)
+	if misses == 0 {
+		t.Error("no TLB misses recorded")
 	}
 	// A huge TLB reduces the cost back toward the untranslated run: only
 	// compulsory misses remain.
-	cfg.TLBEntries = 4096
-	big, err := Run(prog, memprot.Unsecure, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big.Cycles > walked.Cycles {
-		t.Errorf("larger TLB slower: %d vs %d", big.Cycles, walked.Cycles)
-	}
-
-	eng, err := memprot.New(memprot.Unsecure, memprot.DefaultConfig(newBus(cfg)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMachine(prog, eng)
-	m.EnableTranslation(32, 300)
-	m.Run()
-	if m.TLBMisses == 0 {
-		t.Error("no TLB misses recorded")
+	if big, _ := run(4096); big > walked {
+		t.Errorf("larger TLB slower: %d vs %d", big, walked)
 	}
 }

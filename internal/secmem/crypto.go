@@ -210,9 +210,3 @@ func (m *MACEngine) Verify(data []byte, addr, version uint64, mac [MACBytes]byte
 	want := m.MAC(data, addr, version)
 	return hmac.Equal(want[:], mac[:])
 }
-
-// HashNode computes the 8-byte integrity-tree node hash over a child node's
-// 64-byte content and its address, used by the baseline counter tree.
-func (m *MACEngine) HashNode(child []byte, addr uint64) [MACBytes]byte {
-	return m.MAC(child, addr, ^uint64(0)) // distinct domain from data MACs
-}

@@ -185,14 +185,6 @@ func TestMACDetectsEachInput(t *testing.T) {
 	}
 }
 
-func TestHashNodeDomainSeparation(t *testing.T) {
-	m := NewMACEngine(testKey16)
-	data := mkBlock(0)
-	if m.HashNode(data, 0x80) == m.MAC(data, 0x80, 0) {
-		t.Fatal("tree hash must not collide with version-0 data MAC")
-	}
-}
-
 // Property: CTR and XTS round-trip for arbitrary blocks and addresses.
 func TestRoundTripProperty(t *testing.T) {
 	ctr := newCTR(t)
@@ -235,7 +227,7 @@ func TestMACProperty(t *testing.T) {
 }
 
 // TestMACStateReuse pins the reused-HMAC-state optimisation: an engine that
-// has already produced MACs (interleaved with Verify and HashNode calls)
+// has already produced MACs (interleaved with Verify calls)
 // returns byte-identical MACs to a freshly constructed engine for the same
 // inputs, and calls are insensitive to their ordering.
 func TestMACStateReuse(t *testing.T) {
@@ -255,7 +247,6 @@ func TestMACStateReuse(t *testing.T) {
 		if !reused.Verify(blk, in.addr, in.v, mac) {
 			t.Fatalf("reused engine rejects its own MAC for seed %d", in.seed)
 		}
-		reused.HashNode(blk, in.addr) // interleave the other entry point
 	}
 	for i, in := range inputs {
 		fresh := NewMACEngine(testKey32)
