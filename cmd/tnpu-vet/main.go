@@ -11,15 +11,13 @@
 //
 // Usage:
 //
-//	tnpu-vet [flags] [packages]    # standalone, e.g. tnpu-vet ./...
-//	go vet -vettool=$(which tnpu-vet) ./...
+//	tnpu-vet [-only a1,a2] [packages]    # e.g. tnpu-vet ./...
 //
-// Standalone flags: -json (machine-readable diagnostics on stdout),
-// -v (per-analyzer wall time), -only a1,a2 (restrict the suite).
-//
-// Both modes exit non-zero on any diagnostic. scripts/lint.sh runs it
-// alongside gofmt/vet/staticcheck, and the CI lint job gates merges on
-// a clean run.
+// -only restricts the suite to the named analyzers; packages default to
+// ./... . Each diagnostic goes to stderr as "file:line:col: analyzer:
+// message", and any diagnostic makes the exit status 2. scripts/lint.sh
+// runs it alongside gofmt/vet/staticcheck, and the CI lint job gates
+// merges on a clean run.
 package main
 
 import (
@@ -44,5 +42,5 @@ var Suite = []*analysis.Analyzer{
 }
 
 func main() {
-	os.Exit(checker.Main(os.Stdout, os.Stderr, os.Args[1:], Suite))
+	os.Exit(checker.Main(os.Stderr, os.Args[1:], Suite))
 }

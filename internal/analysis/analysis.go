@@ -28,18 +28,10 @@ type Analyzer struct {
 	// It must be a valid Go identifier.
 	Name string
 
-	// Doc is the one-paragraph contract statement shown by tnpu-vet help.
-	Doc string
-
 	// Run applies the analyzer to one package. Findings are delivered
 	// through pass.Report; the error return is reserved for analyzer
 	// malfunction (it aborts the whole run, it is not a finding).
 	Run func(pass *Pass) error
-
-	// DefaultWaiver names the //tnpu:<marker> that waives this
-	// analyzer's findings; it annotates diagnostics (e.g. in -json
-	// output).
-	DefaultWaiver string
 }
 
 // Pass carries one type-checked package through an Analyzer.Run.

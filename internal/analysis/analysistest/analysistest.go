@@ -66,7 +66,7 @@ func Check(scratch, testdata string, a *analysis.Analyzer, patterns ...string) (
 	for _, p := range patterns {
 		qualified = append(qualified, "testdata/"+p)
 	}
-	diags, err := checker.RunPatterns(scratch, []*analysis.Analyzer{a}, qualified...)
+	diags, err := checker.Run(scratch, []*analysis.Analyzer{a}, qualified...)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,6 @@ import (
 // possible analyzer, used to test the harness rather than any contract.
 var boomAnalyzer = &analysis.Analyzer{
 	Name: "boom",
-	Doc:  "reports calls to functions named boom",
 	Run: func(pass *analysis.Pass) error {
 		for _, f := range pass.Files {
 			ast.Inspect(f, func(n ast.Node) bool {

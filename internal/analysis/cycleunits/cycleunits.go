@@ -52,7 +52,6 @@ func (u unit) String() string {
 // Analyzer is the cycleunits pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "cycleunits",
-	Doc:  "flag cycle/byte unit mixing and lossy float64 round-trips in timing accounting",
 	Run:  run,
 }
 

@@ -36,10 +36,8 @@ import (
 
 // Analyzer is the detmap pass.
 var Analyzer = &analysis.Analyzer{
-	Name:          "detmap",
-	Doc:           "flag range-over-map loops whose iteration order can leak into output",
-	Run:           run,
-	DefaultWaiver: "orderfree",
+	Name: "detmap",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {

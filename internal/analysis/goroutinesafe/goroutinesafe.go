@@ -49,7 +49,6 @@ var Registry = map[string]bool{
 // Analyzer is the goroutinesafe pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "goroutinesafe",
-	Doc:  "flag per-goroutine engine state escaping into goroutines or unmarked holder structs",
 	Run:  run,
 }
 

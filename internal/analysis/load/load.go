@@ -1,21 +1,16 @@
 // Package load turns Go package patterns into parsed, type-checked
 // packages using only the go toolchain and the standard library: a
-// `go list -deps -export -json` invocation supplies the file sets and
-// compiler export data, go/parser supplies syntax, and go/types with an
-// importer.ForCompiler lookup over the export files supplies types. It
-// is the engine behind both the standalone tnpu-vet driver and the
-// analysistest harness (x/tools' go/packages is not available to this
-// stdlib-only module).
+// `go list -deps -export -test -json` invocation supplies the file sets
+// and compiler export data, go/parser supplies syntax, and go/types with
+// an importer.ForCompiler lookup over the export files supplies types. It
+// is the engine behind both cmd/tnpu-vet and the analysistest harness
+// (x/tools' go/packages is not available to this stdlib-only module).
 //
-// Only packages matching the patterns are parsed and type-checked; every
-// dependency, in-module or standard library, contributes export data
-// only, since no analyzer looks past the package it runs on.
-//
-// One Load call serves every analyzer in a run: packages are listed,
-// parsed, and type-checked exactly once, and a process-wide parse cache
-// (keyed by path+mtime+size over a shared FileSet) additionally
-// deduplicates the re-parse of non-test sources that `go list -test`
-// triggers for each "pkg [pkg.test]" variant.
+// Only packages matching the patterns, with their test variants, are
+// parsed and type-checked; every dependency, in-module or standard
+// library, contributes export data only, since no analyzer looks past the
+// package it runs on. One Load call serves every analyzer in a run, and
+// each call parses into a FileSet of its own.
 package load
 
 import (
@@ -31,8 +26,6 @@ import (
 	"os"
 	"os/exec"
 	"strings"
-	"sync"
-	"time"
 )
 
 // Package is one parsed and type-checked package ready for analysis.
@@ -40,8 +33,6 @@ type Package struct {
 	// ImportPath is the go list package ID; test variants carry the
 	// " [pkg.test]" suffix go list gives them.
 	ImportPath string
-	Dir        string
-	GoFiles    []string
 	Fset       *token.FileSet
 	Syntax     []*ast.File
 	Types      *types.Package
@@ -64,33 +55,17 @@ type listPackage struct {
 	ImportMap  map[string]string
 	DepOnly    bool
 	ForTest    string
-	Incomplete bool
 	Error      *struct{ Err string }
 }
 
-// Config parameterizes a Load call.
-type Config struct {
-	// Dir is the working directory for the go list invocation (the
-	// module being analyzed). Empty means the current directory.
-	Dir string
-	// Tests includes _test.go files by listing test variants too.
-	Tests bool
-	// Env overrides the environment for go list (nil keeps os.Environ).
-	Env []string
-}
-
-// Load lists, parses, and type-checks the packages matching patterns,
-// against the export data `go list -deps -export` builds for their
-// dependency closure.
-func Load(cfg Config, patterns ...string) ([]*Package, error) {
-	args := []string{"list", "-e", "-deps", "-export", "-json"}
-	if cfg.Tests {
-		args = append(args, "-test")
-	}
-	args = append(args, patterns...)
+// Load lists, parses, and type-checks the packages matching patterns and
+// their test variants, against the export data `go list -deps -export`
+// builds for their dependency closure. dir is the working directory for
+// go list (the module being analyzed); empty means the current directory.
+func Load(dir string, patterns ...string) ([]*Package, error) {
+	args := append([]string{"list", "-e", "-deps", "-export", "-json", "-test"}, patterns...)
 	cmd := exec.Command("go", args...)
-	cmd.Dir = cfg.Dir
-	cmd.Env = cfg.Env
+	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -122,6 +97,7 @@ func Load(cfg Config, patterns ...string) ([]*Package, error) {
 		listed = append(listed, p)
 	}
 
+	fset := token.NewFileSet()
 	var pkgs []*Package
 	for _, p := range listed {
 		if p.Error != nil {
@@ -130,7 +106,7 @@ func Load(cfg Config, patterns ...string) ([]*Package, error) {
 		if len(p.CgoFiles) > 0 {
 			return nil, fmt.Errorf("load: %s uses cgo, which this loader does not support", p.ImportPath)
 		}
-		pkg, err := check(p, exports)
+		pkg, err := check(fset, p, exports)
 		if err != nil {
 			return nil, err
 		}
@@ -139,79 +115,25 @@ func Load(cfg Config, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// Every Load shares one FileSet so cached ASTs stay position-valid
-// across calls; cache entries are invalidated by mtime+size so edited
-// files re-parse. Parse errors are cached too (the file will not parse
-// differently until it changes).
-var (
-	parseMu    sync.Mutex
-	sharedFset = token.NewFileSet()
-	parseCache = make(map[string]*parseEntry)
-)
-
-type parseEntry struct {
-	mtime time.Time
-	size  int64
-	file  *ast.File
-	err   error
-}
-
-func parseCached(path string) (*ast.File, error) {
-	fi, statErr := os.Stat(path)
-	parseMu.Lock()
-	defer parseMu.Unlock()
-	if e, ok := parseCache[path]; ok && statErr == nil &&
-		e.mtime.Equal(fi.ModTime()) && e.size == fi.Size() {
-		return e.file, e.err
-	}
-	file, err := parser.ParseFile(sharedFset, path, nil, parser.ParseComments)
-	if statErr == nil {
-		parseCache[path] = &parseEntry{mtime: fi.ModTime(), size: fi.Size(), file: file, err: err}
-	}
-	return file, err
-}
-
 // check parses and type-checks one listed package against the export
-// data of its dependency closure.
-func check(p *listPackage, exports map[string]string) (*Package, error) {
+// data of its dependency closure. The package's ImportMap translates
+// source import paths to canonical package IDs; exports maps canonical
+// IDs to compiler export files.
+func check(fset *token.FileSet, p *listPackage, exports map[string]string) (*Package, error) {
 	var files []*ast.File
-	var names []string
 	for _, f := range p.GoFiles {
 		path := f
 		if !strings.HasPrefix(path, "/") && p.Dir != "" {
 			path = p.Dir + "/" + f
 		}
-		parsed, err := parseCached(path)
+		parsed, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("parse %s: %v", path, err)
 		}
 		files = append(files, parsed)
-		names = append(names, path)
 	}
-	pkg, info, err := Check(p.ImportPath, sharedFset, files, p.ImportMap, exports)
-	if err != nil {
-		return nil, err
-	}
-	return &Package{
-		ImportPath: p.ImportPath,
-		Dir:        p.Dir,
-		GoFiles:    names,
-		Fset:       sharedFset,
-		Syntax:     files,
-		Types:      pkg,
-		TypesInfo:  info,
-		ForTest:    p.ForTest,
-	}, nil
-}
-
-// Check type-checks already-parsed files against dependency export data.
-// importMap translates source import paths to canonical package IDs (go
-// list's ImportMap / vet.cfg's ImportMap); exports maps canonical IDs to
-// compiler export files. It is shared by Load and the vettool's
-// unitchecker mode.
-func Check(path string, fset *token.FileSet, files []*ast.File, importMap, exports map[string]string) (*types.Package, *types.Info, error) {
 	lookup := func(imp string) (io.ReadCloser, error) {
-		if mapped, ok := importMap[imp]; ok && mapped != "" {
+		if mapped, ok := p.ImportMap[imp]; ok && mapped != "" {
 			imp = mapped
 		}
 		exp, ok := exports[imp]
@@ -234,13 +156,20 @@ func Check(path string, fset *token.FileSet, files []*ast.File, importMap, expor
 	}
 	// The ID of a test variant ("a [a.test]") is not a valid types
 	// package path; strip the suffix for type identity.
-	typePath := path
+	typePath := p.ImportPath
 	if i := strings.IndexByte(typePath, ' '); i >= 0 {
 		typePath = typePath[:i]
 	}
 	pkg, err := conf.Check(typePath, fset, files, info)
 	if err != nil {
-		return nil, nil, fmt.Errorf("typecheck %s: %v", path, err)
+		return nil, fmt.Errorf("typecheck %s: %v", p.ImportPath, err)
 	}
-	return pkg, info, nil
+	return &Package{
+		ImportPath: p.ImportPath,
+		Fset:       fset,
+		Syntax:     files,
+		Types:      pkg,
+		TypesInfo:  info,
+		ForTest:    p.ForTest,
+	}, nil
 }

@@ -41,7 +41,6 @@ var RequiredMethods = map[string]map[string]bool{
 // Analyzer is the noalloc pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "noalloc",
-	Doc:  "flag allocation constructs inside //tnpu:noalloc functions and require the annotation on the batched hot path",
 	Run:  run,
 }
 

@@ -38,7 +38,6 @@ var ContractPackages = map[string]bool{
 // Analyzer is the secerr pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "secerr",
-	Doc:  "flag ignored or unchecked errors from the security verification packages",
 	Run:  run,
 }
 

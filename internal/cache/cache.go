@@ -216,22 +216,6 @@ func (c *Cache) Probe(addr uint64) bool {
 	return false
 }
 
-// Invalidate drops addr's line if present, reporting whether the dropped
-// line was dirty — in which case the caller must write its contents back
-// (the line's address is the caller's addr rounded down to LineBytes).
-func (c *Cache) Invalidate(addr uint64) (dirty bool) {
-	tag := addr >> c.lineShift
-	set := c.lines[c.setIndex(tag)]
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			dirty = set[i].dirty
-			c.lines[c.setIndex(tag)] = append(set[:i], set[i+1:]...)
-			return dirty
-		}
-	}
-	return false
-}
-
 // Flush evicts every resident line and returns the byte addresses of all
 // dirty lines in deterministic set order. Statistics count the writebacks.
 func (c *Cache) Flush() []uint64 {
@@ -250,7 +234,3 @@ func (c *Cache) Flush() []uint64 {
 
 // Stats exposes the accumulated counters.
 func (c *Cache) Stats() *stats.CacheStats { return &c.stats }
-
-// ResetStats zeroes the counters without disturbing cache contents, so a
-// warm-up phase can be excluded from measurement.
-func (c *Cache) ResetStats() { c.stats = stats.CacheStats{} }

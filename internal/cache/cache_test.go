@@ -69,20 +69,6 @@ func TestWriteHitMarksDirty(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := New("test", 4096, 64, 8)
-	c.Access(0, true)
-	if dirty := c.Invalidate(0); !dirty {
-		t.Fatal("invalidate of dirty line should report dirty")
-	}
-	if c.Probe(0) {
-		t.Fatal("line should be gone after invalidate")
-	}
-	if dirty := c.Invalidate(0); dirty {
-		t.Fatal("invalidate of absent line should report clean")
-	}
-}
-
 func TestFlush(t *testing.T) {
 	c := New("test", 4096, 64, 8)
 	c.Access(0*64, true)
@@ -110,18 +96,6 @@ func TestProbeDoesNotPerturb(t *testing.T) {
 	c.Probe(1 * 64)
 	if c.Stats().Lookups != before {
 		t.Fatal("probe must not count as lookup")
-	}
-}
-
-func TestResetStats(t *testing.T) {
-	c := New("test", 4096, 64, 8)
-	c.Access(0, false)
-	c.ResetStats()
-	if c.Stats().Lookups != 0 {
-		t.Fatal("stats should be zero after reset")
-	}
-	if !c.Probe(0) {
-		t.Fatal("contents must survive ResetStats")
 	}
 }
 
@@ -224,24 +198,6 @@ func TestWorkingSetLargerThanCacheThrashes(t *testing.T) {
 	s := c.Stats()
 	if s.Misses != s.Lookups {
 		t.Fatalf("cyclic stream over 2x capacity should always miss under LRU: %d misses of %d", s.Misses, s.Lookups)
-	}
-}
-
-func TestInvalidateReportsDirty(t *testing.T) {
-	c := New("test", 4096, 64, 8)
-	c.Access(0, true)   // dirty line
-	c.Access(64, false) // clean line
-	if !c.Invalidate(0) {
-		t.Error("invalidating a dirty line must report dirty")
-	}
-	if c.Probe(0) {
-		t.Error("invalidated line still resident")
-	}
-	if c.Invalidate(64) {
-		t.Error("invalidating a clean line must not report dirty")
-	}
-	if c.Invalidate(128) {
-		t.Error("invalidating an absent line must not report dirty")
 	}
 }
 

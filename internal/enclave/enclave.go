@@ -126,9 +126,6 @@ func NewPageTable() *PageTable { return &PageTable{m: make(map[uint64]uint64)} }
 // Map installs (or maliciously rewrites) a translation.
 func (p *PageTable) Map(virtPage, physPage uint64) { p.m[virtPage] = physPage }
 
-// Unmap removes a translation.
-func (p *PageTable) Unmap(virtPage uint64) { delete(p.m, virtPage) }
-
 // Walk resolves a virtual page, as the hardware page walker would.
 func (p *PageTable) Walk(virtPage uint64) (uint64, bool) {
 	pa, ok := p.m[virtPage]

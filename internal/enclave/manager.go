@@ -69,9 +69,6 @@ func NewManager(npus int) *Manager {
 	return m
 }
 
-// EEPCM exposes the inverse map (tests inject attacks through it).
-func (m *Manager) EEPCM() *EEPCM { return m.eepcm }
-
 // CreateEnclave builds an enclave with a fresh measurement.
 func (m *Manager) CreateEnclave(id ID) (*Enclave, error) {
 	if id == 0 {

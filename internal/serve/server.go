@@ -450,6 +450,14 @@ func (s *Server) handleFigure(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown figure %q (fig4|fig5|fig14|fig15|fig16|fig17)", id))
 		return
 	}
+	s.serveFigure(w, req, s.figureKey(id), spec)
+}
+
+// serveFigure serves one figure-shaped artifact, for /api/figure and
+// /api/sweep/npucount: the figureDoc JSON content-addressed under key,
+// or, with format=svg, the requested class's chart rendered from it
+// through plot.ClassCharts.
+func (s *Server) serveFigure(w http.ResponseWriter, req *http.Request, key string, spec figureSpec) {
 	format := req.URL.Query().Get("format")
 	if format == "" {
 		format = "json"
@@ -459,7 +467,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	data, src, err := s.cached(s.figureKey(id), func() ([]byte, error) {
+	data, src, err := s.cached(key, func() ([]byte, error) {
 		fig, err := spec.gen()
 		if err != nil {
 			return nil, err
@@ -487,13 +495,6 @@ func (s *Server) handleFigure(w http.ResponseWriter, req *http.Request) {
 
 	// SVG is a cheap deterministic rendering of the cached figure data,
 	// so only the JSON is content-addressed.
-	s.writeFigureSVG(w, req, data, src, spec.refLine, spec.yLabel)
-}
-
-// writeFigureSVG renders the requested class's chart of a cached
-// figureDoc through plot.ClassCharts — shared by /api/figure and the
-// figure-shaped /api/sweep/npucount.
-func (s *Server) writeFigureSVG(w http.ResponseWriter, req *http.Request, data []byte, src Source, refLine float64, yLabel string) {
 	class, err := parseClass(req.URL.Query().Get("class"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -512,7 +513,7 @@ func (s *Server) writeFigureSVG(w http.ResponseWriter, req *http.Request, data [
 			categories = series.Models
 		}
 	}
-	for _, cc := range plot.ClassCharts(doc.ID, doc.Title, categories, classSeries, refLine, yLabel) {
+	for _, cc := range plot.ClassCharts(doc.ID, doc.Title, categories, classSeries, spec.refLine, spec.yLabel) {
 		if cc.Class != class.String() {
 			continue
 		}
@@ -593,7 +594,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
 // time at 1–3 NPUs per scheme and class, now cheap enough to compute on
 // demand (the horizon arbitration). The
 // artifact is figure-shaped — class-tagged series over NPU-count
-// categories — so it shares the figure endpoints' JSON/SVG rendering.
+// categories — so it is served through serveFigure, as /api/figure is.
 // Both Table II configurations go into the cache key because the sweep
 // simulates both classes (unlike the one-axis sweeps, which scale off
 // Small alone). Count itself needs no key component: it is the category
@@ -605,47 +606,14 @@ func (s *Server) handleNPUCountSweep(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown or unserved model %q (see /api/models)", short))
 		return
 	}
-	format := req.URL.Query().Get("format")
-	if format == "" {
-		format = "json"
-	}
-	if format != "json" && format != "svg" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown format %q (json|svg)", format))
-		return
-	}
-
 	key := exp.DigestParams(s.version, "sweep", map[string]string{
 		"kind":  "npucount",
 		"model": short,
 		"small": exp.ConfigDigest(exp.Small.Config()),
 		"large": exp.ConfigDigest(exp.Large.Config()),
 	})
-	data, src, err := s.cached(key, func() ([]byte, error) {
-		fig, err := s.runner.NPUCountSweep(short)
-		if err != nil {
-			return nil, err
-		}
-		doc := figureDoc{ID: fig.ID, Title: fig.Title}
-		for _, series := range fig.Series {
-			doc.Series = append(doc.Series, seriesDoc{
-				Class:  series.Class.String(),
-				Label:  series.Label,
-				Models: series.Models,
-				Values: series.Values,
-				Mean:   series.Mean(),
-			})
-		}
-		return json.Marshal(doc)
-	})
-	if err != nil {
-		s.failCached(w, err)
-		return
-	}
-	if format == "json" {
-		writeCached(w, "application/json", data, src)
-		return
-	}
-	s.writeFigureSVG(w, req, data, src, 1, "normalized execution time")
+	gen := func() (exp.Figure, error) { return s.runner.NPUCountSweep(short) }
+	s.serveFigure(w, req, key, figureSpec{gen, 1, "normalized execution time"})
 }
 
 // MixedResult is the JSON payload of /api/mixed: one mixed-tenancy run

@@ -168,17 +168,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestTableSort(t *testing.T) {
-	tb := NewTable("k")
-	tb.AddRow("b")
-	tb.AddRow("a")
-	tb.Sort(0)
-	out := tb.String()
-	if strings.Index(out, "a") > strings.Index(out, "b") {
-		t.Errorf("sort did not order rows:\n%s", out)
-	}
-}
-
 func TestPct(t *testing.T) {
 	if got := Pct(0.211); got != "21.1%" {
 		t.Errorf("Pct = %q, want 21.1%%", got)

@@ -53,10 +53,7 @@ echo "== go vet"
 go vet ./... || status=1
 
 echo "== tnpu-vet (invariant suite)"
-# Run it both ways: standalone over every package, and through cmd/go's
-# -vettool plumbing so the vet.cfg protocol path stays exercised.
 "$bin" ./... || status=1
-go vet -vettool="$bin" ./... || status=1
 
 if command -v staticcheck >/dev/null 2>&1; then
   echo "== staticcheck"
