@@ -164,8 +164,8 @@ func BenchmarkSensitivitySweeps(b *testing.B) {
 	var out string
 	for i := 0; i < b.N; i++ {
 		var sb []string
-		for _, gen := range []func(string) (exp.Sweep, error){exp.BandwidthSweep, exp.SPMSweep, exp.LatencySweep} {
-			sw, err := gen("sent")
+		for _, gen := range []func(*exp.Runner, string) (exp.Sweep, error){(*exp.Runner).BandwidthSweep, (*exp.Runner).SPMSweep, (*exp.Runner).LatencySweep} {
+			sw, err := gen(exp.NewRunner("sent"), "sent")
 			if err != nil {
 				b.Fatal(err)
 			}

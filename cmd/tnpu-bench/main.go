@@ -8,7 +8,6 @@
 //
 //	tnpu-bench                # everything
 //	tnpu-bench -models df,res # restrict the workload set
-//	tnpu-bench -schemes baseline,tnpu # restrict the scheme set
 //	tnpu-bench -only fig14    # one artifact
 //	tnpu-bench -attack        # adversarial fault-injection campaign
 //	tnpu-bench -parallel 8    # worker count (0 = GOMAXPROCS)
@@ -47,7 +46,6 @@ func main() {
 
 func mainRun() int {
 	modelsFlag := flag.String("models", "", "comma-separated workload subset (default: all 14)")
-	schemesFlag := flag.String("schemes", "", "comma-separated scheme subset for the performance artifacts (unsecure,baseline,tnpu,encrypt-only; default: all)")
 	onlyFlag := flag.String("only", "", "single artifact: table3|fig4|fig5|fig14|fig15|fig16|fig17|storage|hwcost|sweeps")
 	attackFlag := flag.Bool("attack", false, "run the adversarial fault-injection campaign instead of the performance artifacts")
 	jsonFlag := flag.Bool("json", false, "emit the whole evaluation as JSON (for plotting scripts)")
@@ -98,14 +96,6 @@ func mainRun() int {
 		models = []string{"df", "agz", "ncf"}
 	}
 	r := tnpu.NewPaperRunner(models...)
-	if *schemesFlag != "" {
-		schemes, err := exp.ParseSchemes(*schemesFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tnpu-bench:", err)
-			return 2
-		}
-		r.Schemes = schemes
-	}
 	r.Workers = *parallelFlag
 	if *verboseFlag {
 		r.Progress = os.Stderr
@@ -131,15 +121,6 @@ func mainRun() int {
 		}
 	}
 	return code
-}
-
-// schemeNames renders the valid -schemes values.
-func schemeNames() string {
-	names := make([]string, 0, len(memprot.AllSchemes()))
-	for _, s := range memprot.AllSchemes() {
-		names = append(names, s.String())
-	}
-	return strings.Join(names, ",")
 }
 
 // runAttack mounts the fault-injection campaign over every runner model
@@ -192,49 +173,22 @@ func run(r *exp.Runner, only string, asJSON bool, mdPath string, verbose bool) i
 		key string
 		run func() error
 	}
-	// The -schemes filter can drain every figure (e.g. -schemes unsecure:
-	// the measured series are all filtered away, and unsecure itself is
-	// only ever the normalization denominator). Emitting nothing with
-	// exit 0 reads as success; count empty figures so that outcome can
-	// fail loudly below instead.
-	figuresRun, figuresEmpty := 0, 0
-	figure := func(gen func() (exp.Figure, error)) func() error {
-		return func() error {
-			f, err := gen()
+	artifacts := []artifact{{"table3", func() error { fmt.Println(r.Table3()); return nil }}}
+	for _, spec := range exp.Figures {
+		artifacts = append(artifacts, artifact{spec.ID, func() error {
+			f, err := spec.Gen(r)
 			if err != nil {
 				return err
 			}
-			figuresRun++
-			if len(f.Series) == 0 {
-				figuresEmpty++
-			}
 			fmt.Println(f.String())
-			return nil
-		}
-	}
-	artifacts := []artifact{
-		{"table3", func() error { fmt.Println(r.Table3()); return nil }},
-		{"fig4", figure(r.Figure4)},
-		{"fig5", figure(r.Figure5)},
-		{"fig14", figure(r.Figure14)},
-		{"fig15", figure(r.Figure15)},
-		{"fig16", func() error {
-			f, err := r.Figure16()
-			if err != nil {
-				return err
-			}
-			figuresRun++
-			if len(f.Series) == 0 {
-				figuresEmpty++
-			}
-			fmt.Println(f.String())
-			if verbose {
+			if verbose && spec.ID == "fig16" {
 				return printAttribution(r)
 			}
 			return nil
-		}},
-		{"fig17", figure(r.Figure17)},
-		{"storage", func() error {
+		}})
+	}
+	artifacts = append(artifacts,
+		artifact{"storage", func() error {
 			per, avg, max, err := r.VersionStorage(exp.Small)
 			if err != nil {
 				return err
@@ -246,12 +200,7 @@ func run(r *exp.Runner, only string, asJSON bool, mdPath string, verbose bool) i
 			fmt.Println()
 			return nil
 		}},
-		{"sweeps", func() error {
-			// The sweeps plot the baseline-vs-TNPU gap, so they need
-			// both schemes; -schemes filters them out otherwise.
-			if !r.ImprovementAvailable() {
-				return nil
-			}
+		artifact{"sweeps", func() error {
 			for _, gen := range []func(string) (exp.Sweep, error){r.BandwidthSweep, r.SPMSweep, r.LatencySweep} {
 				sw, err := gen("sent")
 				if err != nil {
@@ -261,7 +210,7 @@ func run(r *exp.Runner, only string, asJSON bool, mdPath string, verbose bool) i
 			}
 			return nil
 		}},
-		{"hwcost", func() error {
+		artifact{"hwcost", func() error {
 			s := r.HardwareCost()
 			fmt.Println("Sec V-E hardware overhead:", s.String())
 			for _, c := range s.PerComponent {
@@ -271,7 +220,7 @@ func run(r *exp.Runner, only string, asJSON bool, mdPath string, verbose bool) i
 			fmt.Println()
 			return nil
 		}},
-	}
+	)
 
 	ran := false
 	for _, a := range artifacts {
@@ -287,15 +236,8 @@ func run(r *exp.Runner, only string, asJSON bool, mdPath string, verbose bool) i
 		fmt.Fprintf(os.Stderr, "tnpu-bench: unknown artifact %q\n", only)
 		return 2
 	}
-	if figuresRun > 0 && figuresEmpty == figuresRun {
-		fmt.Fprintf(os.Stderr, "tnpu-bench: -schemes filter left every figure empty (valid schemes: %s; measured figures need at least one of baseline, tnpu, encrypt-only)\n",
-			schemeNames())
-		return 2
-	}
-
-	if only == "" && r.ImprovementAvailable() {
-		// Headline summary (the numbers the paper's abstract quotes);
-		// needs both compared schemes, so -schemes filters it out.
+	if only == "" {
+		// Headline summary (the numbers the paper's abstract quotes).
 		for _, class := range exp.Classes() {
 			i1, err := r.Improvement(class, 1)
 			if err != nil {
@@ -316,15 +258,10 @@ func run(r *exp.Runner, only string, asJSON bool, mdPath string, verbose bool) i
 // printAttribution dumps each fig16 cell's per-NPU served-work split —
 // the per-tenant QoS view of the 3-NPU co-tenant runs (cells the figure
 // already computed, so this reads the cache) — and, per scheme, the share
-// of the x2/x3 blocks that contended rounds served. Only measured schemes
-// the -schemes filter admits are shown; unsecure, every figure's
-// normalizer, always is in the share.
+// of the x2/x3 blocks that contended rounds served.
 func printAttribution(r *exp.Runner) error {
 	fmt.Println("Contended rounds (share of x2/x3 blocks served by rounds):")
 	for _, scheme := range memprot.Schemes() {
-		if scheme != memprot.Unsecure && !r.SchemeEnabled(scheme) {
-			continue
-		}
 		var blocks, rounds uint64
 		for _, class := range exp.Classes() {
 			for count := 2; count <= 3; count++ {
@@ -349,9 +286,6 @@ func printAttribution(r *exp.Runner) error {
 	fmt.Println("Per-NPU attribution (3-NPU co-tenant runs):")
 	for _, class := range exp.Classes() {
 		for _, scheme := range []memprot.Scheme{memprot.Baseline, memprot.TreeLess} {
-			if !r.SchemeEnabled(scheme) {
-				continue
-			}
 			for _, short := range r.Models {
 				res, err := r.Run(short, class, scheme, 3)
 				if err != nil {
@@ -368,9 +302,6 @@ func printAttribution(r *exp.Runner) error {
 	fmt.Println()
 	return nil
 }
-
-// figureKeys names the AllFigures results in order.
-var figureKeys = []string{"fig4", "fig5", "fig14", "fig15", "fig16", "fig17"}
 
 // jsonSeries is one plottable line.
 type jsonSeries struct {
@@ -400,7 +331,7 @@ func emitJSON(r *exp.Runner) error {
 		return err
 	}
 	for i, f := range figs {
-		key := figureKeys[i]
+		key := exp.Figures[i].ID
 		for _, s := range f.Series {
 			doc.Figures[key] = append(doc.Figures[key], jsonSeries{
 				Class: s.Class.String(), Label: s.Label,
@@ -415,15 +346,13 @@ func emitJSON(r *exp.Runner) error {
 	doc.VersionStorage = per
 	hw := r.HardwareCost()
 	doc.Hardware.AreaMM2, doc.Hardware.PowerMW, doc.Hardware.SoCFraction = hw.AreaMM2, hw.PowerMW, hw.SoCFraction
-	if r.ImprovementAvailable() {
-		for _, class := range exp.Classes() {
-			for _, n := range []int{1, 3} {
-				imp, err := r.Improvement(class, n)
-				if err != nil {
-					return err
-				}
-				doc.Improvements[fmt.Sprintf("%s-%dnpu", class, n)] = imp
+	for _, class := range exp.Classes() {
+		for _, n := range []int{1, 3} {
+			imp, err := r.Improvement(class, n)
+			if err != nil {
+				return err
 			}
+			doc.Improvements[fmt.Sprintf("%s-%dnpu", class, n)] = imp
 		}
 	}
 	enc := json.NewEncoder(os.Stdout)
@@ -442,9 +371,8 @@ func emitMarkdown(r *exp.Runner, path string) error {
 	if err != nil {
 		return err
 	}
-	names := []string{"Figure 4", "Figure 5", "Figure 14", "Figure 15", "Figure 16", "Figure 17"}
-	for i, fig := range figs {
-		b.WriteString("## " + names[i] + "\n\n```\n" + fig.String() + "```\n\n")
+	for _, fig := range figs {
+		b.WriteString("## " + fig.ID + "\n\n```\n" + fig.String() + "```\n\n")
 	}
 	per, avg, max, err := r.VersionStorage(exp.Small)
 	if err != nil {
@@ -455,20 +383,18 @@ func emitMarkdown(r *exp.Runner, path string) error {
 		fmt.Fprintf(&b, "- %s: %dB\n", short, per[short])
 	}
 	fmt.Fprintf(&b, "\n## Sec V-E hardware\n\n%s\n\n", r.HardwareCost().String())
-	if r.ImprovementAvailable() {
-		b.WriteString("## Headline\n\n")
-		for _, class := range exp.Classes() {
-			i1, err := r.Improvement(class, 1)
-			if err != nil {
-				return err
-			}
-			i3, err := r.Improvement(class, 3)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(&b, "- %s NPU: TNPU improves the baseline by %.1f%% (1 NPU), %.1f%% (3 NPUs)\n", class, 100*i1, 100*i3)
+	b.WriteString("## Headline\n\n")
+	for _, class := range exp.Classes() {
+		i1, err := r.Improvement(class, 1)
+		if err != nil {
+			return err
 		}
-		b.WriteString("- paper reference: 10.0%/13.3% (small), 7.5%/8.7% (large)\n")
+		i3, err := r.Improvement(class, 3)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(&b, "- %s NPU: TNPU improves the baseline by %.1f%% (1 NPU), %.1f%% (3 NPUs)\n", class, 100*i1, 100*i3)
 	}
+	b.WriteString("- paper reference: 10.0%/13.3% (small), 7.5%/8.7% (large)\n")
 	return os.WriteFile(path, []byte(b.String()), 0o644)
 }

@@ -34,21 +34,8 @@ func main() {
 		fatal(err)
 	}
 
-	figs := []struct {
-		name    string
-		gen     func() (exp.Figure, error)
-		refLine float64
-		ylabel  string
-	}{
-		{"figure4", r.Figure4, 1, "normalized execution time"},
-		{"figure5", r.Figure5, 0, "counter cache miss rate"},
-		{"figure14", r.Figure14, 1, "normalized execution time"},
-		{"figure15", r.Figure15, 1, "normalized memory traffic"},
-		{"figure16", r.Figure16, 1, "normalized execution time"},
-		{"figure17", r.Figure17, 1, "normalized end-to-end latency"},
-	}
-	for _, f := range figs {
-		fig, err := f.gen()
+	for _, spec := range exp.Figures {
+		fig, err := spec.Gen(r)
 		if err != nil {
 			fatal(err)
 		}
@@ -58,12 +45,13 @@ func main() {
 		}
 		// One chart per NPU class keeps the figures readable; the split
 		// is shared with tnpu-serve's SVG endpoint (plot.ClassCharts).
-		for _, cc := range plot.ClassCharts(fig.ID, fig.Title, fig.Series[0].Models, series, f.refLine, f.ylabel) {
+		for _, cc := range plot.ClassCharts(fig.ID, fig.Title, fig.Series[0].Models, series, spec.RefLine, spec.YLabel) {
 			svg, err := cc.Chart.SVG()
 			if err != nil {
 				fatal(err)
 			}
-			path := filepath.Join(*outFlag, fmt.Sprintf("%s-%s.svg", f.name, cc.Class))
+			// "fig4" is written as figure4-small.svg and figure4-large.svg.
+			path := filepath.Join(*outFlag, fmt.Sprintf("figure%s-%s.svg", strings.TrimPrefix(spec.ID, "fig"), cc.Class))
 			if err := os.WriteFile(path, []byte(svg), 0o644); err != nil {
 				fatal(err)
 			}

@@ -19,7 +19,7 @@ type attackKey struct {
 // every protection scheme, classified against the detection matrix.
 func (r *Runner) DetectionCampaign(short string, class Class) (*attack.Report, error) {
 	k := attackKey{short, class}
-	label := fmt.Sprintf("%s/%s attack", short, class)
+	label := func() string { return fmt.Sprintf("%s/%s attack", short, class) }
 	return compute(r, r.attacks, k, "attack", label, func() (*attack.Report, error) {
 		prog, err := r.Program(short, class)
 		if err != nil {

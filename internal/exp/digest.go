@@ -15,7 +15,6 @@ import (
 	"sort"
 	"strconv"
 
-	"tnpu/internal/memprot"
 	"tnpu/internal/npu"
 )
 
@@ -64,22 +63,6 @@ func appendLeaves(buf []byte, v reflect.Value) []byte {
 		buf = append(buf, '|')
 	}
 	return buf
-}
-
-// CellKey identifies one simulation cell — the unit the figure grids, the
-// sweeps, and the service requests all decompose into.
-type CellKey struct {
-	Model  string
-	Class  Class
-	Scheme memprot.Scheme
-	Count  int
-}
-
-// Digest content-addresses the cell under a code version: equal digests
-// mean the cached result is interchangeable with a fresh computation.
-func (k CellKey) Digest(codeVersion string) string {
-	return Digest(codeVersion, "cell", k.Model, ConfigDigest(k.Class.Config()),
-		k.Scheme.String(), fmt.Sprintf("x%d", k.Count))
 }
 
 // Digest hashes a code version plus an ordered list of key parts into one

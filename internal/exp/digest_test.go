@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"tnpu/internal/memprot"
 	"tnpu/internal/npu"
 )
 
@@ -75,28 +74,6 @@ func TestConfigDigestCoversAllFields(t *testing.T) {
 		Rows int
 		Gain float64
 	}{}))
-}
-
-func TestCellKeyDigest(t *testing.T) {
-	base := CellKey{Model: "df", Class: Small, Scheme: memprot.TreeLess, Count: 1}
-	ref := base.Digest(CodeVersion)
-	if base.Digest(CodeVersion) != ref {
-		t.Fatal("cell digest not deterministic")
-	}
-	variants := []CellKey{
-		{Model: "res", Class: Small, Scheme: memprot.TreeLess, Count: 1},
-		{Model: "df", Class: Large, Scheme: memprot.TreeLess, Count: 1},
-		{Model: "df", Class: Small, Scheme: memprot.Baseline, Count: 1},
-		{Model: "df", Class: Small, Scheme: memprot.TreeLess, Count: 2},
-	}
-	for i, v := range variants {
-		if v.Digest(CodeVersion) == ref {
-			t.Errorf("variant %d collided with the base cell", i)
-		}
-	}
-	if base.Digest("other-version") == ref {
-		t.Error("code-version bump must invalidate the digest")
-	}
 }
 
 func TestDigestConcatenationSafety(t *testing.T) {

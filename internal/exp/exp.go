@@ -8,6 +8,7 @@ package exp
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -52,26 +53,17 @@ func (c Class) Config() npu.Config {
 func Classes() []Class { return []Class{Small, Large} }
 
 // Runner caches compiled programs and simulation results so the figure
-// generators can share work. It is safe for concurrent use: every
-// (model, class, scheme, count) cell is computed exactly once no matter
-// how many goroutines ask for it (singleflight memoization), and the
-// figure/sweep generators fan their independent cells out across a
-// bounded worker pool while keeping output deterministic — a parallel
-// run is byte-identical to a sequential one.
+// generators can share work. It is safe for concurrent use: every cell is
+// computed exactly once no matter how many goroutines ask for it
+// (singleflight memoization), and the figure/sweep generators fan their
+// independent cells out across a bounded worker pool while keeping output
+// deterministic — a parallel run is byte-identical to a sequential one.
 type Runner struct {
 	// Models restricts the workload set (defaults to all 14; tests use
 	// subsets). Must be set before the first figure/sweep call: the
 	// runner freezes its configuration at first use and panics on a
 	// later mutation.
 	Models []string
-
-	// Schemes restricts which protection schemes the performance
-	// artifacts simulate (nil or empty = all). Unsecure runs that serve
-	// only as the normalization denominator are not filtered; disabling
-	// a measured scheme drops its series (and any headline metric that
-	// needs it) entirely. Must be set before the first figure/sweep call
-	// (enforced like Models).
-	Schemes []memprot.Scheme
 
 	// Workers bounds how many simulation cells run concurrently.
 	// 0 means runtime.GOMAXPROCS(0); 1 forces sequential evaluation.
@@ -86,12 +78,9 @@ type Runner struct {
 
 	mu      sync.Mutex
 	progs   map[progKey]*cell[*compiler.Program]
-	runs    map[runKey]*cell[multinpu.Result]
-	mixed   map[mixedKey]*cell[multinpu.Result]
+	sims    map[simKey]*cell[multinpu.Result]
 	e2es    map[e2eKey]*cell[e2e.Result]
 	attacks map[attackKey]*cell[*attack.Report]
-
-	sweepRuns map[sweepRunKey]*cell[uint64]
 
 	// cellStore, when attached via SetMemoDir, persists whole-run cell
 	// results across processes. Set once before first use, like Models; a
@@ -109,12 +98,11 @@ type Runner struct {
 // mutations — which would silently skew already-memoized cells — fail fast.
 type frozenConfig struct {
 	models   []string
-	schemes  []memprot.Scheme
 	workers  int
 	progress io.Writer
 }
 
-// freeze captures Models/Schemes/Workers/Progress at the runner's first
+// freeze captures Models/Workers/Progress at the runner's first
 // computation and panics if any of them changed afterwards — the
 // documented "must be set before the first figure/sweep call" contract,
 // enforced instead of trusted.
@@ -123,22 +111,17 @@ func (r *Runner) freeze() {
 	r.freezeOnce.Do(func() {
 		r.frozen = frozenConfig{
 			models:   append([]string(nil), r.Models...),
-			schemes:  append([]memprot.Scheme(nil), r.Schemes...),
 			workers:  r.Workers,
 			progress: r.Progress,
 		}
 	})
 	f := &r.frozen
-	changed := len(r.Models) != len(f.models) || len(r.Schemes) != len(f.schemes) ||
-		r.Workers != f.workers || r.Progress != f.progress
+	changed := len(r.Models) != len(f.models) || r.Workers != f.workers || r.Progress != f.progress
 	for i := 0; !changed && i < len(f.models); i++ {
 		changed = r.Models[i] != f.models[i]
 	}
-	for i := 0; !changed && i < len(f.schemes); i++ {
-		changed = r.Schemes[i] != f.schemes[i]
-	}
 	if changed {
-		panic("exp: Runner Models/Schemes/Workers/Progress mutated after first use; set them before the first figure/sweep call")
+		panic("exp: Runner Models/Workers/Progress mutated after first use; set them before the first figure/sweep call")
 	}
 }
 
@@ -152,19 +135,17 @@ type progKey struct {
 	cfg   compiler.Config
 }
 
-type runKey struct {
-	short  string
-	class  Class
-	scheme memprot.Scheme
-	count  int
-}
-
-// mixedKey identifies one mixed-tenancy cell: an ordered workload tuple
-// (order matters — it fixes which context region each program occupies)
-// under one class and scheme.
-type mixedKey struct {
-	shorts string // comma-joined model shorts, in NPU order
-	class  Class
+// simKey identifies one timed simulation by what its result depends on:
+// the ordered model tuple (one entry per NPU; order fixes which context
+// region each program occupies), the hardware configuration and the
+// scheme. A tuple whose NPUs all run one model is that model and a copy
+// count; any other tuple is comma-joined with copies 1. So Run, RunMixed
+// and the sweep points name each tuple one way, and a lookup of n copies
+// builds no string.
+type simKey struct {
+	models string
+	copies int
+	cfg    npu.Config
 	scheme memprot.Scheme
 }
 
@@ -183,8 +164,9 @@ type cell[V any] struct {
 }
 
 // compute memoizes fn under k in m: exactly one caller runs fn, everyone
-// gets its result. Fresh computations are timed into the runner's RunLog.
-func compute[K comparable, V any](r *Runner, m map[K]*cell[V], k K, kind, label string, fn func() (V, error)) (V, error) {
+// gets its result. Fresh computations are timed into the runner's RunLog
+// under label, which is built only then: a hit allocates nothing.
+func compute[K comparable, V any](r *Runner, m map[K]*cell[V], k K, kind string, label func() string, fn func() (V, error)) (V, error) {
 	r.freeze()
 	r.mu.Lock()
 	if c, ok := m[k]; ok {
@@ -199,7 +181,7 @@ func compute[K comparable, V any](r *Runner, m map[K]*cell[V], k K, kind, label 
 
 	start := time.Now()
 	c.val, c.err = fn()
-	r.log.note(kind, label, time.Since(start), r.Progress)
+	r.log.note(kind, label(), time.Since(start), r.Progress)
 	close(c.done)
 	return c.val, c.err
 }
@@ -210,80 +192,12 @@ func NewRunner(models ...string) *Runner {
 		models = model.ShortNames()
 	}
 	return &Runner{
-		Models:    models,
-		progs:     make(map[progKey]*cell[*compiler.Program]),
-		runs:      make(map[runKey]*cell[multinpu.Result]),
-		mixed:     make(map[mixedKey]*cell[multinpu.Result]),
-		e2es:      make(map[e2eKey]*cell[e2e.Result]),
-		attacks:   make(map[attackKey]*cell[*attack.Report]),
-		sweepRuns: make(map[sweepRunKey]*cell[uint64]),
+		Models:  models,
+		progs:   make(map[progKey]*cell[*compiler.Program]),
+		sims:    make(map[simKey]*cell[multinpu.Result]),
+		e2es:    make(map[e2eKey]*cell[e2e.Result]),
+		attacks: make(map[attackKey]*cell[*attack.Report]),
 	}
-}
-
-// ParseSchemes resolves a comma-separated scheme list ("baseline,tnpu")
-// against the memprot scheme names, for the -schemes CLI filter.
-func ParseSchemes(csv string) ([]memprot.Scheme, error) {
-	var out []memprot.Scheme
-	for _, name := range strings.Split(csv, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		found := false
-		for _, s := range memprot.AllSchemes() {
-			if s.String() == name {
-				out = append(out, s)
-				found = true
-				break
-			}
-		}
-		if !found {
-			valid := make([]string, 0, len(memprot.AllSchemes()))
-			for _, s := range memprot.AllSchemes() {
-				valid = append(valid, s.String())
-			}
-			return nil, fmt.Errorf("exp: unknown scheme %q (valid: %s)", name, strings.Join(valid, ","))
-		}
-	}
-	if len(out) == 0 && strings.TrimSpace(csv) != "" {
-		valid := make([]string, 0, len(memprot.AllSchemes()))
-		for _, s := range memprot.AllSchemes() {
-			valid = append(valid, s.String())
-		}
-		return nil, fmt.Errorf("exp: scheme filter %q selects no schemes (valid: %s)", csv, strings.Join(valid, ","))
-	}
-	return out, nil
-}
-
-// SchemeEnabled reports whether the runner's scheme filter admits s.
-func (r *Runner) SchemeEnabled(s memprot.Scheme) bool {
-	if len(r.Schemes) == 0 {
-		return true
-	}
-	for _, e := range r.Schemes {
-		if e == s {
-			return true
-		}
-	}
-	return false
-}
-
-// schemeSubset filters a generator's natural scheme list down to the
-// enabled set, preserving the generator's order.
-func (r *Runner) schemeSubset(want ...memprot.Scheme) []memprot.Scheme {
-	out := make([]memprot.Scheme, 0, len(want))
-	for _, s := range want {
-		if r.SchemeEnabled(s) {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// ImprovementAvailable reports whether the scheme filter admits both
-// schemes the headline Improvement metric compares.
-func (r *Runner) ImprovementAvailable() bool {
-	return r.SchemeEnabled(memprot.Baseline) && r.SchemeEnabled(memprot.TreeLess)
 }
 
 // Log exposes the runner's instrumentation record: per-cell wall times,
@@ -299,7 +213,7 @@ func (r *Runner) Program(short string, class Class) (*compiler.Program, error) {
 // shared cache behind Program and the sweep points.
 func (r *Runner) program(short string, cfg compiler.Config) (*compiler.Program, error) {
 	k := progKey{short, cfg}
-	label := fmt.Sprintf("%s spm=%dKB", short, cfg.SPM.CapacityBytes>>10)
+	label := func() string { return fmt.Sprintf("%s spm=%dKB", short, cfg.SPM.CapacityBytes>>10) }
 	return compute(r, r.progs, k, "compile", label, func() (*compiler.Program, error) {
 		m, err := model.ByShort(short)
 		if err != nil {
@@ -309,49 +223,49 @@ func (r *Runner) program(short string, cfg compiler.Config) (*compiler.Program, 
 	})
 }
 
-// Run simulates (once) a model under a scheme with count NPUs.
+// Run simulates (once) a model under a scheme with count NPUs: the tuple
+// of count copies of short.
 func (r *Runner) Run(short string, class Class, scheme memprot.Scheme, count int) (multinpu.Result, error) {
-	k := runKey{short, class, scheme, count}
-	label := fmt.Sprintf("%s/%s/%s x%d", short, class, scheme, count)
-	return compute(r, r.runs, k, "simulate", label, func() (multinpu.Result, error) {
-		return persisted(r, runCellKey(short, class.Config(), scheme, count), appendRunResult, decodeRunResult, func() (multinpu.Result, error) {
-			p, err := r.Program(short, class)
-			if err != nil {
-				return multinpu.Result{}, err
-			}
-			res, err := multinpu.Run(p, scheme, class.Config(), count)
-			if err != nil {
-				return multinpu.Result{}, fmt.Errorf("exp: %s/%s/%s x%d: %w", short, class, scheme, count, err)
-			}
-			return res, nil
-		})
-	})
+	label := func() string { return fmt.Sprintf("%s/%s/%s x%d", short, class, scheme, count) }
+	return r.simulate(simKey{short, count, class.Config(), scheme}, label)
 }
 
 // RunMixed simulates (once) a mixed-tenancy cell: one program per NPU, in
-// order, under a shared bus and protection engine. The tuple is a cell
-// like any other — singleflighted in memory and addressable by serve's
-// disk cache.
+// order, under a shared bus and protection engine. A tuple of one model
+// repeated is the same cell as Run of that many copies.
 func (r *Runner) RunMixed(shorts []string, class Class, scheme memprot.Scheme) (multinpu.Result, error) {
 	joined := strings.Join(shorts, ",")
-	k := mixedKey{joined, class, scheme}
-	label := fmt.Sprintf("mixed[%s]/%s/%s", joined, class, scheme)
-	return compute(r, r.mixed, k, "simulate", label, func() (multinpu.Result, error) {
-		if len(shorts) == 0 {
-			return multinpu.Result{}, fmt.Errorf("exp: mixed-tenancy run needs at least one model")
-		}
-		return persisted(r, mixedCellKey(shorts, class.Config(), scheme), appendRunResult, decodeRunResult, func() (multinpu.Result, error) {
-			progs := make([]*compiler.Program, len(shorts))
-			for i, short := range shorts {
-				p, err := r.Program(short, class)
+	k := simKey{joined, 1, class.Config(), scheme}
+	if len(shorts) > 1 && !slices.ContainsFunc(shorts, func(s string) bool { return s != shorts[0] }) {
+		k.models, k.copies = shorts[0], len(shorts)
+	}
+	return r.simulate(k, func() string { return fmt.Sprintf("mixed[%s]/%s/%s", joined, class, scheme) })
+}
+
+// simulate runs (once) the cell k: each tuple entry's program, compiled
+// for k.cfg, on its own NPU under one shared bus and protection engine.
+// Run, RunMixed and the sweep points are views of it; label names the
+// cell in the run log when this call computes it.
+func (r *Runner) simulate(k simKey, label func() string) (multinpu.Result, error) {
+	if k.models == "" || k.copies < 1 {
+		return multinpu.Result{}, fmt.Errorf("exp: %s: a simulation needs at least one model and NPU", label())
+	}
+	return compute(r, r.sims, k, "simulate", label, func() (multinpu.Result, error) {
+		return persisted(r, simCellKey(k), appendRunResult, decodeRunResult, func() (multinpu.Result, error) {
+			var progs []*compiler.Program
+			for _, short := range strings.Split(k.models, ",") {
+				p, err := r.program(short, k.cfg.CompilerConfig())
 				if err != nil {
 					return multinpu.Result{}, err
 				}
-				progs[i] = p
+				progs = append(progs, p)
 			}
-			res, err := multinpu.RunMixed(progs, scheme, class.Config())
+			for len(progs) < k.copies {
+				progs = append(progs, progs[0])
+			}
+			res, err := multinpu.RunMixed(progs, k.scheme, k.cfg)
 			if err != nil {
-				return multinpu.Result{}, fmt.Errorf("exp: mixed[%s]/%s/%s: %w", joined, class, scheme, err)
+				return multinpu.Result{}, fmt.Errorf("exp: %s: %w", label(), err)
 			}
 			return res, nil
 		})
@@ -367,7 +281,7 @@ func (r *Runner) MultiCacheStats() (hits, misses uint64) { return 0, 0 }
 // EndToEnd simulates (once) the Sec. V-D flow.
 func (r *Runner) EndToEnd(short string, class Class, scheme memprot.Scheme) (e2e.Result, error) {
 	k := e2eKey{short, class, scheme}
-	label := fmt.Sprintf("%s/%s/%s e2e", short, class, scheme)
+	label := func() string { return fmt.Sprintf("%s/%s/%s e2e", short, class, scheme) }
 	return compute(r, r.e2es, k, "e2e", label, func() (e2e.Result, error) {
 		return persisted(r, e2eCellKey(short, class.Config(), scheme), appendE2EResult, decodeE2EResult, func() (e2e.Result, error) {
 			p, err := r.Program(short, class)

@@ -38,8 +38,28 @@ func TestRunCaching(t *testing.T) {
 	if a.Cycles != b.Cycles {
 		t.Fatal("cache returned different result")
 	}
-	if len(r.runs) != 1 {
-		t.Fatalf("expected 1 cached run, have %d", len(r.runs))
+	if len(r.sims) != 1 {
+		t.Fatalf("expected 1 cached run, have %d", len(r.sims))
+	}
+
+	// Run and RunMixed are views of one cell: a tuple of one model
+	// repeated is the cell of that many copies, whichever asks first.
+	done := r.Log().CellsDone()
+	if _, err := r.RunMixed([]string{"df"}, Small, memprot.Baseline); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Log().CellsDone(); got != done {
+		t.Errorf("RunMixed([df]) after Run(df x1) computed %d cells, want 0", got-done)
+	}
+	if _, err := r.RunMixed([]string{"df", "df"}, Small, memprot.TreeLess); err != nil {
+		t.Fatal(err)
+	}
+	done = r.Log().CellsDone()
+	if _, err := r.Run("df", Small, memprot.TreeLess, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Log().CellsDone(); got != done {
+		t.Errorf("Run(df x2) after RunMixed([df df]) computed %d cells, want 0", got-done)
 	}
 }
 

@@ -89,14 +89,32 @@ func (r *Runner) figure(id, title string, specs []seriesSpec) (Figure, error) {
 	return f, nil
 }
 
-// AllFigures computes every figure of the evaluation, fanning the
-// generators across the worker pool. Results come back in fixed paper
-// order: Figure 4, 5, 14, 15, 16, 17.
+// FigureSpec is one figure of the evaluation: the name tnpu-bench's -only
+// and -json and tnpu-serve's /api/figure use for it, its generator, and
+// how it is charted (the reference line, 0 for none, and the y label).
+type FigureSpec struct {
+	ID      string
+	Gen     func(*Runner) (Figure, error)
+	RefLine float64
+	YLabel  string
+}
+
+// Figures lists the evaluation's figures in paper order.
+var Figures = []FigureSpec{
+	{"fig4", (*Runner).Figure4, 1, "normalized execution time"},
+	{"fig5", (*Runner).Figure5, 0, "counter cache miss rate"},
+	{"fig14", (*Runner).Figure14, 1, "normalized execution time"},
+	{"fig15", (*Runner).Figure15, 1, "normalized memory traffic"},
+	{"fig16", (*Runner).Figure16, 1, "normalized execution time"},
+	{"fig17", (*Runner).Figure17, 1, "normalized end-to-end latency"},
+}
+
+// AllFigures computes every figure of Figures, fanning the generators
+// across the worker pool. Results come back in Figures order.
 func (r *Runner) AllFigures() ([]Figure, error) {
-	gens := []func() (Figure, error){r.Figure4, r.Figure5, r.Figure14, r.Figure15, r.Figure16, r.Figure17}
-	figs := make([]Figure, len(gens))
-	err := r.forEach(len(gens), func(i int) error {
-		f, err := gens[i]()
+	figs := make([]Figure, len(Figures))
+	err := r.forEach(len(Figures), func(i int) error {
+		f, err := Figures[i].Gen(r)
 		figs[i] = f
 		return err
 	})
@@ -108,7 +126,7 @@ func (r *Runner) AllFigures() ([]Figure, error) {
 func (r *Runner) normalizedSeries(count int, schemes ...memprot.Scheme) []seriesSpec {
 	var specs []seriesSpec
 	for _, class := range Classes() {
-		for _, scheme := range r.schemeSubset(schemes...) {
+		for _, scheme := range schemes {
 			specs = append(specs, seriesSpec{class, scheme.String(), func(short string) (float64, error) {
 				return r.normalized(short, class, scheme, count)
 			}})
@@ -127,16 +145,14 @@ func (r *Runner) Figure4() (Figure, error) {
 // Figure5 reproduces the counter-cache miss-rate figure.
 func (r *Runner) Figure5() (Figure, error) {
 	var specs []seriesSpec
-	if r.SchemeEnabled(memprot.Baseline) {
-		for _, class := range Classes() {
-			specs = append(specs, seriesSpec{class, "miss-rate", func(short string) (float64, error) {
-				res, err := r.Run(short, class, memprot.Baseline, 1)
-				if err != nil {
-					return 0, err
-				}
-				return res.Counter.MissRate(), nil
-			}})
-		}
+	for _, class := range Classes() {
+		specs = append(specs, seriesSpec{class, "miss-rate", func(short string) (float64, error) {
+			res, err := r.Run(short, class, memprot.Baseline, 1)
+			if err != nil {
+				return 0, err
+			}
+			return res.Counter.MissRate(), nil
+		}})
 	}
 	return r.figure("Figure 5", "Counter cache miss rates (tree-based baseline)", specs)
 }
@@ -153,7 +169,7 @@ func (r *Runner) Figure14() (Figure, error) {
 func (r *Runner) Figure15() (Figure, error) {
 	var specs []seriesSpec
 	for _, class := range Classes() {
-		for _, scheme := range r.schemeSubset(memprot.Baseline, memprot.TreeLess) {
+		for _, scheme := range []memprot.Scheme{memprot.Baseline, memprot.TreeLess} {
 			specs = append(specs, seriesSpec{class, scheme.String(), func(short string) (float64, error) {
 				u, err := r.Run(short, class, memprot.Unsecure, 1)
 				if err != nil {
@@ -181,7 +197,7 @@ func (r *Runner) Figure16() (Figure, error) {
 	var specs []seriesSpec
 	for _, class := range Classes() {
 		for count := 1; count <= 3; count++ {
-			for _, scheme := range r.schemeSubset(memprot.Baseline, memprot.TreeLess) {
+			for _, scheme := range []memprot.Scheme{memprot.Baseline, memprot.TreeLess} {
 				specs = append(specs, seriesSpec{class, fmt.Sprintf("%s x%d", scheme, count), func(short string) (float64, error) {
 					return r.normalized(short, class, scheme, count)
 				}})
@@ -195,7 +211,7 @@ func (r *Runner) Figure16() (Figure, error) {
 func (r *Runner) Figure17() (Figure, error) {
 	var specs []seriesSpec
 	for _, class := range Classes() {
-		for _, scheme := range r.schemeSubset(memprot.Baseline, memprot.TreeLess) {
+		for _, scheme := range []memprot.Scheme{memprot.Baseline, memprot.TreeLess} {
 			specs = append(specs, seriesSpec{class, scheme.String(), func(short string) (float64, error) {
 				u, err := r.EndToEnd(short, class, memprot.Unsecure)
 				if err != nil {

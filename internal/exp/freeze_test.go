@@ -16,7 +16,6 @@ func TestRunnerConfigFrozen(t *testing.T) {
 		mutate func(*Runner)
 	}{
 		{"Models", func(r *Runner) { r.Models = append(r.Models, "agz") }},
-		{"Schemes", func(r *Runner) { r.Schemes = []memprot.Scheme{memprot.Baseline} }},
 		{"Workers", func(r *Runner) { r.Workers = 7 }},
 		{"Progress", func(r *Runner) { r.Progress = io.Discard }},
 	}

@@ -108,7 +108,7 @@ func TestRunnerConcurrentAccess(t *testing.T) {
 	if got := len(r.progs); got != 2 {
 		t.Errorf("compiled %d programs, want 2", got)
 	}
-	if got := len(r.runs); got != 3 {
+	if got := len(r.sims); got != 3 {
 		t.Errorf("simulated %d cells, want 3", got)
 	}
 	if got := r.Log().CellsDone(); got != 5 {
@@ -171,7 +171,7 @@ func TestSweepReusesCompiledProgram(t *testing.T) {
 	// The three sweeps share the Small-default point (1x BW, 100-cycle
 	// DRAM, 480KB SPM), so its three scheme cells are computed once:
 	// (4+4+5) points x 3 schemes = 39 requests, minus 2x3 shared = 33.
-	if got := len(r.sweepRuns); got != 33 {
+	if got := len(r.sims); got != 33 {
 		t.Errorf("sweep cells simulated %d times, want 33", got)
 	}
 }

@@ -1,20 +1,19 @@
 // Whole-run memos (DESIGN.md §6g): with a persistent memo store attached,
-// the runner serializes finished cell results — single/multi-NPU runs,
-// mixed-tenancy tuples, end-to-end flows, sweep points, version-table
-// storage peaks — through memostore, so a later process reloads each cell
-// whole instead of simulating it. Keys run through exp.Digest under
-// CodeVersion plus a body-format tag, so both a simulator change and a
-// framing change strand old entries. Bodies are canon-encoded
-// (fixed-width little-endian u64), restored by accumulating into zero
-// values; a body that fails structural validation is deleted and
-// recomputed.
+// the runner serializes finished cell results — simulations of one model
+// tuple on one configuration (single- and multi-NPU runs, mixed tenancy,
+// sweep points), end-to-end flows, version-table storage peaks — through
+// memostore, so a later process reloads each cell whole instead of
+// simulating it. Keys run through exp.Digest under CodeVersion plus a
+// body-format tag, so both a simulator change and a framing change strand
+// old entries. Bodies are fixed-width little-endian u64s, restored by
+// accumulating into zero values; a body that fails structural validation
+// is deleted and recomputed.
 package exp
 
 import (
 	"encoding/binary"
-	"fmt"
+	"strconv"
 
-	"tnpu/internal/canon"
 	"tnpu/internal/e2e"
 	"tnpu/internal/memprot"
 	"tnpu/internal/multinpu"
@@ -85,7 +84,7 @@ func persisted[V any](r *Runner, key string, enc func([]byte, *V) []byte, dec fu
 	return v, nil
 }
 
-// Body sizes of the fixed-width stats tails, measured from the canon
+// Body sizes of the fixed-width stats tails, measured from the
 // encoders themselves so the decoders' structural validation cannot drift
 // from the encoding.
 var (
@@ -93,10 +92,9 @@ var (
 	cacheAccumLen   = len((&stats.CacheStats{}).AppendAccum(nil))
 )
 
-// u64cursor is a non-panicking canon reader for persisted bodies: unlike
-// in-process canon blobs, a disk body's shape is input (an older process
-// may have framed it differently), so truncation must decode to "refuse",
-// not panic.
+// u64cursor is a non-panicking u64 reader for persisted bodies: a disk
+// body's shape is input (an older process may have framed it
+// differently), so truncation must decode to "refuse", not panic.
 type u64cursor struct {
 	src []byte
 	bad bool
@@ -115,21 +113,21 @@ func (c *u64cursor) u64() uint64 {
 func (c *u64cursor) remaining(n int) bool { return !c.bad && len(c.src) == n }
 
 func appendRunResult(dst []byte, res *multinpu.Result) []byte {
-	dst = canon.AppendU64(dst, uint64(res.Scheme))
-	dst = canon.AppendU64(dst, res.Cycles)
-	dst = canon.AppendU64(dst, uint64(len(res.PerNPU)))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(res.Scheme))
+	dst = binary.LittleEndian.AppendUint64(dst, res.Cycles)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(res.PerNPU)))
 	for _, v := range res.PerNPU {
-		dst = canon.AppendU64(dst, v)
+		dst = binary.LittleEndian.AppendUint64(dst, v)
 	}
-	dst = canon.AppendU64(dst, uint64(len(res.NPUs)))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(res.NPUs)))
 	for i := range res.NPUs {
 		n := &res.NPUs[i]
-		dst = canon.AppendU64(dst, n.Cycles)
-		dst = canon.AppendU64(dst, n.Blocks)
-		dst = canon.AppendU64(dst, n.ReadBytes)
-		dst = canon.AppendU64(dst, n.WriteBytes)
-		dst = canon.AppendU64(dst, n.Runs)
-		dst = canon.AppendU64(dst, n.RoundBlocks)
+		dst = binary.LittleEndian.AppendUint64(dst, n.Cycles)
+		dst = binary.LittleEndian.AppendUint64(dst, n.Blocks)
+		dst = binary.LittleEndian.AppendUint64(dst, n.ReadBytes)
+		dst = binary.LittleEndian.AppendUint64(dst, n.WriteBytes)
+		dst = binary.LittleEndian.AppendUint64(dst, n.Runs)
+		dst = binary.LittleEndian.AppendUint64(dst, n.RoundBlocks)
 	}
 	dst = res.Traffic.AppendAccum(dst)
 	dst = res.Counter.AppendAccum(dst)
@@ -178,11 +176,11 @@ func decodeRunResult(body []byte) (multinpu.Result, bool) {
 }
 
 func appendE2EResult(dst []byte, res *e2e.Result) []byte {
-	dst = canon.AppendU64(dst, uint64(res.Scheme))
-	dst = canon.AppendU64(dst, res.InitCycles)
-	dst = canon.AppendU64(dst, res.RunCycles)
-	dst = canon.AppendU64(dst, res.OutputCycles)
-	dst = canon.AppendU64(dst, res.Total)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(res.Scheme))
+	dst = binary.LittleEndian.AppendUint64(dst, res.InitCycles)
+	dst = binary.LittleEndian.AppendUint64(dst, res.RunCycles)
+	dst = binary.LittleEndian.AppendUint64(dst, res.OutputCycles)
+	dst = binary.LittleEndian.AppendUint64(dst, res.Total)
 	return res.Traffic.AppendAccum(dst)
 }
 
@@ -203,7 +201,7 @@ func decodeE2EResult(body []byte) (e2e.Result, bool) {
 	return res, true
 }
 
-func appendCycles(dst []byte, v *uint64) []byte { return canon.AppendU64(dst, *v) }
+func appendCycles(dst []byte, v *uint64) []byte { return binary.LittleEndian.AppendUint64(dst, *v) }
 
 func decodeCycles(body []byte) (uint64, bool) {
 	if len(body) != 8 {
@@ -216,24 +214,14 @@ func decodeCycles(body []byte) (uint64, bool) {
 // CodeVersion + the body-format tag, so simulator changes and framing
 // changes both strand old entries.
 
-func runCellKey(short string, cfg npu.Config, scheme memprot.Scheme, count int) string {
-	return Digest(CodeVersion, cellMemoTag, "run", short, ConfigDigest(cfg),
-		scheme.String(), fmt.Sprintf("x%d", count))
-}
-
-func mixedCellKey(shorts []string, cfg npu.Config, scheme memprot.Scheme) string {
-	parts := make([]string, 0, len(shorts)+4)
-	parts = append(parts, cellMemoTag, "mixed", ConfigDigest(cfg), scheme.String())
-	parts = append(parts, shorts...)
-	return Digest(CodeVersion, parts...)
+// simCellKey keys one simulation by its in-memory key: the configuration,
+// the scheme, and the model tuple as simKey holds it, one way per tuple.
+func simCellKey(k simKey) string {
+	return Digest(CodeVersion, cellMemoTag, "sim", ConfigDigest(k.cfg), k.scheme.String(), k.models, strconv.Itoa(k.copies))
 }
 
 func e2eCellKey(short string, cfg npu.Config, scheme memprot.Scheme) string {
 	return Digest(CodeVersion, cellMemoTag, "e2e", short, ConfigDigest(cfg), scheme.String())
-}
-
-func sweepCellKey(short string, cfg npu.Config, scheme memprot.Scheme) string {
-	return Digest(CodeVersion, cellMemoTag, "sweeprun", short, ConfigDigest(cfg), scheme.String())
 }
 
 // storageCellKey keys a model's peak version-table bytes: a property of

@@ -5,12 +5,14 @@ import (
 	"testing"
 
 	"tnpu/internal/memprot"
+	"tnpu/internal/npu"
 	"tnpu/internal/npu/memostore"
 )
 
-// buildArtifacts drives one runner through every persisted cell kind —
-// multi-NPU runs (Figure16), end-to-end (Figure17), a mixed tuple, and a
-// sweep — and returns the rendered artifacts for equality comparison.
+// buildArtifacts drives one runner through every persisted simulation
+// view — multi-NPU runs (Figure16), a mixed tuple, and a sweep — and
+// through end-to-end cells (Figure17), and returns the rendered artifacts
+// for equality comparison.
 func buildArtifacts(t *testing.T, r *Runner) []string {
 	t.Helper()
 	f16, err := r.Figure16()
@@ -111,14 +113,13 @@ func TestWarmRunnerCompilesNothing(t *testing.T) {
 // deleted and recomputed, never served.
 func TestMemoDirStaleBodyRecomputed(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Small.Config()
-	key := sweepCellKey("df", cfg, memprot.TreeLess)
+	key := simCellKey(simKey{"df", 1, Small.Config(), memprot.TreeLess})
 
 	st, err := memostore.New(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Save(key, []byte("not a cycle count")) {
+	if !st.Save(key, []byte("not a run result")) {
 		t.Fatal("seeding stale entry failed")
 	}
 
@@ -126,28 +127,28 @@ func TestMemoDirStaleBodyRecomputed(t *testing.T) {
 	if err := r.SetMemoDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.runPoint("df", cfg, memprot.TreeLess)
+	got, err := r.Run("df", Small, memprot.TreeLess, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewRunner("df").runPoint("df", cfg, memprot.TreeLess)
+	ref, err := NewRunner("df").Run("df", Small, memprot.TreeLess, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != ref {
-		t.Errorf("stale entry leaked into the result: got %d, fresh run says %d", got, ref)
+	if !reflect.DeepEqual(got, ref) {
+		t.Errorf("stale entry leaked into the result: got %+v, fresh run says %+v", got, ref)
 	}
 	body, ok := st.Load(key)
 	if !ok {
 		t.Fatal("recomputed entry not re-persisted")
 	}
-	if v, ok := decodeCycles(body); !ok || v != ref {
-		t.Errorf("re-persisted entry decodes to %d (ok=%v), want %d", v, ok, ref)
+	if v, ok := decodeRunResult(body); !ok || !reflect.DeepEqual(v, ref) {
+		t.Errorf("re-persisted entry decodes to %+v (ok=%v), want %+v", v, ok, ref)
 	}
 }
 
 // TestSetMemoDirAfterUsePanics enforces the attach-before-first-use
-// contract, like the Models/Schemes/Workers freeze.
+// contract, like the Models/Workers/Progress freeze.
 func TestSetMemoDirAfterUsePanics(t *testing.T) {
 	r := NewRunner("df")
 	if _, err := r.Program("df", Small); err != nil {
@@ -163,22 +164,25 @@ func TestSetMemoDirAfterUsePanics(t *testing.T) {
 	}
 }
 
-// TestCellKeysDistinct spot-checks the whole-run key derivations: kind,
-// workload, configuration, scheme, count, and tuple order all move the
-// key, and every key is store-valid.
+// TestCellKeysDistinct spot-checks the whole-run key derivations: the
+// workload, configuration, scheme, tuple length and tuple order all move a
+// simulation's key, the e2e and storage kinds never share it, and every
+// key is store-valid.
 func TestCellKeysDistinct(t *testing.T) {
 	cfg := Small.Config()
-	large := Large.Config()
-	base := runCellKey("df", cfg, memprot.TreeLess, 1)
+	sim := func(models string, copies int, cfg npu.Config, s memprot.Scheme) string {
+		return simCellKey(simKey{models, copies, cfg, s})
+	}
+	base := sim("df", 1, cfg, memprot.TreeLess)
 	if !memostore.ValidKey(base) {
-		t.Fatalf("runCellKey %q is not store-valid", base)
+		t.Fatalf("simCellKey %q is not store-valid", base)
 	}
 	distinct := map[string]string{
-		"model":   runCellKey("res", cfg, memprot.TreeLess, 1),
-		"config":  runCellKey("df", large, memprot.TreeLess, 1),
-		"scheme":  runCellKey("df", cfg, memprot.Baseline, 1),
-		"count":   runCellKey("df", cfg, memprot.TreeLess, 2),
-		"kind":    sweepCellKey("df", cfg, memprot.TreeLess),
+		"model":   sim("res", 1, cfg, memprot.TreeLess),
+		"config":  sim("df", 1, Large.Config(), memprot.TreeLess),
+		"scheme":  sim("df", 1, cfg, memprot.Baseline),
+		"length":  sim("df", 2, cfg, memprot.TreeLess),
+		"e2e":     e2eCellKey("df", cfg, memprot.TreeLess),
 		"storage": storageCellKey("df", cfg),
 	}
 	for what, k := range distinct { //tnpu:orderfree — each variant checked independently
@@ -186,15 +190,12 @@ func TestCellKeysDistinct(t *testing.T) {
 			t.Errorf("changing %s did not change the cell key", what)
 		}
 	}
-	if mixedCellKey([]string{"df", "res"}, cfg, memprot.TreeLess) == mixedCellKey([]string{"res", "df"}, cfg, memprot.TreeLess) {
-		t.Error("mixed tuple order does not move the key (order fixes context regions)")
-	}
-	if e2eCellKey("df", cfg, memprot.TreeLess) == runCellKey("df", cfg, memprot.TreeLess, 1) {
-		t.Error("e2e and run cells share a key")
+	if sim("df,res", 1, cfg, memprot.TreeLess) == sim("res,df", 1, cfg, memprot.TreeLess) {
+		t.Error("tuple order does not move the key (order fixes context regions)")
 	}
 }
 
-// TestPersistedRunResultRoundTrip pins the multinpu.Result canon framing
+// TestPersistedRunResultRoundTrip pins the multinpu.Result body framing
 // field-for-field through encode/decode.
 func TestPersistedRunResultRoundTrip(t *testing.T) {
 	r := NewRunner("df")

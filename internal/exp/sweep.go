@@ -43,30 +43,6 @@ type sweepPoint struct {
 	cfg   npu.Config
 }
 
-type sweepRunKey struct {
-	short  string
-	cfg    npu.Config
-	scheme memprot.Scheme
-}
-
-// runPoint simulates (once) one (config, scheme) sweep cell, reusing the
-// compiled program for the point's compiler config (shared with Program's
-// figure cells).
-func (r *Runner) runPoint(short string, cfg npu.Config, scheme memprot.Scheme) (uint64, error) {
-	k := sweepRunKey{short, cfg, scheme}
-	label := fmt.Sprintf("%s/sweep/%s", short, scheme)
-	return compute(r, r.sweepRuns, k, "simulate", label, func() (uint64, error) {
-		return persisted(r, sweepCellKey(short, cfg, scheme), appendCycles, decodeCycles, func() (uint64, error) {
-			prog, err := r.program(short, cfg.CompilerConfig())
-			if err != nil {
-				return 0, err
-			}
-			res, err := npu.Run(prog, scheme, cfg)
-			return res.Cycles, err
-		})
-	})
-}
-
 // sweepOver evaluates all three schemes at each configuration, fanning the
 // (point, scheme) grid across the worker pool; cells land at their grid
 // index so the table is identical to a sequential build.
@@ -75,11 +51,15 @@ func (r *Runner) sweepOver(name, short string, points []sweepPoint) (Sweep, erro
 	schemes := []memprot.Scheme{memprot.Unsecure, memprot.Baseline, memprot.TreeLess}
 	cycles := make([]uint64, len(points)*len(schemes))
 	err := r.forEach(len(cycles), func(i int) error {
-		c, err := r.runPoint(short, points[i/len(schemes)].cfg, schemes[i%len(schemes)])
+		// A point is the x1 cell of its configuration: the Small-default
+		// point is the one Figures 4 and 14 simulate.
+		scheme := schemes[i%len(schemes)]
+		label := func() string { return fmt.Sprintf("%s/sweep/%s", short, scheme) }
+		res, err := r.simulate(simKey{short, 1, points[i/len(schemes)].cfg, scheme}, label)
 		if err != nil {
 			return err
 		}
-		cycles[i] = c
+		cycles[i] = res.Cycles
 		return nil
 	})
 	if err != nil {
@@ -151,7 +131,7 @@ func (r *Runner) NPUCountSweep(short string) (Figure, error) {
 		Title: fmt.Sprintf("Execution time vs NPU count on %q (normalized to same-count unsecure)", short),
 	}
 	counts := []string{"1 NPU", "2 NPU", "3 NPU"}
-	schemes := r.schemeSubset(memprot.Baseline, memprot.TreeLess, memprot.EncryptOnly)
+	schemes := []memprot.Scheme{memprot.Baseline, memprot.TreeLess, memprot.EncryptOnly}
 	classes := Classes()
 	values := make([]float64, len(classes)*len(schemes)*len(counts))
 	err := r.forEach(len(values), func(i int) error {
@@ -181,18 +161,6 @@ func (r *Runner) NPUCountSweep(short string) (Figure, error) {
 	}
 	return f, nil
 }
-
-// BandwidthSweep is the standalone form of Runner.BandwidthSweep.
-func BandwidthSweep(short string) (Sweep, error) { return NewRunner(short).BandwidthSweep(short) }
-
-// SPMSweep is the standalone form of Runner.SPMSweep.
-func SPMSweep(short string) (Sweep, error) { return NewRunner(short).SPMSweep(short) }
-
-// LatencySweep is the standalone form of Runner.LatencySweep.
-func LatencySweep(short string) (Sweep, error) { return NewRunner(short).LatencySweep(short) }
-
-// NPUCountSweep is the standalone form of Runner.NPUCountSweep.
-func NPUCountSweep(short string) (Figure, error) { return NewRunner(short).NPUCountSweep(short) }
 
 // LayerShare is one layer's slice of the execution under each scheme.
 type LayerShare struct {

@@ -3,10 +3,12 @@ package exp
 import (
 	"strings"
 	"testing"
+
+	"tnpu/internal/memprot"
 )
 
 func TestBandwidthSweep(t *testing.T) {
-	s, err := BandwidthSweep("df")
+	s, err := NewRunner("df").BandwidthSweep("df")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +29,7 @@ func TestBandwidthSweep(t *testing.T) {
 }
 
 func TestSPMSweepShrinksTraffic(t *testing.T) {
-	s, err := SPMSweep("df")
+	s, err := NewRunner("df").SPMSweep("df")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func TestSPMSweepShrinksTraffic(t *testing.T) {
 }
 
 func TestLatencySweepWidensGap(t *testing.T) {
-	s, err := LatencySweep("sent")
+	s, err := NewRunner("sent").LatencySweep("sent")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,8 +56,28 @@ func TestLatencySweepWidensGap(t *testing.T) {
 }
 
 func TestSweepUnknownModel(t *testing.T) {
-	if _, err := BandwidthSweep("nope"); err == nil {
+	if _, err := NewRunner("nope").BandwidthSweep("nope"); err == nil {
 		t.Error("unknown model accepted")
+	}
+}
+
+// TestSweepReadsFigureCells pins that a sweep point is the x1 cell of its
+// configuration: after the three Small x1 cells Figures 4 and 14 read,
+// the bandwidth sweep's 1x point simulates nothing, so its four points
+// add 3x3 cells, not 4x3.
+func TestSweepReadsFigureCells(t *testing.T) {
+	r := NewRunner("df")
+	for _, s := range []memprot.Scheme{memprot.Unsecure, memprot.Baseline, memprot.TreeLess} {
+		if _, err := r.Run("df", Small, s, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := r.Log().CellsDone()
+	if _, err := r.BandwidthSweep("df"); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Log().CellsDone() - done; got != 9 {
+		t.Errorf("bandwidth sweep added %d cells to the run log, want 9", got)
 	}
 }
 

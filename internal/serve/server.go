@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -354,8 +355,7 @@ func (s *Server) handleCell(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	key := exp.CellKey{Model: short, Class: class, Scheme: scheme, Count: count}
-	data, src, err := s.cached(key.Digest(s.version), func() ([]byte, error) {
+	data, src, err := s.cached(cellKey(s.version, short, class, scheme, count), func() ([]byte, error) {
 		res, err := s.runner.Run(short, class, scheme, count)
 		if err != nil {
 			return nil, err
@@ -391,6 +391,12 @@ func (s *Server) handleCell(w http.ResponseWriter, req *http.Request) {
 	writeCached(w, "application/json", data, src)
 }
 
+// cellKey content-addresses one /api/cell response: the model, the class
+// configuration, the scheme and the NPU count, under a code version.
+func cellKey(version, short string, class exp.Class, scheme memprot.Scheme, count int) string {
+	return exp.Digest(version, "cell", short, exp.ConfigDigest(class.Config()), scheme.String(), fmt.Sprintf("x%d", count))
+}
+
 // figureDoc is the JSON shape of /api/figure.
 type figureDoc struct {
 	ID     string      `json:"id"`
@@ -404,31 +410,6 @@ type seriesDoc struct {
 	Models []string  `json:"models"`
 	Values []float64 `json:"values"`
 	Mean   float64   `json:"mean"`
-}
-
-// figureSpec maps a figure id to its generator and chart dressing.
-type figureSpec struct {
-	gen     func() (exp.Figure, error)
-	refLine float64
-	yLabel  string
-}
-
-func (s *Server) figureSpec(id string) (figureSpec, bool) {
-	switch id {
-	case "fig4":
-		return figureSpec{s.runner.Figure4, 1, "normalized execution time"}, true
-	case "fig5":
-		return figureSpec{s.runner.Figure5, 0, "counter cache miss rate"}, true
-	case "fig14":
-		return figureSpec{s.runner.Figure14, 1, "normalized execution time"}, true
-	case "fig15":
-		return figureSpec{s.runner.Figure15, 1, "normalized memory traffic"}, true
-	case "fig16":
-		return figureSpec{s.runner.Figure16, 1, "normalized execution time"}, true
-	case "fig17":
-		return figureSpec{s.runner.Figure17, 1, "normalized end-to-end latency"}, true
-	}
-	return figureSpec{}, false
 }
 
 // figureKey content-addresses one figure: the figure definition (code
@@ -445,19 +426,19 @@ func (s *Server) figureKey(id string) string {
 
 func (s *Server) handleFigure(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
-	spec, ok := s.figureSpec(id)
-	if !ok {
+	i := slices.IndexFunc(exp.Figures, func(f exp.FigureSpec) bool { return f.ID == id })
+	if i < 0 {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown figure %q (fig4|fig5|fig14|fig15|fig16|fig17)", id))
 		return
 	}
-	s.serveFigure(w, req, s.figureKey(id), spec)
+	s.serveFigure(w, req, s.figureKey(id), exp.Figures[i])
 }
 
 // serveFigure serves one figure-shaped artifact, for /api/figure and
 // /api/sweep/npucount: the figureDoc JSON content-addressed under key,
 // or, with format=svg, the requested class's chart rendered from it
 // through plot.ClassCharts.
-func (s *Server) serveFigure(w http.ResponseWriter, req *http.Request, key string, spec figureSpec) {
+func (s *Server) serveFigure(w http.ResponseWriter, req *http.Request, key string, spec exp.FigureSpec) {
 	format := req.URL.Query().Get("format")
 	if format == "" {
 		format = "json"
@@ -468,7 +449,7 @@ func (s *Server) serveFigure(w http.ResponseWriter, req *http.Request, key strin
 	}
 
 	data, src, err := s.cached(key, func() ([]byte, error) {
-		fig, err := spec.gen()
+		fig, err := spec.Gen(s.runner)
 		if err != nil {
 			return nil, err
 		}
@@ -513,7 +494,7 @@ func (s *Server) serveFigure(w http.ResponseWriter, req *http.Request, key strin
 			categories = series.Models
 		}
 	}
-	for _, cc := range plot.ClassCharts(doc.ID, doc.Title, categories, classSeries, spec.refLine, spec.yLabel) {
+	for _, cc := range plot.ClassCharts(doc.ID, doc.Title, categories, classSeries, spec.RefLine, spec.YLabel) {
 		if cc.Class != class.String() {
 			continue
 		}
@@ -598,8 +579,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
 // Both Table II configurations go into the cache key because the sweep
 // simulates both classes (unlike the one-axis sweeps, which scale off
 // Small alone). Count itself needs no key component: it is the category
-// axis inside the artifact, and the underlying cells already carry it
-// (exp.CellKey.Digest hashes Count; pinned by TestCellKeyDigest).
+// axis inside the artifact, and each runner cell beneath it keys its
+// model tuple, one entry per NPU (exp.TestCellKeysDistinct).
 func (s *Server) handleNPUCountSweep(w http.ResponseWriter, req *http.Request) {
 	short := req.URL.Query().Get("model")
 	if !s.hasModel(short) {
@@ -612,8 +593,8 @@ func (s *Server) handleNPUCountSweep(w http.ResponseWriter, req *http.Request) {
 		"small": exp.ConfigDigest(exp.Small.Config()),
 		"large": exp.ConfigDigest(exp.Large.Config()),
 	})
-	gen := func() (exp.Figure, error) { return s.runner.NPUCountSweep(short) }
-	s.serveFigure(w, req, key, figureSpec{gen, 1, "normalized execution time"})
+	gen := func(r *exp.Runner) (exp.Figure, error) { return r.NPUCountSweep(short) }
+	s.serveFigure(w, req, key, exp.FigureSpec{ID: "npucount", Gen: gen, RefLine: 1, YLabel: "normalized execution time"})
 }
 
 // MixedResult is the JSON payload of /api/mixed: one mixed-tenancy run

@@ -163,24 +163,47 @@ func TestStoreVersionBumpInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell := exp.CellKey{Model: "df", Class: exp.Small, Scheme: memprot.TreeLess, Count: 1}
+	cell := func(version string) string { return cellKey(version, "df", exp.Small, memprot.TreeLess, 1) }
 	oldPayload := []byte(`{"cycles":1}`)
 	newPayload := []byte(`{"cycles":2}`)
 
-	mustGet(t, s, cell.Digest("v1"), func() ([]byte, error) { return oldPayload, nil })
+	mustGet(t, s, cell("v1"), func() ([]byte, error) { return oldPayload, nil })
 
-	data, src := mustGet(t, s, cell.Digest("v2"), func() ([]byte, error) { return newPayload, nil })
+	data, src := mustGet(t, s, cell("v2"), func() ([]byte, error) { return newPayload, nil })
 	if src != SourceCompute || !bytes.Equal(data, newPayload) {
 		t.Fatalf("version bump served stale entry: src=%s data=%q", src, data)
 	}
 	// The old version's entry is stranded, not clobbered: a rollback
 	// still sees its own result.
-	data, src = mustGet(t, s, cell.Digest("v1"), func() ([]byte, error) {
+	data, src = mustGet(t, s, cell("v1"), func() ([]byte, error) {
 		t.Error("v1 entry lost")
 		return nil, nil
 	})
 	if src != SourceDisk || !bytes.Equal(data, oldPayload) {
 		t.Fatalf("v1 lookup after bump: src=%s data=%q", src, data)
+	}
+}
+
+// TestCellKey pins the /api/cell result-cache key: the model, class,
+// scheme, NPU count and code version each move it, and two known keys
+// keep their bytes, so a refactor cannot strand the disk cache unnoticed.
+func TestCellKey(t *testing.T) {
+	ref := cellKey(exp.CodeVersion, "df", exp.Small, memprot.TreeLess, 1)
+	if ref != "e38f74ec11650d2b225ea6f060e0c95456c1b5a0e0db68e987c31f162a7fb03d" ||
+		cellKey(exp.CodeVersion, "res", exp.Large, memprot.Baseline, 3) != "9911aa5cdd58f4f777f25919837d98291e8db2434f00951bd543686b5ff43a61" {
+		t.Errorf("/api/cell keys changed under %s", exp.CodeVersion)
+	}
+	variants := map[string]string{
+		"model":   cellKey(exp.CodeVersion, "res", exp.Small, memprot.TreeLess, 1),
+		"class":   cellKey(exp.CodeVersion, "df", exp.Large, memprot.TreeLess, 1),
+		"scheme":  cellKey(exp.CodeVersion, "df", exp.Small, memprot.Baseline, 1),
+		"count":   cellKey(exp.CodeVersion, "df", exp.Small, memprot.TreeLess, 2),
+		"version": cellKey("other-version", "df", exp.Small, memprot.TreeLess, 1),
+	}
+	for what, k := range variants { //tnpu:orderfree — each variant checked independently
+		if k == ref {
+			t.Errorf("changing the %s did not change the cell key", what)
+		}
 	}
 }
 

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Golden-output regression for tnpu-bench.
+# Golden-output regression for tnpu-bench and tnpu-plot.
 #
 # The evaluation pipeline promises byte-identical output regardless of
 # worker scheduling, so the full text artifacts are directly diffable.
-# Fixtures live in testdata/golden/, one file per pinned invocation.
+# Fixtures live in testdata/golden/, one file per pinned invocation; the
+# checked-in report (docs/report.md, from tnpu-bench -md) and charts
+# (docs/figures/, from tnpu-plot) are pinned the same way.
 #
 # Usage:
 #   scripts/golden.sh check      # diff current output against fixtures (CI)
@@ -16,10 +18,18 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 mode="${1:-check}"
+case "$mode" in
+  check | generate) ;;
+  *)
+    echo "usage: scripts/golden.sh [check|generate]" >&2
+    exit 2
+    ;;
+esac
 golden=testdata/golden
 
 # name|tnpu-bench arguments
 cases=(
+  "bench-default.txt|"
   "bench-df-agz-ncf.txt|-models df,agz,ncf"
   "attack-df-agz-ncf.txt|-attack"
   "hwcost.txt|-only hwcost"
@@ -36,34 +46,39 @@ else
   trap 'rm -rf "$outdir"' EXIT
 fi
 bin="$bindir/tnpu-bench"
+plot="$bindir/tnpu-plot"
 go build -o "$bin" ./cmd/tnpu-bench
+go build -o "$plot" ./cmd/tnpu-plot
 
 status=0
+# compare <fixture> <fresh output> <what>: a file or a directory.
+compare() {
+  local fixture="$1" out="$2" what="$3"
+  if [ "$mode" = generate ]; then
+    mkdir -p "$(dirname "$fixture")"
+    rm -rf "$fixture"
+    cp -r "$out" "$fixture"
+    echo "wrote $fixture"
+  elif ! diff -ru "$fixture" "$out"; then
+    echo "golden mismatch: $fixture ($what)" >&2
+    echo "if the change is intended, run: scripts/golden.sh generate" >&2
+    status=1
+  else
+    echo "ok: $fixture"
+  fi
+}
+
 for c in "${cases[@]}"; do
   name="${c%%|*}"
   args="${c#*|}"
-  out="$outdir/$name"
   # shellcheck disable=SC2086  # word splitting of $args is intended
-  "$bin" $args >"$out"
-  case "$mode" in
-    generate)
-      mkdir -p "$golden"
-      cp "$out" "$golden/$name"
-      echo "wrote $golden/$name"
-      ;;
-    check)
-      if ! diff -u "$golden/$name" "$out"; then
-        echo "golden mismatch: $name (tnpu-bench $args)" >&2
-        echo "if the change is intended, run: scripts/golden.sh generate" >&2
-        status=1
-      else
-        echo "ok: $name"
-      fi
-      ;;
-    *)
-      echo "usage: scripts/golden.sh [check|generate]" >&2
-      exit 2
-      ;;
-  esac
+  "$bin" $args >"$outdir/$name"
+  compare "$golden/$name" "$outdir/$name" "tnpu-bench $args"
 done
+
+"$bin" -md "$outdir/report.md" >/dev/null
+compare docs/report.md "$outdir/report.md" "tnpu-bench -md"
+
+"$plot" -out "$outdir/figures" >/dev/null
+compare docs/figures "$outdir/figures" "tnpu-plot"
 exit $status

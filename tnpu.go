@@ -215,10 +215,11 @@ func Overhead(short string, class Class, scheme Scheme, count int) (float64, err
 // table and figure of the paper's evaluation (optionally restricted to a
 // subset of workloads).
 //
-// The runner is safe for concurrent use: each (model, class, scheme,
-// count) cell is simulated exactly once no matter how many goroutines
-// ask, and figure/sweep generators fan independent cells across a
-// bounded worker pool with output byte-identical to a sequential run.
+// The runner is safe for concurrent use: each (model tuple, hardware
+// configuration, scheme) cell is simulated exactly once no matter how
+// many goroutines ask, and figure/sweep generators fan independent
+// cells across a bounded worker pool with output byte-identical to a
+// sequential run.
 // Set Workers (0 = GOMAXPROCS, 1 = sequential) and Progress (e.g.
 // os.Stderr for per-cell status lines) before the first call; Log()
 // exposes the RunLog instrumentation afterwards.
