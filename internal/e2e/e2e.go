@@ -19,6 +19,7 @@ package e2e
 import (
 	"tnpu/internal/compiler"
 	"tnpu/internal/dram"
+	"tnpu/internal/isa"
 	"tnpu/internal/memprot"
 	"tnpu/internal/npu"
 	"tnpu/internal/stats"
@@ -97,8 +98,8 @@ func run(prog *compiler.Program, eng memprot.Engine, s stream) Result {
 // ts_read_block): each block issues once the previous one has cleared the
 // bus. That is a DMA issue window of depth 1, whose step max(r+1, busFree)
 // equals busFree whenever one block costs at least one bus cycle, so on
-// such buses the stream goes through the engine's run path. Otherwise it
-// is the literal block loop.
+// such buses the stream goes through the engine's run path as a
+// one-segment memprot.Stream. Otherwise it is the literal block loop.
 type stream struct {
 	eng memprot.Engine
 	w   *dram.IssueWindow // nil: the literal block loop
@@ -112,11 +113,18 @@ func newStream(eng memprot.Engine, bus *dram.Bus) stream {
 	return s
 }
 
+// span is the one-segment stream of n blocks from addr.
+func span(addr, n uint64, write bool) *memprot.Stream {
+	s := new(memprot.Stream)
+	s.Reset([]isa.Segment{{Addr: addr, Bytes: n * dram.BlockBytes}}, 0, write)
+	return s
+}
+
 // write streams n blocks from addr under version 1, the first issued at t,
 // and returns the last block's bus-clear time (t when n is zero).
 func (s stream) write(t, addr, n uint64) uint64 {
 	if s.w != nil && n > 0 {
-		t, _, _ = s.eng.WriteRun(t, addr, 1, int(n), s.w, dram.NoHorizon)
+		t, _, _ = s.eng.WriteRun(t, span(addr, n, true), 1, s.w, dram.NoHorizon)
 		return t
 	}
 	for blk := uint64(0); blk < n; blk++ {
@@ -130,7 +138,7 @@ func (s stream) write(t, addr, n uint64) uint64 {
 func (s stream) read(t, addr, n uint64) uint64 {
 	done := t
 	if s.w != nil && n > 0 {
-		_, d, _ := s.eng.ReadRun(t, addr, 1, int(n), s.w, dram.NoHorizon)
+		_, d, _ := s.eng.ReadRun(t, span(addr, n, false), 1, s.w, dram.NoHorizon)
 		if d > done {
 			done = d
 		}

@@ -135,9 +135,9 @@ func TestTrafficIncludesInit(t *testing.T) {
 }
 
 // TestStreamRunPathMatchesBlockLoops pins the enclave block streams' run
-// path to the literal block loops: the whole end-to-end result must be
-// identical for every scheme on Small, Large, and a bus moving more than
-// 64 B per cycle. On that bus a block can clear in zero cycles, so the run
+// path, one engine run per tensor on a one-segment memprot.Stream, to the
+// literal block loops: the whole end-to-end result must be identical for
+// every scheme on Small, Large, and a bus moving more than 64 B per cycle. On that bus a block can clear in zero cycles, so the run
 // path's depth-1 window step max(r+1, busFree) would differ from the loop's
 // busFree and newStream must keep the loop.
 func TestStreamRunPathMatchesBlockLoops(t *testing.T) {

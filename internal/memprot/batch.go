@@ -9,10 +9,11 @@ import (
 
 // runPerBlock is the reference fallback: the per-block engine path under
 // the caller's issue window, used whenever a scheme cannot batch safely.
-func runPerBlock(e Engine, read bool, ready, addr, version uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
+func runPerBlock(e Engine, read bool, ready uint64, s *Stream, version uint64, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
+	c := s.cursor()
 	r := ready
-	for served < n {
-		a := addr + uint64(served)*dram.BlockBytes
+	for served < s.Left {
+		a, _ := c.at(served)
 		var busFree, dataAt uint64
 		if read {
 			busFree, dataAt = e.ReadBlock(r, a, version)
@@ -104,65 +105,88 @@ func (b *baseline) batchSafe() bool {
 
 // --- unsecure / encrypt-only: pure bandwidth arithmetic ---
 
-// ReadRun serves a read run as one bus stream. //tnpu:noalloc
-func (u *unsecure) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
-	next, maxFree, _, k := u.cfg.Bus.StreamRun(ready, addr, n, w, horizon)
+// ReadRun serves a read stream as bus streams. //tnpu:noalloc
+func (u *unsecure) ReadRun(ready uint64, s *Stream, version uint64, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
+	next, maxFree, k := streamData(u.cfg.Bus, ready, s, w, horizon)
 	u.traffic.AddRead(stats.Data, uint64(k)*dram.BlockBytes)
 	return next, maxFree + u.cfg.Bus.Latency(), k
 }
 
-// WriteRun serves a write run as one bus stream. //tnpu:noalloc
-func (u *unsecure) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
-	next, maxFree, _, k := u.cfg.Bus.StreamRun(ready, addr, n, w, horizon)
+// WriteRun serves a write stream as bus streams. //tnpu:noalloc
+func (u *unsecure) WriteRun(ready uint64, s *Stream, version uint64, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
+	next, maxFree, k := streamData(u.cfg.Bus, ready, s, w, horizon)
 	u.traffic.AddWrite(stats.Data, uint64(k)*dram.BlockBytes)
 	return next, maxFree, k
 }
 
 // ReadRun streams the run and tacks the XTS pipe onto arrival. //tnpu:noalloc
-func (e *encryptOnly) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
-	next, maxFree, _, k := e.cfg.Bus.StreamRun(ready, addr, n, w, horizon)
+func (e *encryptOnly) ReadRun(ready uint64, s *Stream, version uint64, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
+	next, maxFree, k := streamData(e.cfg.Bus, ready, s, w, horizon)
 	e.traffic.AddRead(stats.Data, uint64(k)*dram.BlockBytes)
 	return next, maxFree + e.cfg.Bus.Latency() + e.cfg.XTSCycles, k
 }
 
 // WriteRun streams the run; encryption overlaps issue. //tnpu:noalloc
-func (e *encryptOnly) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
-	next, maxFree, _, k := e.cfg.Bus.StreamRun(ready, addr, n, w, horizon)
+func (e *encryptOnly) WriteRun(ready uint64, s *Stream, version uint64, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
+	next, maxFree, k := streamData(e.cfg.Bus, ready, s, w, horizon)
 	e.traffic.AddWrite(stats.Data, uint64(k)*dram.BlockBytes)
 	return next, maxFree, k
 }
 
+// streamData issues a stream's data blocks with no metadata and returns
+// the next issue time, the latest bus clear and the blocks served. A
+// single-channel bus selects nothing by address, so there the whole stream
+// is one StreamRun; a multi-channel bus routes each block by its address,
+// so there each segment is one, and the stream stops after a segment whose
+// last block's next issue time reaches horizon. //tnpu:noalloc
+func streamData(bus *dram.Bus, ready uint64, s *Stream, w *dram.IssueWindow, horizon uint64) (nextReady, maxFree uint64, served int) {
+	if bus.Channels() == 1 {
+		next, maxFree, _, k := bus.StreamRun(ready, s.Addr+s.Off, s.Left, w, horizon)
+		return next, maxFree, k
+	}
+	c := s.cursor()
+	r := ready
+	for {
+		a, rest := c.at(served)
+		nr, mf, _, k := bus.StreamRun(r, a, rest, w, horizon)
+		r = nr
+		if mf > maxFree {
+			maxFree = mf
+		}
+		if served += k; served == s.Left || r >= horizon {
+			return r, maxFree, served
+		}
+	}
+}
+
 // --- tree-less (TNPU): batches whole MAC-line streaks ---
 
-// Long uncontended runs on a single channel are served as one streak
-// (streak.go): every MAC-line outcome is resolved in one cache walk and the
-// reference charge sequence replays through the issue window's
-// dram.RunCursor in closed form, admitted by the dram.Bus.BeginRun guard.
-// The per-line loop below serves everything else — contended runs stopped
-// at a horizon, short runs, multi-channel buses, and configurations where
-// the append invariant is unprovable: each MAC line's first block takes
-// the full per-block path and its covered blocks stream as pure bus
-// arithmetic.
+// Long uncontended streams on a single channel are served as one streak
+// (streak.go) across their segment ends: MAC-line outcomes resolve per
+// segment, and the reference charge sequence replays through the issue
+// window's dram.RunCursor in closed form, admitted by the dram.Bus.BeginRun
+// guard. The per-line loop below serves everything else — contended runs
+// stopped at a horizon, short streams, multi-channel buses, and streams
+// BeginRun refuses: each MAC line's first block takes the full per-block
+// path and its covered blocks stream as pure bus arithmetic. A refused
+// stream retries entry at every later line start, because a refusal
+// usually comes from a remembered idle gap (often the version fetch's),
+// which the stream's own blocks consume or overtake as they land.
 
-// ReadRun batches MAC-line streaks of the read run. //tnpu:noalloc
-func (t *treeless) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
+// ReadRun batches MAC-line streaks of the read stream. //tnpu:noalloc
+func (t *treeless) ReadRun(ready uint64, s *Stream, version uint64, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
+	n := s.Left
 	unbounded := horizon == dram.NoHorizon
-	if cur := streakCursor(t.cfg.Bus, w, unbounded, ready, n, 3); cur != nil {
-		nr, d := t.readStreak(ready, addr, n, cur)
-		return nr, d, n
-	}
+	c := s.cursor()
 	r := ready
 	lat := t.cfg.Bus.Latency()
 	i := 0
 	for i < n {
-		// A rejected run usually failed on a remembered idle gap; gaps are
-		// consumed (or overtaken) as the run's own blocks land, so retry
-		// the streak for the remaining lines.
-		if cur := streakCursor(t.cfg.Bus, w, i > 0 && unbounded, r, n-i, 3); cur != nil {
-			nr, d := t.readStreak(r, addr+uint64(i)*dram.BlockBytes, n-i, cur)
+		if cur := streakCursor(t.cfg.Bus, w, unbounded, r, n-i, 3); cur != nil {
+			nr, d := t.readStreak(r, s, i, cur)
 			return nr, max64(maxDataAt, d), n
 		}
-		a := addr + uint64(i)*dram.BlockBytes
+		a, rest := c.at(i)
 		busFree, dataAt := t.ReadBlock(r, a, version)
 		if dataAt > maxDataAt {
 			maxDataAt = dataAt
@@ -171,7 +195,7 @@ func (t *treeless) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWind
 		i++
 		// Covered blocks: the MAC hit resolves at the issue time, which the
 		// data-arrival term always dominates, leaving pure bus arithmetic.
-		if m := minInt(macRunLen(a, t.cfg.MACSlotBytes), n-i+1); m > 1 && r < horizon {
+		if m := minInt(macRunLen(a, t.cfg.MACSlotBytes), rest); m > 1 && r < horizon {
 			nr, maxFree, _, k := t.cfg.Bus.StreamRun(r, a+dram.BlockBytes, m-1, w, horizon)
 			t.traffic.AddRead(stats.Data, uint64(k)*dram.BlockBytes)
 			t.mac.AccessRun(macLineAddr(a, t.cfg.MACSlotBytes), uint64(k), false)
@@ -188,29 +212,26 @@ func (t *treeless) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWind
 	return r, maxDataAt, i
 }
 
-// WriteRun batches MAC-line streaks of the write run. //tnpu:noalloc
-func (t *treeless) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
+// WriteRun batches MAC-line streaks of the write stream. //tnpu:noalloc
+func (t *treeless) WriteRun(ready uint64, s *Stream, version uint64, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
+	n := s.Left
 	unbounded := horizon == dram.NoHorizon
-	if cur := streakCursor(t.cfg.Bus, w, unbounded, ready, n, 3); cur != nil {
-		nr, d := t.writeStreak(ready, addr, n, cur)
-		return nr, d, n
-	}
+	c := s.cursor()
 	r := ready
 	i := 0
 	for i < n {
-		// See ReadRun: retry the streak once the rejecting gap is behind.
-		if cur := streakCursor(t.cfg.Bus, w, i > 0 && unbounded, r, n-i, 3); cur != nil {
-			nr, d := t.writeStreak(r, addr+uint64(i)*dram.BlockBytes, n-i, cur)
+		if cur := streakCursor(t.cfg.Bus, w, unbounded, r, n-i, 3); cur != nil {
+			nr, d := t.writeStreak(r, s, i, cur)
 			return nr, max64(maxDataAt, d), n
 		}
-		a := addr + uint64(i)*dram.BlockBytes
+		a, rest := c.at(i)
 		busFree, _ := t.WriteBlock(r, a, version)
 		if busFree > maxDataAt {
 			maxDataAt = busFree
 		}
 		r = w.Issue(r, busFree)
 		i++
-		if m := minInt(macRunLen(a, t.cfg.MACSlotBytes), n-i+1); m > 1 && r < horizon {
+		if m := minInt(macRunLen(a, t.cfg.MACSlotBytes), rest); m > 1 && r < horizon {
 			nr, maxFree, _, k := t.cfg.Bus.StreamRun(r, a+dram.BlockBytes, m-1, w, horizon)
 			t.traffic.AddWrite(stats.Data, uint64(k)*dram.BlockBytes)
 			t.mac.AccessRun(macLineAddr(a, t.cfg.MACSlotBytes), uint64(k), true)
@@ -230,17 +251,57 @@ func (t *treeless) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 // --- baseline (tree-based): batches at counter-line granularity, with
 // MAC-line boundaries as sub-events (the two need not nest for ablation
 // arity/slot combinations, so the loop walks boundary events generically).
-// Long single-channel runs additionally stream chunk sequences through a
-// RunCursor (streak.go): chunks whose counter access ctrSimple can prove
+// Long single-channel segments additionally stream chunk sequences through
+// a RunCursor (streak.go): chunks whose counter access ctrSimple can prove
 // append-safe replay in closed form, and any other chunk drops out of the
-// streak — before touching state — onto the reference body below, rejoining
-// afterwards when enough blocks remain.
+// streak — before touching state — onto the reference body below,
+// rejoining afterwards when enough blocks remain. A stream is served one
+// segment at a time through that body.
 
-// ReadRun batches counter-line chunks of the read run. //tnpu:noalloc
-func (b *baseline) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
+// ReadRun batches counter-line chunks of the read stream. //tnpu:noalloc
+func (b *baseline) ReadRun(ready uint64, s *Stream, version uint64, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
 	if !b.batchSafe() {
-		return runPerBlock(b, true, ready, addr, version, n, w, horizon)
+		return runPerBlock(b, true, ready, s, version, w, horizon)
 	}
+	return b.runSegments(false, ready, s, w, horizon)
+}
+
+// WriteRun batches counter-line chunks of the write stream. //tnpu:noalloc
+func (b *baseline) WriteRun(ready uint64, s *Stream, version uint64, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
+	if !b.batchSafe() {
+		return runPerBlock(b, false, ready, s, version, w, horizon)
+	}
+	return b.runSegments(true, ready, s, w, horizon)
+}
+
+// runSegments serves a stream segment by segment, stopping after a segment
+// whose last served block's next issue time reaches horizon. Each segment
+// ends a streak: a write segment's overflowPending then judges it with the
+// earlier segments' minor-counter bumps applied. //tnpu:noalloc
+func (b *baseline) runSegments(write bool, ready uint64, s *Stream, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
+	c := s.cursor()
+	r := ready
+	for {
+		a, rest := c.at(served)
+		var d uint64
+		var k int
+		if write {
+			r, d, k = b.writeSegment(r, a, rest, w, horizon)
+		} else {
+			r, d, k = b.readSegment(r, a, rest, w, horizon)
+		}
+		if d > maxDataAt {
+			maxDataAt = d
+		}
+		if served += k; served == s.Left || r >= horizon {
+			return r, maxDataAt, served
+		}
+	}
+}
+
+// readSegment serves up to n blocks of one read segment from addr.
+// //tnpu:noalloc
+func (b *baseline) readSegment(ready, addr uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
 	arity := b.cfg.TreeArity
 	lat := b.cfg.Bus.Latency()
 	r := ready
@@ -437,11 +498,9 @@ func (b *baseline) ReadRun(ready, addr, version uint64, n int, w *dram.IssueWind
 	return r, maxDataAt, i
 }
 
-// WriteRun batches counter-line chunks of the write run. //tnpu:noalloc
-func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
-	if !b.batchSafe() {
-		return runPerBlock(b, false, ready, addr, version, n, w, horizon)
-	}
+// writeSegment serves up to n blocks of one write segment from addr.
+// //tnpu:noalloc
+func (b *baseline) writeSegment(ready, addr uint64, n int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int) {
 	arity := b.cfg.TreeArity
 	r := ready
 	nextCtr, nextMac := 0, 0
@@ -458,7 +517,7 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 	macSwept := cur != nil && b.beginMacSweep(addr, 0, n, true)
 	sweepLi := 0 // MAC-line outcomes consumed from the active sweep
 	pending := 0 // deferred data blocks awaiting one streak span charge
-	// Chunk-stretch collapse precondition; see ReadRun.
+	// Chunk-stretch collapse precondition; see readSegment.
 	mFull := 0
 	if dram.BlockBytes%b.cfg.MACSlotBytes == 0 {
 		if m := int(dram.BlockBytes / b.cfg.MACSlotBytes); arity%uint64(m) == 0 {
@@ -484,7 +543,7 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 		chunkEnd := minInt(minInt(nextCtr, nextMac), n)
 		lineIdx, slot := b.geo.CounterIndex(blockIdx)
 		if cur != nil && isCtr && !b.ctrSimple(a, r) {
-			// See ReadRun: hand this chunk to the reference path untouched.
+			// See readSegment: hand this chunk to the reference path untouched.
 			if macSwept {
 				b.sweep.CommitPrefix(sweepLi)
 				macSwept = false
@@ -504,7 +563,7 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 		if cur != nil && macSwept && mFull > 0 && isMac && chunkEnd == i+mFull && pending == mFull &&
 			(!isCtr || blockIdx%arity == 0) {
 			// Stretch of full chunks in one MAC writeback class with resident
-			// counters (see ReadRun): each chunk flushes the deferred previous
+			// counters (see readSegment): each chunk flushes the deferred previous
 			// chunk and appends the victim writeback and RMW fetch — one
 			// period DataPeriodic repeats, since pending is exactly mFull.
 			out0 := b.sweep.Outcome(sweepLi)
@@ -591,7 +650,7 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 			continue
 		}
 		// Boundary block: WriteBlock's operation order (counter RMW, minor
-		// bump, MAC update, data transfer), hits charged as in ReadRun.
+		// bump, MAC update, data transfer), hits charged as in readSegment.
 		counterAt := r
 		if isCtr {
 			ctrHits.open(b.geo.NodeAddr(0, lineIdx))

@@ -5,7 +5,34 @@ import (
 	"testing"
 
 	"tnpu/internal/dram"
+	"tnpu/internal/isa"
 )
+
+// benchStreams are the stream shapes the run benchmarks time: one dense
+// 4096-block segment, and a strided tile row of 64 segments of 8 blocks
+// each, 1 KB apart (the short-segment shape of compiled DMA instructions,
+// which an engine run serves across its segment ends).
+func benchStreams(write bool) []struct {
+	name string
+	s    Stream
+} {
+	strided := make([]isa.Segment, 64)
+	for i := range strided {
+		strided[i] = isa.Segment{Addr: uint64(i) << 10, Bytes: 8 * dram.BlockBytes}
+	}
+	return []struct {
+		name string
+		s    Stream
+	}{
+		{"dense", dense(4096, write)},
+		{"strided", streamOf(strided, write)},
+	}
+}
+
+// dense returns the one-segment stream of n blocks from address 0.
+func dense(n int, write bool) Stream {
+	return streamOf([]isa.Segment{{Addr: 0, Bytes: uint64(n) * dram.BlockBytes}}, write)
+}
 
 // BenchmarkReadBlock measures the per-block engine path: a dense sequential
 // read stream pushed through ReadBlock one block at a time, per scheme.
@@ -30,22 +57,24 @@ func BenchmarkReadBlock(b *testing.B) {
 	}
 }
 
-// BenchmarkReadRun measures the same dense stream through the batched
-// ReadRun path; the ratio to BenchmarkReadBlock is the engine-layer speedup
-// of the run-length fast path.
+// BenchmarkReadRun measures the same dense stream, and a strided stream of
+// short segments, through the batched ReadRun path; the dense ratio to
+// BenchmarkReadBlock is the engine-layer speedup of the run-length fast
+// path.
 func BenchmarkReadRun(b *testing.B) {
-	const blocks = 4096
 	for _, scheme := range AllSchemes() {
-		b.Run(scheme.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e, err := New(scheme, DefaultConfig(smallBus()))
-				if err != nil {
-					b.Fatal(err)
+		for _, st := range benchStreams(false) {
+			b.Run(fmt.Sprintf("%s/%s", scheme, st.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					e, err := New(scheme, DefaultConfig(smallBus()))
+					if err != nil {
+						b.Fatal(err)
+					}
+					e.ReadRun(0, &st.s, 1, dram.NewIssueWindow(16), dram.NoHorizon)
 				}
-				e.ReadRun(0, 0, 1, blocks, dram.NewIssueWindow(16), dram.NoHorizon)
-			}
-			b.SetBytes(blocks * dram.BlockBytes)
-		})
+				b.SetBytes(int64(st.s.Left) * dram.BlockBytes)
+			})
+		}
 	}
 }
 
@@ -62,11 +91,12 @@ func BenchmarkReadRunHot(b *testing.B) {
 				b.Fatal(err)
 			}
 			w := dram.NewIssueWindow(16)
-			r, _, _ := e.ReadRun(0, 0, 1, blocks, w, dram.NoHorizon) // warm caches and buffers
+			s := dense(blocks, false)
+			r, _, _ := e.ReadRun(0, &s, 1, w, dram.NoHorizon) // warm caches and buffers
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, _, _ = e.ReadRun(r, 0, 1, blocks, w, dram.NoHorizon)
+				r, _, _ = e.ReadRun(r, &s, 1, w, dram.NoHorizon)
 			}
 			b.SetBytes(blocks * dram.BlockBytes)
 		})
@@ -83,11 +113,12 @@ func BenchmarkWriteRunHot(b *testing.B) {
 				b.Fatal(err)
 			}
 			w := dram.NewIssueWindow(16)
-			r, _, _ := e.WriteRun(0, 0, 1, blocks, w, dram.NoHorizon)
+			s := dense(blocks, true)
+			r, _, _ := e.WriteRun(0, &s, 1, w, dram.NoHorizon)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, _, _ = e.WriteRun(r, 0, 1, blocks, w, dram.NoHorizon)
+				r, _, _ = e.WriteRun(r, &s, 1, w, dram.NoHorizon)
 			}
 			b.SetBytes(blocks * dram.BlockBytes)
 		})
@@ -97,19 +128,21 @@ func BenchmarkWriteRunHot(b *testing.B) {
 // TestBatchedRunNoAllocs pins the zero-allocation property of the batched
 // hot path: after one warmup run (which sizes the engine-owned streak
 // buffers and the minor-counter map), steady-state ReadRun/WriteRun must
-// not allocate for any scheme.
+// not allocate for any scheme, on the dense and on the strided stream.
 func TestBatchedRunNoAllocs(t *testing.T) {
-	const blocks = 4096
 	for _, scheme := range AllSchemes() {
 		e, err := New(scheme, DefaultConfig(smallBus()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		w := dram.NewIssueWindow(16)
+		reads, writes := benchStreams(false), benchStreams(true)
 		var r uint64
 		step := func() {
-			r, _, _ = e.ReadRun(r, 0, 1, blocks, w, dram.NoHorizon)
-			r, _, _ = e.WriteRun(r, 0, 1, blocks, w, dram.NoHorizon)
+			for k := range reads {
+				r, _, _ = e.ReadRun(r, &reads[k].s, 1, w, dram.NoHorizon)
+				r, _, _ = e.WriteRun(r, &writes[k].s, 1, w, dram.NoHorizon)
+			}
 		}
 		step() // warmup
 		if avg := testing.AllocsPerRun(20, step); avg != 0 {
@@ -119,30 +152,32 @@ func TestBatchedRunNoAllocs(t *testing.T) {
 }
 
 // BenchmarkWriteRun is ReadRun's write-side counterpart (exercises the
-// counter RMW and minor-bump batching in the baseline).
+// counter RMW and minor-bump batching in the baseline), against the
+// per-block loop on the same streams.
 func BenchmarkWriteRun(b *testing.B) {
-	const blocks = 4096
 	for _, scheme := range AllSchemes() {
-		for _, batched := range []bool{false, true} {
-			path := "perblock"
-			if batched {
-				path = "batched"
-			}
-			b.Run(fmt.Sprintf("%s/%s", scheme, path), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					e, err := New(scheme, DefaultConfig(smallBus()))
-					if err != nil {
-						b.Fatal(err)
-					}
-					w := dram.NewIssueWindow(16)
-					if batched {
-						e.WriteRun(0, 0, 1, blocks, w, dram.NoHorizon)
-					} else {
-						runPerBlock(e, false, 0, 0, 1, blocks, w, dram.NoHorizon)
-					}
+		for _, st := range benchStreams(true) {
+			for _, batched := range []bool{false, true} {
+				path := "perblock"
+				if batched {
+					path = "batched"
 				}
-				b.SetBytes(blocks * dram.BlockBytes)
-			})
+				b.Run(fmt.Sprintf("%s/%s/%s", scheme, st.name, path), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						e, err := New(scheme, DefaultConfig(smallBus()))
+						if err != nil {
+							b.Fatal(err)
+						}
+						w := dram.NewIssueWindow(16)
+						if batched {
+							e.WriteRun(0, &st.s, 1, w, dram.NoHorizon)
+						} else {
+							runPerBlock(e, false, 0, &st.s, 1, w, dram.NoHorizon)
+						}
+					}
+					b.SetBytes(int64(st.s.Left) * dram.BlockBytes)
+				})
+			}
 		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"tnpu/internal/dram"
+	"tnpu/internal/isa"
 	"tnpu/internal/stats"
 )
 
@@ -63,28 +64,31 @@ type Engine interface {
 	Scheme() Scheme
 	ReadBlock(ready, addr, version uint64) (busFree, dataAt uint64)
 	WriteBlock(ready, addr, version uint64) (busFree, dataAt uint64)
-	// ReadRun and WriteRun are the batched fast path: serve up to nBlocks
-	// consecutive data blocks in one call, gated by the caller's DMA
-	// issue window and stopped by the arbitration horizon, with bus
-	// state, cache state, statistics, and returned times identical to
-	// pushing the same blocks through ReadBlock/WriteBlock one at a time:
+	// ReadRun and WriteRun are the batched fast path: serve the stream s,
+	// the rest of one DMA instruction across its segment ends, gated by
+	// the caller's DMA issue window and stopped by the arbitration
+	// horizon, with bus state, cache state, statistics, and returned times
+	// identical to pushing the same blocks through ReadBlock/WriteBlock one
+	// at a time (the run reads s and leaves it as it was):
 	//
-	//	for i := 0; i < nBlocks; i++ {
-	//	    busFree, dataAt := e.ReadBlock(ready, addr+uint64(i)*dram.BlockBytes, version)
+	//	for i := 0; i < s.Left; i++ {
+	//	    busFree, dataAt := e.ReadBlock(ready, addr(i), version) // addr(i): the stream's i-th block, relocated
 	//	    maxDataAt = max(maxDataAt, dataAt)
 	//	    ready = w.Issue(ready, busFree)
 	//	    if ready >= horizon { break } // served = i+1
 	//	}
 	//
 	// The stop is exact: the call serves blocks until one's next issue
-	// time reaches horizon (the earliest cycle a co-tenant can be ready)
-	// and reports how many it served. An uncontended run passes
-	// dram.NoHorizon and always serves nBlocks. The batching exploits the
-	// same regularity TNPU's hardware does: a streaming DMA touches each
-	// metadata line once and then hits it for every remaining covered
-	// block, so only line-boundary blocks need the full model.
-	ReadRun(ready, addr, version uint64, nBlocks int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int)
-	WriteRun(ready, addr, version uint64, nBlocks int, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int)
+	// time reaches horizon (the earliest cycle a co-tenant can be ready),
+	// the last block of a segment included, and reports how many it
+	// served. An uncontended run passes dram.NoHorizon and always serves
+	// the whole stream. The method, not s.Write, gives the direction. The
+	// batching exploits the same regularity TNPU's hardware does: a
+	// streaming DMA touches each metadata line once and then hits it for
+	// every remaining covered block, so only line-boundary blocks need the
+	// full model.
+	ReadRun(ready uint64, s *Stream, version uint64, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int)
+	WriteRun(ready uint64, s *Stream, version uint64, w *dram.IssueWindow, horizon uint64) (nextReady, maxDataAt uint64, served int)
 	// VersionFetch models the software's version-table access in the
 	// fully protected region before an mvin/mvout (one per instruction,
 	// not per block): the 8-byte slot at slotAddr is read (mvin) or
@@ -99,6 +103,92 @@ type Engine interface {
 	CounterStats() *stats.CacheStats
 	HashStats() *stats.CacheStats
 	MACStats() *stats.CacheStats
+}
+
+// Stream is the rest of one DMA instruction: its segments, the segment
+// and block it issues next, how many blocks are left (the next one
+// included), and its direction. Addresses are the instruction's own; Off
+// relocates them to the issuing context. An engine run serves one stream,
+// a contended round walks one per tenant, and npu.Machine keeps its place
+// in the active instruction as one.
+type Stream struct {
+	Segs  []isa.Segment
+	Seg   int
+	Addr  uint64 // next block's address
+	End   uint64 // current segment's end
+	Off   uint64
+	Left  int // blocks from Addr to the end of the last segment
+	Write bool
+}
+
+// Reset makes s the whole of a DMA instruction over segs (at least one),
+// relocated by off. It sets the fields in place: a machine resets its stream once per
+// instruction, and copying a whole Stream value into it would cost more.
+func (s *Stream) Reset(segs []isa.Segment, off uint64, write bool) {
+	s.Segs, s.Seg, s.Off, s.Write, s.Left = segs, 0, off, write, 0
+	for _, g := range segs {
+		s.Left += blocksTo(g.Addr&^(dram.BlockBytes-1), g.Addr+g.Bytes)
+	}
+	s.load()
+}
+
+// load positions the stream at the first block of segment Seg.
+func (s *Stream) load() {
+	g := s.Segs[s.Seg]
+	s.Addr = g.Addr &^ (dram.BlockBytes - 1)
+	s.End = g.Addr + g.Bytes
+}
+
+// Advance moves the stream k blocks forward, across segment ends; k must
+// not exceed Left.
+func (s *Stream) Advance(k int) {
+	s.Left -= k
+	for s.Left > 0 {
+		n := blocksTo(s.Addr, s.End)
+		if k < n {
+			s.Addr += uint64(k) * dram.BlockBytes
+			return
+		}
+		k -= n
+		s.Seg++
+		s.load()
+	}
+}
+
+// cursor returns a walk over the stream's blocks, indexed from its next
+// one.
+func (s *Stream) cursor() streamCur {
+	return streamCur{segs: s.Segs, seg: s.Seg, a0: s.Addr + s.Off, end: blocksTo(s.Addr, s.End), off: s.Off}
+}
+
+// blocksTo returns how many blocks cover [addr, end) from the block-aligned
+// addr.
+func blocksTo(addr, end uint64) int {
+	return int((end - addr + dram.BlockBytes - 1) / dram.BlockBytes)
+}
+
+// streamCur walks a stream's blocks forward across segment ends.
+type streamCur struct {
+	segs []isa.Segment
+	seg  int
+	i0   int    // stream block index of the current segment's first block
+	a0   uint64 // its relocated address
+	end  int    // stream block index past the current segment
+	off  uint64
+}
+
+// at returns block i's relocated address and how many blocks of its
+// segment remain from it; i must not be below the last block asked for.
+func (c *streamCur) at(i int) (addr uint64, rest int) {
+	for i >= c.end {
+		c.i0 = c.end
+		c.seg++
+		s := c.segs[c.seg]
+		a := s.Addr &^ (dram.BlockBytes - 1)
+		c.a0 = a + c.off
+		c.end += blocksTo(a, s.Addr+s.Bytes)
+	}
+	return c.a0 + uint64(i-c.i0)*dram.BlockBytes, c.end - i
 }
 
 // Config carries the protection parameters of Sec. V-A.

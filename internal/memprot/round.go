@@ -4,7 +4,6 @@ import (
 	"tnpu/internal/cache"
 	"tnpu/internal/dram"
 	"tnpu/internal/integrity"
-	"tnpu/internal/isa"
 	"tnpu/internal/stats"
 )
 
@@ -91,20 +90,6 @@ func (p *Pattern) Before(t int, q int64) int {
 	return int(period)<<p.shift + int(p.rank[t*int(p.P+1)+int(q-period*p.P)])
 }
 
-// Stream is one tenant's place in its DMA instruction at a round's start:
-// the instruction's segments, the segment and block it issues next, the
-// blocks left before the instruction's last one, and its direction.
-// Addresses are the machine's own; Off relocates them to its context.
-type Stream struct {
-	Segs  []isa.Segment
-	Seg   int
-	Addr  uint64 // next block's address
-	End   uint64 // current segment's end
-	Off   uint64
-	Left  int
-	Write bool
-}
-
 // Rounder is an engine's side of contended rounds. A run reuses one for
 // every round, so steady-state rounds allocate nothing.
 type Rounder struct {
@@ -130,12 +115,12 @@ type Rounder struct {
 // rtenant is one tenant's walk state.
 type rtenant struct {
 	cur     streamCur
-	left    int
+	last    int // the instruction's last block, which rounds leave to the machine
 	write   bool
 	macNext int   // next block that accesses the MAC cache as an event
 	ctrNext int   // next block that accesses the counter cache as an event
 	next    int   // min(macNext, ctrNext)
-	nextPos int64 // its position, or -1 when at or past left
+	nextPos int64 // its position, or -1 when at or past last
 	dataAt  uint64
 	// Baseline writes: minors bumps are deferred per counter-line visit.
 	minorFrom int
@@ -145,30 +130,6 @@ type rtenant struct {
 
 // noEvent marks a tenant with no further event.
 const noEvent = int(^uint(0) >> 1)
-
-// streamCur walks a tenant's blocks forward across segment ends.
-type streamCur struct {
-	segs []isa.Segment
-	seg  int
-	i0   int    // tenant block index of the current segment's first block
-	a0   uint64 // its relocated address
-	n    int    // the segment's blocks from i0
-	off  uint64
-}
-
-// at returns block i's relocated address and how many blocks of its
-// segment remain from it; i must not be below the last block asked for.
-func (c *streamCur) at(i int) (addr uint64, rest int) {
-	for i >= c.i0+c.n {
-		c.i0 += c.n
-		c.seg++
-		s := c.segs[c.seg]
-		a := s.Addr &^ (dram.BlockBytes - 1)
-		c.a0 = a + c.off
-		c.n = int((s.Addr + s.Bytes - a + dram.BlockBytes - 1) / dram.BlockBytes)
-	}
-	return c.a0 + uint64(i-c.i0)*dram.BlockBytes, c.i0 + c.n - i
-}
 
 // NewRounder returns a round walk over e, or nil for a baseline whose
 // streaks' guaranteed-hit reasoning does not hold (batchSafe). A
@@ -221,12 +182,7 @@ func (rd *Rounder) Begin(pat *Pattern, streams []Stream, cr *dram.ChannelRun) {
 	rd.wrapAt = -1
 	for t := range streams {
 		s := &streams[t]
-		a := s.Addr
-		rd.ten[t] = rtenant{
-			cur:   streamCur{segs: s.Segs, seg: s.Seg, a0: a + s.Off, n: int((s.End - a + dram.BlockBytes - 1) / dram.BlockBytes), off: s.Off},
-			left:  s.Left,
-			write: s.Write,
-		}
+		rd.ten[t] = rtenant{cur: s.cursor(), last: s.Left - 1, write: s.Write}
 		if rd.tl == nil && rd.bl == nil {
 			rd.ten[t].macNext = noEvent
 		}
@@ -269,7 +225,7 @@ func (rd *Rounder) schedule(t int) {
 		e = tn.ctrNext
 	}
 	tn.next, tn.nextPos = e, -1
-	if e < tn.left {
+	if e < tn.last {
 		tn.nextPos = rd.pat.Pos(t, e)
 	}
 }

@@ -21,9 +21,12 @@ import (
 // streak before touching state and is served by the retained reference
 // code. DESIGN.md section 6d spells out the equivalence argument.
 
-// streakMinBlocks gates streak entry: below it the per-line path's fixed
-// costs are already small and BeginRun's window scan wouldn't pay for
-// itself.
+// streakMinBlocks gates two things. A stream shorter than it does not
+// enter a streak: the per-line path's fixed costs are already small, and
+// BeginRun's window scan would not pay for itself. Inside a treeless
+// streak, a segment shorter than it opens its MAC lines through live
+// Accesses rather than a cold cache.Sweep, whose set prescan and bulk
+// commit cost more than a few live lookups.
 const streakMinBlocks = 24
 
 // streakCursor admits the next n blocks at ready to the streak path: it
@@ -37,7 +40,7 @@ func streakCursor(bus *dram.Bus, w *dram.IssueWindow, ok bool, ready uint64, n, 
 	return bus.BeginRun(w, ready, perBlock*n+16)
 }
 
-// --- tree-less (TNPU): the whole run is one streak ---
+// --- tree-less (TNPU): the whole stream is one streak ---
 
 // macLineCount returns how many MAC lines the run [addr, addr+n*64) covers.
 // Consecutive covered MAC lines are 64B-adjacent for every slot size, so
@@ -52,116 +55,141 @@ func macLineCount(addr, slotBytes uint64, n int) int {
 	return int(last-first) + 1
 }
 
-// readStreak is the treeless ReadRun fast path, serving a run BeginRun
-// admitted on cur; every charge of a treeless read appends (data at issue
-// times, MAC writebacks and fetches at the current boundary's issue time),
-// so no mid-streak exit can occur. A MAC-line range with no resident line
-// takes its outcomes from a cold cache sweep: the capacity prefix walks per
-// line and the steady-state tail collapses to one periodic charge. Any
-// other range opens each line through a live Access in line order.
+// beginSegment starts one segment of n blocks from addr inside a treeless
+// streak. A segment of at least streakMinBlocks blocks with no resident
+// MAC line takes its lines' outcomes from a cold cache sweep (cold true;
+// the caller commits the nLines outcomes at the segment's end); any other
+// opens each line through a live Access. It charges the segment's
+// covered-block hits and data traffic. //tnpu:noalloc
+func (t *treeless) beginSegment(addr uint64, n int, write bool) (nLines int, cold bool) {
+	slot := t.cfg.MACSlotBytes
+	nLines = macLineCount(addr, slot, n)
+	cold = n >= streakMinBlocks && t.mac.BeginSweep(&t.sweep, macLineAddr(addr, slot), nLines, write)
+	t.mac.AddRunHits(uint64(n - nLines))
+	if write {
+		t.traffic.AddWrite(stats.Data, uint64(n)*dram.BlockBytes)
+	} else {
+		t.traffic.AddRead(stats.Data, uint64(n)*dram.BlockBytes)
+	}
+	return nLines, cold
+}
+
+// readStreak is the treeless ReadRun fast path, serving the stream's
+// blocks from block i on, on a run BeginRun admitted on cur. Every charge of a
+// treeless read appends (data at issue times, MAC writebacks and fetches
+// at the current boundary's issue time), so no mid-streak exit can occur.
+// The streak walks the segments on the one cursor, and the pending data
+// span carries across segment ends: on one channel a data charge is the
+// same wherever its address lies. Each segment resolves its MAC lines as
+// beginSegment decides: through a cold cache sweep, whose capacity prefix
+// walks per line and whose steady-state tail collapses to one periodic
+// charge, or through a live Access per line.
 // //tnpu:noalloc
-func (t *treeless) readStreak(ready, addr uint64, n int, cur *dram.RunCursor) (nextReady, maxDataAt uint64) {
+func (t *treeless) readStreak(ready uint64, s *Stream, i int, cur *dram.RunCursor) (nextReady, maxDataAt uint64) {
+	c, n := s.cursor(), s.Left
 	lat := t.cfg.Bus.Latency()
 	slot := t.cfg.MACSlotBytes
-	nLines := macLineCount(addr, slot, n)
-	cold := t.mac.BeginSweep(&t.sweep, macLineAddr(addr, slot), nLines, false)
-	t.mac.AddRunHits(uint64(n - nLines))
-	t.traffic.AddRead(stats.Data, uint64(n)*dram.BlockBytes)
-
-	// Cold runs: every line misses, so a line's whole charge pattern is
-	// [span(mFull), writeback?, fetch] — determined by its victim's dirty
-	// bit alone. Consecutive full-coverage lines of one writeback class
-	// repeat that pattern verbatim and collapse through DataPeriodic.
-	// Only meaningful when the slot size tiles the line (full lines then
-	// all cover mFull blocks and start block-aligned); past the sweep's
-	// uniform boundary the class is known to be clean without scanning.
-	mFull, uniform := 0, nLines
-	if cold && dram.BlockBytes%slot == 0 {
-		mFull = int(dram.BlockBytes / slot)
-		uniform = t.sweep.UniformFrom()
-	}
-
 	r := ready
 	pending := 0 // contiguous data blocks awaiting one span charge
-	li := 0
-	for i := 0; i < n; li++ {
-		// pending == mFull-1 certifies the previous line was a full miss
-		// (cold runs have no hits), so this line starts aligned and each
-		// period's span is exactly mFull blocks.
-		if mFull > 0 && pending == mFull-1 {
-			if P := (n - i) / mFull; P >= 2 {
-				wb := t.sweep.Outcome(li).Writeback
-				p := 1
-				for p < P {
-					if !wb && li+p >= uniform {
-						p = P // self-evicting tail: clean for the whole run
-						break
-					}
-					if t.sweep.Outcome(li+p).Writeback != wb {
-						break
-					}
-					p++
-				}
-				trail := 1
-				if wb {
-					trail = 2 // victim writeback precedes the fetch
-				}
-				if p >= 2 {
-					if lastFree, _, nr, ok := cur.DataPeriodic(r, p, mFull, trail); ok {
-						t.traffic.AddRead(stats.MAC, uint64(p)*dram.BlockBytes)
-						if wb {
-							t.traffic.AddWrite(stats.MAC, uint64(p)*dram.BlockBytes)
+	for i < n {
+		addr, nb := c.at(i)
+		nLines, cold := t.beginSegment(addr, nb, false)
+		// Cold segments: every line misses, so a line's whole charge pattern
+		// is [span(mFull), writeback?, fetch] — determined by its victim's
+		// dirty bit alone. Consecutive full-coverage lines of one writeback
+		// class repeat that pattern verbatim and collapse through
+		// DataPeriodic. Only meaningful when the slot size tiles the line
+		// (full lines then all cover mFull blocks and start block-aligned);
+		// past the sweep's uniform boundary the class is known to be clean
+		// without scanning.
+		mFull, uniform := 0, nLines
+		if cold && dram.BlockBytes%slot == 0 {
+			mFull = int(dram.BlockBytes / slot)
+			uniform = t.sweep.UniformFrom()
+		}
+		li := 0
+		for j := 0; j < nb; li++ {
+			a := addr + uint64(j)*dram.BlockBytes
+			// pending == mFull-1 makes the first period's span exactly mFull
+			// blocks, and a line-aligned start makes every line of the stretch
+			// a full one. Inside a cold segment the previous line's full miss
+			// implies the alignment; pending carried over a segment end does
+			// not, so it is checked.
+			if mFull > 0 && pending == mFull-1 && (a/dram.BlockBytes)%uint64(mFull) == 0 {
+				if P := (nb - j) / mFull; P >= 2 {
+					wb := t.sweep.Outcome(li).Writeback
+					p := 1
+					for p < P {
+						if !wb && li+p >= uniform {
+							p = P // self-evicting tail: clean for the whole segment
+							break
 						}
-						// Arrival and MAC-fetch terms both grow per period,
-						// so the final line dominates the stretch; the fetch
-						// is each period's last charge, so the final macAt
-						// is the horizon plus the bus latency.
-						macAt := cur.Horizon() + lat
-						if d := max64(lastFree+lat+t.cfg.XTSCycles, macAt) + t.cfg.MACCycles; d > maxDataAt {
-							maxDataAt = d
+						if t.sweep.Outcome(li+p).Writeback != wb {
+							break
 						}
-						r = nr
-						i += p * mFull
-						li += p - 1
-						continue
+						p++
+					}
+					trail := 1
+					if wb {
+						trail = 2 // victim writeback precedes the fetch
+					}
+					if p >= 2 {
+						if lastFree, _, nr, ok := cur.DataPeriodic(r, p, mFull, trail); ok {
+							t.traffic.AddRead(stats.MAC, uint64(p)*dram.BlockBytes)
+							if wb {
+								t.traffic.AddWrite(stats.MAC, uint64(p)*dram.BlockBytes)
+							}
+							// Arrival and MAC-fetch terms both grow per period,
+							// so the final line dominates the stretch; the fetch
+							// is each period's last charge, so the final macAt
+							// is the horizon plus the bus latency.
+							macAt := cur.Horizon() + lat
+							if d := max64(lastFree+lat+t.cfg.XTSCycles, macAt) + t.cfg.MACCycles; d > maxDataAt {
+								maxDataAt = d
+							}
+							r = nr
+							j += p * mFull
+							li += p - 1
+							continue
+						}
 					}
 				}
 			}
+			m := minInt(macRunLen(a, slot), nb-j)
+			var res cache.Result
+			if cold {
+				res = t.sweep.Outcome(li)
+			} else {
+				res = t.mac.Access(macLineAddr(a, slot), false)
+			}
+			if res.Hit {
+				// Its MAC resolves at the issue time, dominated by the
+				// data-arrival term, so the whole line is deferred data.
+				pending += m
+				j += m
+				continue
+			}
+			// Charge order matches ReadBlock: boundary data, MAC writeback, MAC
+			// fetch, covered data — so the pending span plus this boundary
+			// flush first.
+			lastFree, _, nr := cur.Data(r, pending+1)
+			r = nr
+			if res.Writeback {
+				t.traffic.AddWrite(stats.MAC, dram.BlockBytes)
+				cur.Meta(1)
+			}
+			t.traffic.AddRead(stats.MAC, dram.BlockBytes)
+			macAt := cur.Meta(1) + lat
+			if d := max64(lastFree+lat+t.cfg.XTSCycles, macAt) + t.cfg.MACCycles; d > maxDataAt {
+				maxDataAt = d
+			}
+			pending = m - 1
+			j += m
 		}
-		a := addr + uint64(i)*dram.BlockBytes
-		m := macRunLen(a, slot)
-		if m > n-i {
-			m = n - i
-		}
-		var res cache.Result
 		if cold {
-			res = t.sweep.Outcome(li)
-		} else {
-			res = t.mac.Access(macLineAddr(a, slot), false)
+			t.sweep.CommitPrefix(nLines)
 		}
-		if res.Hit {
-			// Its MAC resolves at the issue time, dominated by the
-			// data-arrival term, so the whole line is deferred data.
-			pending += m
-			i += m
-			continue
-		}
-		// Charge order matches ReadBlock: boundary data, MAC writeback, MAC
-		// fetch, covered data — so the pending span plus this boundary flush
-		// first.
-		lastFree, _, nr := cur.Data(r, pending+1)
-		r = nr
-		if res.Writeback {
-			t.traffic.AddWrite(stats.MAC, dram.BlockBytes)
-			cur.Meta(1)
-		}
-		t.traffic.AddRead(stats.MAC, dram.BlockBytes)
-		macAt := cur.Meta(1) + lat
-		if d := max64(lastFree+lat+t.cfg.XTSCycles, macAt) + t.cfg.MACCycles; d > maxDataAt {
-			maxDataAt = d
-		}
-		pending = m - 1
-		i += m
+		i += nb
 	}
 	if pending > 0 {
 		lastFree, _, nr := cur.Data(r, pending)
@@ -170,105 +198,99 @@ func (t *treeless) readStreak(ready, addr uint64, n int, cur *dram.RunCursor) (n
 			maxDataAt = d
 		}
 	}
-	if cold {
-		t.sweep.CommitPrefix(nLines)
-	}
 	cur.Commit()
 	return r, maxDataAt
 }
 
-// writeStreak is the treeless WriteRun fast path: MAC updates are
-// write-validated (no fetch), so the only metadata charges are dirty MAC
-// writebacks, each preceding its line's boundary data block. Lines resolve
-// as in readStreak: a cold sweep, or a live Access per line.
+// writeStreak is the treeless WriteRun fast path, serving the stream's
+// blocks from block i on, on cur: MAC updates are write-validated (no fetch), so
+// the only metadata charges are dirty MAC writebacks, each preceding its
+// line's boundary data block. Segments and their lines resolve as in
+// readStreak.
 // //tnpu:noalloc
-func (t *treeless) writeStreak(ready, addr uint64, n int, cur *dram.RunCursor) (nextReady, maxDataAt uint64) {
+func (t *treeless) writeStreak(ready uint64, s *Stream, i int, cur *dram.RunCursor) (nextReady, maxDataAt uint64) {
+	c, n := s.cursor(), s.Left
 	slot := t.cfg.MACSlotBytes
-	nLines := macLineCount(addr, slot, n)
-	cold := t.mac.BeginSweep(&t.sweep, macLineAddr(addr, slot), nLines, true)
-	t.mac.AddRunHits(uint64(n - nLines))
-	t.traffic.AddWrite(stats.Data, uint64(n)*dram.BlockBytes)
-
-	// Cold runs (see readStreak): every line misses, and on the write path
-	// a miss charges only its victim's writeback — so a stretch of clean
-	// misses folds into the pending span for free, and a stretch of dirty
-	// misses repeats [span(mFull), writeback] and collapses through
-	// DataPeriodic. Lines after the first are always block-aligned when
-	// the slot size tiles the line.
-	mFull, uniform := 0, nLines
-	if cold && dram.BlockBytes%slot == 0 {
-		mFull = int(dram.BlockBytes / slot)
-		uniform = t.sweep.UniformFrom()
-	}
-
 	r := ready
 	pending := 0
-	li := 0
-	for i := 0; i < n; li++ {
-		if mFull > 0 {
-			if P := (n - i) / mFull; P >= 2 && (addr/dram.BlockBytes+uint64(i))%uint64(mFull) == 0 {
-				wb := t.sweep.Outcome(li).Writeback
-				p := 1
-				for p < P {
-					if wb && li+p >= uniform {
-						p = P // self-evicting tail: dirty for the whole write run
-						break
+	for i < n {
+		addr, nb := c.at(i)
+		nLines, cold := t.beginSegment(addr, nb, true)
+		// Cold segments (see readStreak): every line misses, and on the write
+		// path a miss charges only its victim's writeback — so a stretch of
+		// clean misses folds into the pending span for free, and a stretch of
+		// dirty misses repeats [span(mFull), writeback] and collapses
+		// through DataPeriodic.
+		mFull, uniform := 0, nLines
+		if cold && dram.BlockBytes%slot == 0 {
+			mFull = int(dram.BlockBytes / slot)
+			uniform = t.sweep.UniformFrom()
+		}
+		li := 0
+		for j := 0; j < nb; li++ {
+			a := addr + uint64(j)*dram.BlockBytes
+			if mFull > 0 {
+				if P := (nb - j) / mFull; P >= 2 && (a/dram.BlockBytes)%uint64(mFull) == 0 {
+					wb := t.sweep.Outcome(li).Writeback
+					p := 1
+					for p < P {
+						if wb && li+p >= uniform {
+							p = P // self-evicting tail: dirty for the whole segment
+							break
+						}
+						if t.sweep.Outcome(li+p).Writeback != wb {
+							break
+						}
+						p++
 					}
-					if t.sweep.Outcome(li+p).Writeback != wb {
-						break
-					}
-					p++
-				}
-				if !wb {
-					// Clean misses charge nothing on the write-validated
-					// path: the whole stretch folds into the pending span.
-					pending += p * mFull
-					i += p * mFull
-					li += p - 1
-					continue
-				}
-				// pending == mFull makes each period's span exactly mFull
-				// blocks, the shape DataPeriodic repeats.
-				if p >= 2 && pending == mFull {
-					if _, _, nr, ok := cur.DataPeriodic(r, p, mFull, 1); ok {
-						t.traffic.AddWrite(stats.MAC, uint64(p)*dram.BlockBytes)
-						r = nr
-						i += p * mFull
+					if !wb {
+						// Clean misses charge nothing on the write-validated
+						// path: the whole stretch folds into the pending span.
+						pending += p * mFull
+						j += p * mFull
 						li += p - 1
 						continue
 					}
+					// pending == mFull makes each period's span exactly mFull
+					// blocks, the shape DataPeriodic repeats.
+					if p >= 2 && pending == mFull {
+						if _, _, nr, ok := cur.DataPeriodic(r, p, mFull, 1); ok {
+							t.traffic.AddWrite(stats.MAC, uint64(p)*dram.BlockBytes)
+							r = nr
+							j += p * mFull
+							li += p - 1
+							continue
+						}
+					}
 				}
 			}
-		}
-		a := addr + uint64(i)*dram.BlockBytes
-		m := macRunLen(a, slot)
-		if m > n-i {
-			m = n - i
-		}
-		var res cache.Result
-		if cold {
-			res = t.sweep.Outcome(li)
-		} else {
-			res = t.mac.Access(macLineAddr(a, slot), true)
-		}
-		if res.Writeback {
-			if pending > 0 {
-				_, _, r = cur.Data(r, pending)
+			m := minInt(macRunLen(a, slot), nb-j)
+			var res cache.Result
+			if cold {
+				res = t.sweep.Outcome(li)
+			} else {
+				res = t.mac.Access(macLineAddr(a, slot), true)
 			}
-			t.traffic.AddWrite(stats.MAC, dram.BlockBytes)
-			cur.Meta(1)
-			pending = m
-		} else {
-			pending += m
+			if res.Writeback {
+				if pending > 0 {
+					_, _, r = cur.Data(r, pending)
+				}
+				t.traffic.AddWrite(stats.MAC, dram.BlockBytes)
+				cur.Meta(1)
+				pending = m
+			} else {
+				pending += m
+			}
+			j += m
 		}
-		i += m
+		if cold {
+			t.sweep.CommitPrefix(nLines)
+		}
+		i += nb
 	}
-	// Writes complete at their bus-clear time; the run's last charge is
+	// Writes complete at their bus-clear time; the stream's last charge is
 	// always a data block, so its clear dominates every earlier one.
 	lastFree, _, nr := cur.Data(r, pending)
-	if cold {
-		t.sweep.CommitPrefix(nLines)
-	}
 	cur.Commit()
 	return nr, lastFree
 }

@@ -27,9 +27,9 @@ const slotStride uint64 = 2 << 20
 // NPUStats attributes served work to one NPU — the per-tenant QoS view of
 // a co-tenant run. Cycles, Blocks, and byte counters are identical across
 // execution paths (pinned by the differential suite); Runs counts the
-// engine run calls that served the NPU's blocks (one per segment an
-// arbitration turn touches) and is observability for the batched path only
-// (zero under block-granular interleave).
+// engine run calls that served the NPU's blocks (one per arbitration turn,
+// so one per DMA instruction for a lone NPU) and is observability for the
+// batched path only (zero under block-granular interleave).
 type NPUStats struct {
 	Cycles     uint64
 	Blocks     uint64

@@ -169,11 +169,11 @@ func (a *arbiter) round() bool {
 		// A round shorter than a period is not worth its set-up: each
 		// tenant needs a window's worth of blocks before its last one.
 		s := a.machines[rs.idx[t]].Stream()
-		if s.Left < depth {
+		if s.Left <= depth {
 			return rs.fail()
 		}
 		rs.streams[t] = s
-		maxCharges += 5 * s.Left // data plus at most four metadata charges
+		maxCharges += 5 * (s.Left - 1) // data plus at most four metadata charges
 	}
 	horizon := rs.bus.Now()
 	slots := rs.slots[:0]
@@ -228,7 +228,7 @@ func (a *arbiter) round() bool {
 	pat := &rs.pat
 	Q := int64(-1)
 	for t := 0; t < n; t++ {
-		if p := pat.Pos(t, rs.streams[t].Left); Q < 0 || p < Q {
+		if p := pat.Pos(t, rs.streams[t].Left-1); Q < 0 || p < Q { // its last block
 			Q = p
 		}
 	}

@@ -217,15 +217,26 @@ func rewrites(addr, bytes uint64, n int) isa.Instr {
 // TestClosedFormBoundary drives table-driven cases where the analytic
 // preconditions *almost* hold — one counter bump short of a minor-counter
 // wrap, a working set exactly at metadata-cache capacity, dirty victims
-// pending from the previous layer — and requires the batched path to stay
-// bit-identical to the per-block reference on both sides of each boundary.
-// Capacities with the default config: the 8KB MAC cache covers 1024 data
-// blocks at 8B slots; the 4KB counter cache covers 4096 blocks at arity 64.
+// pending from the previous layer, a segment end inside an engine run —
+// and requires the batched path to stay bit-identical to the per-block
+// reference on both sides of each boundary. Capacities with the default
+// config: the 8KB MAC cache covers 1024 data blocks at 8B slots; the 4KB
+// counter cache covers 4096 blocks at arity 64.
 func TestClosedFormBoundary(t *testing.T) {
 	const blk = dram.BlockBytes
 	const macCap = 1024 * blk // data bytes whose MAC lines exactly fill the MAC cache
 	const ctrCap = 4096 * blk // data bytes whose counter lines exactly fill the counter cache
 	span := isa.Segment{Addr: 0, Bytes: 48 * blk}
+	// A 32-block aligned segment ends on a full MAC line, whose covered
+	// blocks are still pending when the next segment, cold and starting 3
+	// blocks into a MAC line, opens: the periodic stretch must not take the
+	// pending count as proof of alignment. The warm-up reads the probe's
+	// version-table slot (tile 0) and streams past the idle gap its own
+	// version fetch leaves, far from the probe's data, so BeginRun admits
+	// the probe's streak at its first block.
+	aligned := isa.Segment{Addr: 1 << 20, Bytes: 32 * blk}
+	offLine := isa.Segment{Addr: 2<<20 + 3*blk, Bytes: 96 * blk}
+	vtWarm := mv(isa.OpMvIn, 0, isa.Segment{Addr: 8 << 20, Bytes: 64 * blk})
 	cases := []struct {
 		name  string
 		warm  []isa.Instr
@@ -259,6 +270,26 @@ func TestClosedFormBoundary(t *testing.T) {
 		{"misaligned-run-start-write",
 			[]isa.Instr{mv(isa.OpMvOut, 0, isa.Segment{Addr: 8 * blk, Bytes: macCap})},
 			[]isa.Instr{mv(isa.OpMvOut, 1, isa.Segment{Addr: 8 * blk, Bytes: macCap})}},
+		// Segment ends inside one engine run.
+		{"pending-full-line-then-misaligned-cold-segment",
+			[]isa.Instr{vtWarm},
+			[]isa.Instr{mv(isa.OpMvIn, 0, aligned, offLine)}},
+		// The write-side stretch needs dirty victims: the warm-up leaves the
+		// whole MAC cache dirty, so each line of the probe writes one back.
+		{"pending-full-line-then-misaligned-cold-segment-write",
+			[]isa.Instr{mv(isa.OpMvOut, 0, isa.Segment{Addr: 8 << 20, Bytes: macCap})},
+			[]isa.Instr{mv(isa.OpMvOut, 0, aligned, offLine)}},
+		{"segments-share-mac-and-counter-line",
+			[]isa.Instr{vtWarm},
+			[]isa.Instr{
+				mv(isa.OpMvIn, 0, isa.Segment{Addr: 4 * blk, Bytes: 24 * blk}, isa.Segment{Addr: 28 * blk, Bytes: 40 * blk}, isa.Segment{Addr: 60 * blk, Bytes: 30 * blk}),
+				mv(isa.OpMvOut, 0, isa.Segment{Addr: 4 * blk, Bytes: 24 * blk}, isa.Segment{Addr: 28 * blk, Bytes: 40 * blk}, isa.Segment{Addr: 60 * blk, Bytes: 30 * blk}),
+			}},
+		// 100 bumps, then an instruction of 40 rewrites: its 28th segment
+		// wraps the minor counters, after 27 segments of the same run.
+		{"counter-wraps-in-later-segment",
+			[]isa.Instr{rewrites(span.Addr, span.Bytes, 100)},
+			[]isa.Instr{rewrites(span.Addr, span.Bytes, 40)}},
 	}
 	cfg := SmallNPU()
 	for _, tc := range cases {
@@ -270,6 +301,37 @@ func TestClosedFormBoundary(t *testing.T) {
 				diffPaths(t, prog, scheme, cfg, nil, nil)
 			}
 		})
+	}
+}
+
+// TestRunsServedPerInstruction pins the run unit: on the batched path a
+// lone NPU makes one engine run call per DMA instruction, however many
+// segments the instruction has, under every scheme.
+func TestRunsServedPerInstruction(t *testing.T) {
+	cfg := SmallNPU()
+	prog := compileFor(t, "res", cfg)
+	var dma, multi uint64
+	for i := range prog.Trace.Instrs {
+		if in := &prog.Trace.Instrs[i]; in.IsDMA() {
+			dma++
+			if len(in.Segments) > 1 {
+				multi++
+			}
+		}
+	}
+	if multi == 0 {
+		t.Fatal("res on Small has no multi-segment DMA instruction to pin the run unit with")
+	}
+	for _, scheme := range memprot.AllSchemes() {
+		eng, err := memprot.New(scheme, memprot.DefaultConfig(dram.NewBus(cfg.Mem)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewMachine(prog, eng)
+		m.Run()
+		if got := m.RunsServed(); got != dma {
+			t.Errorf("%v: %d engine runs for %d DMA instructions (%d of them multi-segment)", scheme, got, dma, multi)
+		}
 	}
 }
 

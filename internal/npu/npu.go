@@ -84,11 +84,9 @@ type Machine struct {
 	dmaFree uint64
 	peFree  uint64
 
-	// Active DMA instruction cursor.
+	// Active DMA instruction cursor: st is the rest of instruction active.
 	active    int
-	segIdx    int
-	blockAddr uint64
-	segEnd    uint64
+	st        memprot.Stream
 	issueAt   uint64
 	maxDataAt uint64
 
@@ -113,20 +111,15 @@ type Machine struct {
 	blocksMoved uint64
 
 	// Per-NPU attribution counters (multi-NPU QoS stats): blocks served by
-	// direction, how many engine run calls served them, and how many of
-	// them contended rounds served. Blocks counts are execution-path
-	// invariant; runsServed and roundBlocks are observability only (they
-	// differ between the per-block reference and the batched path).
+	// direction, how many engine run calls served them (one per turn), and
+	// how many of them contended rounds served. Blocks counts are
+	// execution-path invariant; runsServed and roundBlocks are
+	// observability only (they differ between the per-block reference and
+	// the batched path).
 	blocksRead    uint64
 	blocksWritten uint64
 	runsServed    uint64
 	roundBlocks   uint64
-
-	// Stream's count of the active instruction's blocks: leftBase blocks
-	// remained when blocksMoved was leftMoved, for instruction leftInstr.
-	leftInstr int
-	leftBase  int
-	leftMoved uint64
 
 	dataOffset uint64
 	slotOffset uint64
@@ -151,7 +144,6 @@ func NewMachineAt(prog *compiler.Program, eng memprot.Engine, dataOffset, slotOf
 		eng:        eng,
 		done:       make([]uint64, len(prog.Trace.Instrs)),
 		active:     -1,
-		leftInstr:  -1,
 		dataOffset: dataOffset,
 		slotOffset: slotOffset,
 		window:     dram.NewIssueWindow(dmaOutstanding),
@@ -260,49 +252,37 @@ func (m *Machine) startDMA(idx int, in *isa.Instr) {
 	slot := memprot.VTableSlot(uint32(in.Tensor), in.Tile) + m.slotOffset
 	start = m.eng.VersionFetch(start, slot, in.Op == isa.OpMvOut)
 	m.active = idx
-	m.segIdx = 0
+	m.st.Reset(in.Segments, m.dataOffset, in.Op == isa.OpMvOut)
 	m.issueAt = start
 	m.maxDataAt = start
-	m.loadSegment()
-}
-
-// loadSegment positions the block cursor at the current segment.
-func (m *Machine) loadSegment() {
-	seg := m.prog.Trace.Instrs[m.active].Segments[m.segIdx]
-	m.blockAddr = seg.Addr &^ (dram.BlockBytes - 1)
-	m.segEnd = seg.Addr + seg.Bytes
 }
 
 // ServeBlock pushes one block through the protection engine. Callers must
 // have obtained a ready time from NextReady first.
 func (m *Machine) ServeBlock() {
-	in := &m.prog.Trace.Instrs[m.active]
+	version := m.prog.Trace.Instrs[m.active].Version
 	var busFree, dataAt uint64
-	if in.Op == isa.OpMvIn {
-		busFree, dataAt = m.eng.ReadBlock(m.issueAt, m.blockAddr+m.dataOffset, in.Version)
-		m.blocksRead++
-	} else {
-		busFree, dataAt = m.eng.WriteBlock(m.issueAt, m.blockAddr+m.dataOffset, in.Version)
+	if m.st.Write {
+		busFree, dataAt = m.eng.WriteBlock(m.issueAt, m.st.Addr+m.dataOffset, version)
 		m.blocksWritten++
+	} else {
+		busFree, dataAt = m.eng.ReadBlock(m.issueAt, m.st.Addr+m.dataOffset, version)
+		m.blocksRead++
 	}
 	m.blocksMoved++
 	m.issueAt = m.window.Issue(m.issueAt, busFree)
 	if dataAt > m.maxDataAt {
 		m.maxDataAt = dataAt
 	}
+	if m.st.Advance(1); m.st.Left == 0 {
+		m.finishDMA()
+	}
+}
 
-	m.blockAddr += dram.BlockBytes
-	if m.blockAddr < m.segEnd {
-		return
-	}
-	m.segIdx++
-	if m.segIdx < len(in.Segments) {
-		m.loadSegment()
-		return
-	}
-	// Instruction complete: data validity gates dependents; the DMA
-	// engine itself is free once its issue window allows the next
-	// instruction's first block.
+// finishDMA retires the active instruction once its last block is served:
+// data validity gates dependents; the DMA engine itself is free once its
+// issue window allows the next instruction's first block.
+func (m *Machine) finishDMA() {
 	m.retire(m.active, m.maxDataAt)
 	m.dmaFree = m.issueAt
 	m.active = -1
@@ -317,13 +297,13 @@ func (m *Machine) ServeRun() { m.ServeRunUntil(dram.NoHorizon) }
 // could become issue-ready. It serves exactly the blocks block-granular
 // arbitration would hand this machine in a row — each block in turn, until
 // one's next issue time reaches the horizon — so serving order is the
-// reference's. The batched path hands each segment to the engine's run
-// path, which stops at the same block; otherwise it steps the per-block
-// reference. Callers must have obtained a ready time from NextReady first;
-// at least one block is always served (the caller selected this machine,
-// so it wins the tie even when its ready time equals the horizon). On
-// return either the instruction retired or issueAt >= horizon and another
-// machine may be ready.
+// reference's. The batched path hands the rest of the instruction to one
+// engine run, which crosses segment ends and stops at the same block;
+// otherwise it steps the per-block reference. Callers must have obtained a
+// ready time from NextReady first; at least one block is always served
+// (the caller selected this machine, so it wins the tie even when its
+// ready time equals the horizon). On return either the instruction retired
+// or issueAt >= horizon and another machine may be ready.
 func (m *Machine) ServeRunUntil(horizon uint64) {
 	if !m.batched {
 		for {
@@ -333,40 +313,25 @@ func (m *Machine) ServeRunUntil(horizon uint64) {
 			}
 		}
 	}
-	in := &m.prog.Trace.Instrs[m.active]
-	for {
-		n := int((m.segEnd - m.blockAddr + dram.BlockBytes - 1) / dram.BlockBytes)
-		var next, dataAt uint64
-		var k int
-		if in.Op == isa.OpMvIn {
-			next, dataAt, k = m.eng.ReadRun(m.issueAt, m.blockAddr+m.dataOffset, in.Version, n, m.window, horizon)
-			m.blocksRead += uint64(k)
-		} else {
-			next, dataAt, k = m.eng.WriteRun(m.issueAt, m.blockAddr+m.dataOffset, in.Version, n, m.window, horizon)
-			m.blocksWritten += uint64(k)
-		}
-		m.runsServed++
-		m.blocksMoved += uint64(k)
-		m.issueAt = next
-		if dataAt > m.maxDataAt {
-			m.maxDataAt = dataAt
-		}
-		if k < n {
-			// Stopped at the horizon inside the segment.
-			m.blockAddr += uint64(k) * dram.BlockBytes
-			return
-		}
-		if m.segIdx++; m.segIdx >= len(in.Segments) {
-			break
-		}
-		m.loadSegment()
-		if m.issueAt >= horizon {
-			return
-		}
+	version := m.prog.Trace.Instrs[m.active].Version
+	var next, dataAt uint64
+	var k int
+	if m.st.Write {
+		next, dataAt, k = m.eng.WriteRun(m.issueAt, &m.st, version, m.window, horizon)
+		m.blocksWritten += uint64(k)
+	} else {
+		next, dataAt, k = m.eng.ReadRun(m.issueAt, &m.st, version, m.window, horizon)
+		m.blocksRead += uint64(k)
 	}
-	m.retire(m.active, m.maxDataAt)
-	m.dmaFree = m.issueAt
-	m.active = -1
+	m.runsServed++
+	m.blocksMoved += uint64(k)
+	m.issueAt = next
+	if dataAt > m.maxDataAt {
+		m.maxDataAt = dataAt
+	}
+	if m.st.Advance(k); m.st.Left == 0 {
+		m.finishDMA()
+	}
 }
 
 // Gated reports whether the machine can join a contended round: it is
@@ -381,38 +346,21 @@ func (m *Machine) Gated() bool {
 // writes back in place of the machine.
 func (m *Machine) Window() *dram.IssueWindow { return m.window }
 
-// Stream describes the active instruction's remaining blocks to a
-// contended round: segments, the next block, and how many blocks precede
-// the instruction's last one (the round stops before it, so the machine
-// retires the instruction itself).
-func (m *Machine) Stream() memprot.Stream {
-	in := &m.prog.Trace.Instrs[m.active]
-	if m.leftInstr != m.active {
-		// Count the instruction's remaining blocks once; later rounds in
-		// the same instruction subtract what has been served since.
-		left := int((m.segEnd - m.blockAddr + dram.BlockBytes - 1) / dram.BlockBytes)
-		for _, s := range in.Segments[m.segIdx+1:] {
-			a := s.Addr &^ (dram.BlockBytes - 1)
-			left += int((s.Addr + s.Bytes - a + dram.BlockBytes - 1) / dram.BlockBytes)
-		}
-		m.leftInstr, m.leftBase, m.leftMoved = m.active, left, m.blocksMoved
-	}
-	left := m.leftBase - int(m.blocksMoved-m.leftMoved)
-	return memprot.Stream{
-		Segs: in.Segments, Seg: m.segIdx, Addr: m.blockAddr, End: m.segEnd,
-		Off: m.dataOffset, Left: left - 1, Write: in.Op == isa.OpMvOut,
-	}
-}
+// Stream describes the rest of the active instruction to a contended
+// round: segments, the next block, and how many blocks are left. The round
+// stops before the instruction's last block, so the machine retires the
+// instruction itself.
+func (m *Machine) Stream() memprot.Stream { return m.st }
 
 // AdvanceRound moves the machine past k blocks a contended round served,
 // across segment ends but never past the instruction's last block: the
 // round left issueAt as the next issue time and dataAt as the served
 // blocks' latest data time.
 func (m *Machine) AdvanceRound(k int, issueAt, dataAt uint64) {
-	if m.prog.Trace.Instrs[m.active].Op == isa.OpMvIn {
-		m.blocksRead += uint64(k)
-	} else {
+	if m.st.Write {
 		m.blocksWritten += uint64(k)
+	} else {
+		m.blocksRead += uint64(k)
 	}
 	m.blocksMoved += uint64(k)
 	m.roundBlocks += uint64(k)
@@ -420,16 +368,7 @@ func (m *Machine) AdvanceRound(k int, issueAt, dataAt uint64) {
 	if dataAt > m.maxDataAt {
 		m.maxDataAt = dataAt
 	}
-	for {
-		n := int((m.segEnd - m.blockAddr + dram.BlockBytes - 1) / dram.BlockBytes)
-		if k < n {
-			m.blockAddr += uint64(k) * dram.BlockBytes
-			return
-		}
-		k -= n
-		m.segIdx++
-		m.loadSegment()
-	}
+	m.st.Advance(k)
 }
 
 // Run drives the machine to completion (single-NPU operation).
@@ -458,7 +397,8 @@ func (m *Machine) BlocksRead() uint64 { return m.blocksRead }
 func (m *Machine) BlocksWritten() uint64 { return m.blocksWritten }
 
 // RunsServed returns how many engine run calls served this machine's
-// blocks — zero on the per-block reference path.
+// blocks: one per arbitration turn, which for a lone NPU is one per DMA
+// instruction. It is zero on the per-block reference path.
 func (m *Machine) RunsServed() uint64 { return m.runsServed }
 
 // RoundBlocks returns how many of this machine's blocks contended rounds
